@@ -204,6 +204,8 @@ def cmd_expand(ns) -> int:
 
 def cmd_dag_solve(ns) -> int:
     inst = _load(ns.instance)
+    if inst.model != "dag":
+        raise ValueError("dag-solve needs a dag instance")
     table = compute_pi(inst.graph, inst.t, inst.k)
     val = table.value(inst.s, inst.k)
     obj = {"source": str(inst.s), "k": inst.k, "value": _finite(val)}

@@ -141,6 +141,11 @@ class TemporalGraph:
         return {e.key: e for e in self.edges}
 
     @cached_property
+    def latest_first(self) -> tuple[TimeEdge, ...]:
+        """Edges by decreasing tau, ties by key: the label-pass order."""
+        return tuple(sorted(self.edges, key=lambda e: (-e.tau, e.key)))
+
+    @cached_property
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
@@ -460,25 +465,44 @@ def _parse_text(text: str) -> Instance:
         raise InstanceFormatError(str(exc)) from None
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, if its JSON type is kind (a bool is no integer here)."""
+    if type(value) is not kind:
+        raise InstanceFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _from_dict(data: dict) -> Instance:
+    """Build an Instance from parsed JSON, with the schema's field types."""
     try:
         model = data["model"]
         if model not in _MODELS:
             raise InstanceFormatError(f"bad model {model!r}")
-        vertices = list(data["vertices"])
+        vertices = [_typed(v, str, "vertex name")
+                    for v in _typed(data["vertices"], list, "vertices")]
+        built: list = []
+        for e in _typed(data["edges"], list, "edges"):
+            _typed(e, dict, "edge record")
+            u = _typed(e["u"], str, "edge endpoint")
+            v = _typed(e["v"], str, "edge endpoint")
+            copies = _typed(e.get("copies", 1), int, "copies")
+            if model == "temporal":
+                tau, d = _typed(e["tau"], int, "tau"), _typed(e["d"], int, "d")
+                built.append(TimeEdge(u, v, tau, d, copies))
+            else:
+                built.append(StaticEdge(u, v, _typed(e["weight"], int, "weight"), copies))
         if model == "temporal":
-            built: list = [
-                TimeEdge(e["u"], e["v"], e["tau"], e["d"], e.get("copies", 1))
-                for e in data["edges"]
-            ]
             graph: Graph = TemporalGraph.build(vertices, built)
         else:
-            built = [
-                StaticEdge(e["u"], e["v"], e["weight"], e.get("copies", 1))
-                for e in data["edges"]
-            ]
             graph = StaticGraph.build(vertices, built, directed=(model == "dag"))
-        return Instance(graph, data["s"], data["t"], int(data["k"]), data.get("deadline"))
+        deadline = data.get("deadline")
+        if "deadline" in data:
+            _typed(deadline, int, "deadline")
+        return Instance(graph, _typed(data["s"], str, "s"), _typed(data["t"], str, "t"),
+                        _typed(data["k"], int, "k"), deadline)
     except KeyError as exc:
         raise InstanceFormatError(f"missing field {exc.args[0]!r}") from None
     except ValueError as exc:

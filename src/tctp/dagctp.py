@@ -66,9 +66,8 @@ class BlockGroups:
         return self.arc_to_group[e.key]
 
 
-def _groups_or_identity(g: StaticGraph, groups: Optional[BlockGroups]) -> BlockGroups:
-    if groups is None:
-        return BlockGroups.identity(g)
+def _group_members(g: StaticGraph, groups: BlockGroups) -> dict:
+    """Validate groups against g; map each group id to its member arcs."""
     members: dict = {}
     for e in g.edges:
         gid = groups.arc_to_group.get(e.key)
@@ -78,9 +77,15 @@ def _groups_or_identity(g: StaticGraph, groups: Optional[BlockGroups]) -> BlockG
             raise ValueError(f"arc {e.key} copies differ from its group's")
         members.setdefault(gid, []).append(e)
     for gid, arcs in members.items():
-        tails = [a.u for a in arcs]
-        if len(set(tails)) != len(tails):
+        if len(arcs) > 1 and len({a.u for a in arcs}) != len(arcs):
             raise ValueError(f"group {gid!r} has two member arcs at one tail")
+    return members
+
+
+def _groups_or_identity(g: StaticGraph, groups: Optional[BlockGroups]) -> BlockGroups:
+    if groups is None:
+        return BlockGroups.identity(g)
+    _group_members(g, groups)
     return groups
 
 
@@ -110,16 +115,20 @@ def compute_pi(
     arc weight.
 
     Block groups are validated but do not alter the table: a group's member
-    arcs sit at distinct tails, and in the layered DAGs built by the time
-    expansion at most one member is ever reachable in a single play, so group
-    coupling never binds. The brute-force oracle, which honours groups
-    exactly, cross-checks this.
+    arcs sit at distinct tails, and no directed path holds two of them, so at
+    most one member is ever reachable in a single play and group coupling
+    never binds. The brute-force oracle, which honours groups exactly,
+    cross-checks this. Path-freeness is settled in O(V+E) from longest-path
+    depths along the topological order: a group whose deepest tail is
+    shallower than its shallowest head is path-free. Groups built by the time
+    expansion always pass (each tail reaches each head of its time edge); any
+    other group falls back to an exact descendant search.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
-    grp = _groups_or_identity(g, groups)
-    _check_groups_path_free(g, grp)
     order = topological_order(g)
+    if groups is not None:
+        _check_groups_path_free(g, _group_members(g, groups), order)
     k = budget
     values: dict = {}
     for v in reversed(order):
@@ -150,14 +159,33 @@ def compute_pi(
     return PiTable(values, k, target)
 
 
-def _check_groups_path_free(g: StaticGraph, groups: BlockGroups) -> None:
-    """Reject groups whose members could both occur on one directed path."""
-    members: dict = {}
-    for e in g.edges:
-        members.setdefault(groups.arc_to_group[e.key], []).append(e)
+def _check_groups_path_free(g: StaticGraph, members: dict, order: list) -> None:
+    """Reject groups whose members could both occur on one directed path.
+
+    members maps group ids to member arcs; order is a topological order of g.
+    A path from one member's head to another's tail would make that tail at
+    least as deep as that head, so a group whose tails all lie shallower than
+    all its heads needs no search.
+    """
     multi = [arcs for arcs in members.values() if len(arcs) > 1]
     if not multi:
         return
+    depth = dict.fromkeys(order, 0)
+    for v in order:
+        for e in g.outgoing(v):
+            if depth[e.v] <= depth[v]:
+                depth[e.v] = depth[v] + 1
+    unsure = [
+        arcs
+        for arcs in multi
+        if max(depth[a.u] for a in arcs) >= min(depth[a.v] for a in arcs)
+    ]
+    if unsure:
+        _search_group_paths(g, unsure)
+
+
+def _search_group_paths(g: StaticGraph, multi: list) -> None:
+    """Exact check of the given member-arc lists by descendant search."""
     reach_memo: dict = {}
 
     def descendants(v) -> frozenset:

@@ -8,6 +8,7 @@ strategies for both sides.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -53,7 +54,7 @@ def latest_departure_labels(
         raise ValueError(f"unknown target vertex {t!r}")
     labels = {v: NEVER for v in g.vertices}
     labels[t] = deadline
-    for e in sorted(g.edges, key=lambda e: (-e.tau, e.key)):
+    for e in g.latest_first:
         if skip_one == e.key and e.copies == 1:
             continue
         if e.tau + e.d <= labels[e.v] and e.tau > labels[e.u]:
@@ -62,6 +63,24 @@ def latest_departure_labels(
             labels[e.v] = e.tau
     labels[t] = deadline
     return labels
+
+
+def _sole_witnesses(g: TemporalGraph, t, base: Mapping) -> list:
+    """Single-copy edge keys that alone support some vertex's base label.
+
+    Removing a copy of any other edge leaves every label unchanged: each
+    label is still attained by a surviving edge whose far endpoint keeps its
+    (later) label, by induction on decreasing label. So only these keys
+    need a label pass of their own, at most one per vertex.
+    """
+    witnesses: dict = {}
+    for e in g.edges:
+        for x, y in ((e.u, e.v), (e.v, e.u)):
+            if x != t and e.tau == base[x] and e.arrival <= base[y]:
+                witnesses.setdefault(x, []).append(e)
+    return sorted(
+        ws[0].key for ws in witnesses.values() if len(ws) == 1 and ws[0].copies == 1
+    )
 
 
 def compute_mu(g: TemporalGraph, t, T, v, e: Union[TimeEdge, tuple]):
@@ -125,9 +144,8 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
 
     base = latest_departure_labels(g, inst.t, T)
     cache = {
-        e.key: latest_departure_labels(g, inst.t, T, skip_one=e.key)
-        for e in g.edges
-        if e.copies == 1
+        key: latest_departure_labels(g, inst.t, T, skip_one=key)
+        for key in _sole_witnesses(g, inst.t, base)
     }
     mu: Dict[tuple, float] = {}
     lam1: Dict[object, float] = {}
@@ -136,7 +154,7 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
             continue
         vals = []
         for e in g.incident(v):
-            m = cache[e.key][v] if e.copies == 1 else base[v]
+            m = cache[e.key][v] if e.key in cache else base[v]
             mu[(v, e.key)] = m
             vals.append(m)
         lam1[v] = min(vals) if vals else math.inf
@@ -148,20 +166,22 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
         if e.tau + e.d <= T and e.tau > nu[other]:
             nu[other] = e.tau
     order = [inst.t]
-    unsettled = set(nu)
-    while unsettled:
-        best_v, best_val = None, None
-        for v in sorted(unsettled):
-            val = min(lam1[v], nu[v])
-            if best_v is None or val > best_val:
-                best_v, best_val = v, val
-        unsettled.discard(best_v)
+    # max-heap on (value, then smallest name); values only rise, so a
+    # vertex's current entry pops before its stale ones
+    heap = [(-min(lam1[v], nu[v]), v) for v in nu]
+    heapq.heapify(heap)
+    while heap:
+        neg, best_v = heapq.heappop(heap)
+        if best_v in pi1:
+            continue
+        best_val = -neg
         pi1[best_v] = best_val
         order.append(best_v)
         for e in g.incident(best_v):
             other = e.other(best_v)
-            if other in unsettled and e.tau + e.d <= best_val and e.tau > nu[other]:
+            if other not in pi1 and e.tau + e.d <= best_val and e.tau > nu[other]:
                 nu[other] = e.tau
+                heapq.heappush(heap, (-min(lam1[other], nu[other]), other))
     table = Pi1Table(pi1, nu, mu, lam1, T, tuple(order))
     return K1Result(pi1[inst.s] >= 0, table, inst)
 

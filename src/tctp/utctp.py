@@ -2,12 +2,15 @@
 
 Blocker reveals the status of a time edge exactly when Traveller stands at
 one of its endpoints at its departure time. Deciding a window reduces to
-finite-budget reachability on the time expansion; the optimizers scan event
-times, and ``brute_u_game`` replays the game definition directly on
-tiny instances as an independent oracle.
+finite-budget reachability on the time expansion. The three window
+optimizers (earliest arrival, latest departure, fastest path) read their
+answers from the one budget table of the unbounded window, and
+``brute_u_game`` replays the game definition directly on tiny instances as an
+independent oracle.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -49,46 +52,62 @@ def decide_u(
     return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, xd, table)
 
 
+def _source_arrivals(inst: Instance) -> list:
+    """(L, guaranteed arrival from (s, L)) per s node of the (0, inf) expansion.
+
+    Sorted by L. The (t1, t2) game is this game entered at the first s node
+    at or after t1: the nodes after it carry the same edges, and nodes that
+    only split wait chains change no cost. It wins iff that node's guaranteed
+    arrival is at most t2, so one table answers every window.
+    """
+    dec = decide_u(inst, 0, math.inf)
+    return sorted(
+        (node[1], node[1] + dec.table.value(node, inst.k))
+        for node in dec.expansion.non_target_nodes()
+        if node[0] == inst.s
+    )
+
+
 def earliest_arrival(inst: Instance) -> Optional[int]:
     """Least t2 with a (0, t2) win; None when no window works."""
     if inst.s == inst.t:
         return 0
-    g = inst.graph
-    for t2 in sorted({e.arrival for e in g.edges}):
-        if decide_u(inst, 0, t2).wins:
-            return t2
-    return None
+    dec = decide_u(inst, 0, math.inf)
+    return dec.guaranteed_arrival if dec.wins else None
 
 
 def latest_departure(inst: Instance) -> Union[int, float, None]:
-    """Greatest t1 with a (t1, infinity) win; +inf when s = t, else None if none."""
+    """Greatest t1 with a (t1, infinity) win; +inf when s = t, else None if none.
+
+    The latest s node with a finite guarantee is the departure time of an
+    edge at s: its wait arc leads only to nodes without a finite guarantee,
+    so its own guarantee comes from an edge leaving there.
+    """
     if inst.s == inst.t:
         return math.inf
-    g = inst.graph
-    for t1 in sorted({e.tau for e in g.edges}, reverse=True):
-        if decide_u(inst, t1, math.inf).wins:
-            return t1
-    return None
+    finite = [time for time, arrive in _source_arrivals(inst) if arrive != UNREACHABLE]
+    return finite[-1] if finite else None
 
 
 def shortest_duration(inst: Instance) -> Optional[tuple]:
-    """Window (t1, t2) of least width that wins; ties prefer the earlier t1."""
+    """Window (t1, t2) of least width that wins; ties prefer the earlier t1.
+
+    For each departure time t1 the narrowest winning window ends at the
+    guaranteed arrival of the first s node at or after t1.
+    """
     if inst.s == inst.t:
         return (0, 0)
-    g = inst.graph
-    departures = sorted({e.tau for e in g.edges})
-    arrivals = sorted({e.arrival for e in g.edges})
+    labels = _source_arrivals(inst)
+    times = [time for time, _ in labels]
     best = None
-    for t1 in departures:
-        for t2 in arrivals:
-            if t2 < t1:
-                continue
-            if best is not None and t2 - t1 >= best[0]:
-                break
-            if decide_u(inst, t1, t2).wins:
-                best = (t2 - t1, t1, t2)
-                break
-    return (best[1], best[2]) if best else None
+    for t1 in sorted({e.tau for e in inst.graph.edges}):
+        i = bisect.bisect_left(times, t1)
+        if i == len(times):
+            break
+        arrive = labels[i][1]
+        if arrive != UNREACHABLE and (best is None or arrive - t1 < best[1] - best[0]):
+            best = (t1, arrive)
+    return best
 
 
 def brute_u_game(

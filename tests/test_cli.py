@@ -237,6 +237,18 @@ def test_exit_codes_flag_errors(tmp_path, sep_file):
     assert code == 4 and "state limit" in err
 
 
+def test_wrong_model_and_field_types_exit_two(tmp_path, sep_file):
+    code, out, err = _run(["dag-solve", sep_file])
+    assert (code, out, err) == (2, "", "tctp: dag-solve needs a dag instance\n")
+
+    string_tau = tmp_path / "tau.json"
+    string_tau.write_text(
+        '{"model": "temporal", "vertices": ["a", "b"], "s": "a", "t": "b", "k": 0, '
+        '"edges": [{"u": "a", "v": "b", "tau": "0", "d": 1}]}\n')
+    code, out, err = _run(["solve-u", str(string_tau)])
+    assert (code, out) == (2, "") and err == "tctp: tau must be an integer, got '0'\n"
+
+
 def test_identical_invocations_identical_bytes(sep_file, triple_file):
     for argv in (["expand", sep_file], ["dag-solve", "--table", triple_file],
                  ["play", sep_file, "--model", "li"]):

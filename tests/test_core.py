@@ -1,4 +1,5 @@
 """Data model, walk validation, and instance format round trips."""
+import json
 import math
 import random
 
@@ -247,6 +248,24 @@ def test_parse_json_errors():
         parse_instance('{"model": "temporal"}')
     with pytest.raises(InstanceFormatError):
         parse_instance('{"model": "wat", "vertices": [], "s": "a", "t": "a", "k": 0}')
+
+
+def _json_instance(k=0, tau=0, vertices=("a", "b")):
+    return json.dumps({"model": "temporal", "vertices": list(vertices), "s": "a",
+                       "t": "b", "k": k, "edges": [{"u": "a", "v": "b", "tau": tau,
+                                                    "d": 1}]})
+
+
+def test_parse_json_field_types():
+    assert parse_instance(_json_instance()).graph.edges[0].tau == 0
+    with pytest.raises(InstanceFormatError, match="tau must be an integer"):
+        parse_instance(_json_instance(tau="0"))
+    with pytest.raises(InstanceFormatError, match="tau must be an integer"):
+        parse_instance(_json_instance(tau=0.5))
+    with pytest.raises(InstanceFormatError, match="k must be an integer"):
+        parse_instance(_json_instance(k=True))
+    with pytest.raises(InstanceFormatError, match="vertex name must be a string"):
+        parse_instance(_json_instance(vertices=("a", "b", 3)))
 
 
 def test_deadline_round_trips():

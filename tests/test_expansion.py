@@ -6,6 +6,7 @@ import pytest
 
 from generators import enumerate_walks, rand_temporal
 from tctp.core import TemporalGraph, TemporalWalk, TimeEdge, WalkStep, validate_walk
+from tctp import dagctp
 from tctp.dagctp import compute_pi
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion, project_walk
 from tctp.samples import separating_instance
@@ -61,6 +62,19 @@ def test_orientations_share_a_block_group():
     assert xd.groups.group_of(fwd) == gid
     assert xd.groups.group_of(bwd) == gid
     assert xd.groups.group_copies[gid] == 3
+
+
+def test_expansion_groups_need_no_path_search(monkeypatch):
+    # both tails of a time edge reach both its heads, so the depth test
+    # settles every expansion group without the descendant search
+    def search(g, groups):
+        raise AssertionError(f"fell back to the path search for {groups}")
+    monkeypatch.setattr(dagctp, "_search_group_paths", search)
+    rng = random.Random(5)
+    for _ in range(30):
+        inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=10)
+        xd = build_expansion(inst.graph, inst.s, inst.t, inst.k)
+        compute_pi(xd.graph, xd.target, inst.k, xd.groups)
 
 
 def test_wait_and_sink_arcs_cannot_be_blocked():

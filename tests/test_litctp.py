@@ -7,6 +7,7 @@ import pytest
 
 from generators import enumerate_walks, rand_temporal
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
+from tctp import litctp
 from tctp.errors import SizeLimitError
 from tctp.litctp import (
     NEVER,
@@ -136,6 +137,24 @@ def test_solve_k1_matches_exact_search():
     for _ in range(120):
         inst = rand_temporal(rng, k=1)
         assert solve_k1(inst).wins == exact_li(inst).wins
+
+
+def test_solve_k1_label_passes_stay_within_vertex_count(monkeypatch):
+    # one base pass plus at most one rerun per vertex, however many
+    # single-copy edges there are
+    passes = []
+    real = litctp.latest_departure_labels
+    monkeypatch.setattr(litctp, "latest_departure_labels",
+                        lambda *a, **kw: passes.append(a) or real(*a, **kw))
+    rng = random.Random(17)
+    single = 0
+    for _ in range(20):
+        inst = rand_temporal(rng, max_n=8, max_keys=40, max_tau=10, k=1)
+        passes.clear()
+        solve_k1(inst)
+        assert len(passes) <= len(inst.graph.vertices) + 1
+        single = max(single, sum(e.copies == 1 for e in inst.graph.edges))
+    assert single > 9  # the per-edge loop would have needed more passes
 
 
 def test_k1_policy_reads_the_table():

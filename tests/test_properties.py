@@ -1,0 +1,100 @@
+"""Property tests: the fast polynomial paths against their reference versions.
+
+Each fast path answers from one shared table or a pruned pass; the oracles in
+``oracles.py`` recompute the same answers naively on generated instances.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    groups_share_a_path,
+    per_edge_k1_table,
+    scan_earliest_arrival,
+    scan_latest_departure,
+    scan_shortest_duration,
+)
+from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
+from tctp.dagctp import BlockGroups, compute_pi
+from tctp.litctp import solve_k1
+from tctp.utctp import earliest_arrival, latest_departure, shortest_duration
+
+# derandomized so that every run of the suite checks the same examples
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def temporal_instances(draw, k=None):
+    n = draw(st.integers(2, 6))
+    names = [f"v{i}" for i in range(n)]
+    records = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 6),
+                  st.integers(1, 2), st.integers(1, 3)).filter(lambda r: r[0] != r[1]),
+        max_size=12,
+    ))
+    edges = [TimeEdge(names[a], names[b], tau, d, copies)
+             for a, b, tau, d, copies in records]
+    s, t = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    budget = draw(st.integers(0, 2)) if k is None else k
+    deadline = draw(st.none() | st.integers(0, 9))
+    return Instance(TemporalGraph.build(names, edges), s, t, budget, deadline)
+
+
+@SETTINGS
+@given(temporal_instances())
+def test_one_table_optimizers_match_window_scans(inst):
+    assert earliest_arrival(inst) == scan_earliest_arrival(inst)
+    assert latest_departure(inst) == scan_latest_departure(inst)
+    assert shortest_duration(inst) == scan_shortest_duration(inst)
+
+
+@SETTINGS
+@given(temporal_instances(k=1))
+def test_sole_witness_k1_matches_per_edge_reruns(inst):
+    res = solve_k1(inst)
+    want = per_edge_k1_table(inst)
+    assert res.wins == (want.pi1[inst.s] >= 0)
+    assert res.table.pi1 == want.pi1
+    assert res.table.order == want.order
+    assert res.table == want
+
+
+@st.composite
+def grouped_dags(draw):
+    """A random DAG whose arcs fall into a few block groups.
+
+    Members of a group get the group's copy count and distinct tails, so the
+    only way a grouping can be invalid is a path through two members.
+    """
+    n = draw(st.integers(3, 8))
+    names = [f"n{i}" for i in range(n)]
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+            lambda p: p[0] < p[1]),
+        min_size=2, max_size=14, unique=True,
+    ))
+    copies = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    arc_to_group, group_copies, arcs, tails = {}, {}, [], {}
+    for i, j in pairs:
+        gid = draw(st.integers(0, 2))
+        if names[i] in tails.setdefault(gid, set()):
+            gid = len(copies) + len(arcs)  # a group of its own
+        tails.setdefault(gid, set()).add(names[i])
+        c = copies[gid] if gid < len(copies) else draw(st.integers(1, 2))
+        arc = StaticEdge(names[i], names[j], draw(st.integers(1, 5)), copies=c)
+        arcs.append(arc)
+        arc_to_group[arc.key] = gid
+        group_copies[gid] = c
+    g = StaticGraph.build(names, arcs, directed=True)
+    return g, names[-1], draw(st.integers(0, 3)), BlockGroups(arc_to_group, group_copies)
+
+
+@SETTINGS
+@given(grouped_dags())
+def test_group_check_matches_exhaustive_path_search(case):
+    g, target, k, groups = case
+    if groups_share_a_path(g, groups):
+        with pytest.raises(ValueError, match="share a path"):
+            compute_pi(g, target, k, groups)
+    else:
+        assert compute_pi(g, target, k, groups) == compute_pi(g, target, k)

@@ -6,6 +6,7 @@ import pytest
 
 from generators import rand_temporal
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
+from tctp import utctp
 from tctp.errors import SizeLimitError
 from tctp.samples import separating_instance
 from tctp.utctp import (
@@ -105,6 +106,20 @@ def test_bad_window_raises():
         decide_u(_chain(0), 3, 1)
     with pytest.raises(ValueError, match="bad window"):
         brute_u_game(_chain(0), 3, 1)
+
+
+def test_each_optimizer_builds_one_table(monkeypatch):
+    calls = []
+    real = utctp.decide_u
+    monkeypatch.setattr(utctp, "decide_u",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    rng = random.Random(23)
+    for _ in range(20):
+        inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=12)
+        for optimizer in (earliest_arrival, latest_departure, shortest_duration):
+            calls.clear()
+            optimizer(inst)
+            assert len(calls) == 1, optimizer.__name__
 
 
 def test_agrees_with_exhaustive_game():
