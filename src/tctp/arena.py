@@ -1,29 +1,37 @@
-"""Referee running Traveller-vs-Blocker policies, with exhaustive verification.
+"""Referee and exhaustive verifier for Traveller-vs-Blocker games.
 
-``play`` referees a single game under one of four information models and
-returns a Transcript. Policies are plain callables from a view of the
-current knowledge state to an action; an illegal output becomes a FOUL
-event that awards the game to the opponent instead of raising.
+The four information models differ only in what a reveal exposes and when,
+so each is one rules object that the referee and the verifier both step.
+It defines, once: the inputs it accepts and the bound it plays to; the
+reveal scope at a state; the legal moves and waits and where they lead; the
+Traveller's view; and the knowledge the verifier may merge states on.
 
-``verify_traveller_strategy`` replaces the Blocker with an exhaustive
-adversary trying every legal count vector at every reveal, and either
-certifies that the Traveller policy wins within the deadline or produces a
-losing transcript. It assumes the policy is a pure function of its view.
-
-Models:
-  "li"      temporal graph; all edges incident to a vertex are decided at the
-            Traveller's first arrival there.
-  "u"       temporal graph; edges departing the Traveller's position at the
-            current instant are decided right before the Traveller acts.
-  "static"  weighted graph; edges incident to a vertex are decided at first
-            arrival, the clock is accumulated weight.
+  "li"      (``_LiRules``) temporal graph; all edges incident to a vertex are
+            decided at the Traveller's first arrival there. Any later
+            departure may be taken; a wait runs to its end.
+  "u"       (``_URules``) temporal graph; edges departing the Traveller's
+            position at the current instant are decided right before the
+            Traveller acts. Only those may be taken; a wait stops at the
+            next instant that would reveal something.
+  "static"  (``_StaticRules``) weighted graph; edges incident to a vertex are
+            decided at first arrival, the clock is accumulated weight. There
+            is no waiting, and standing again where nothing was revealed
+            since is a loss: the walk is circling.
   "dag"     directed weighted graph; like "static" but only out-arcs are
             decided on arrival.
 
-Traveller actions: ("move", edge_key), ("wait", until) on temporal models,
-("resign",). A wait is a commitment, interrupted early only when new
-statuses would be revealed before ``until``; a policy wanting to re-decide
-every instant can simply wait one step at a time.
+``play`` steps the rules against a Blocker policy and returns a Transcript.
+Policies are plain callables from a view of the current knowledge state to
+an action; an illegal output becomes a FOUL event that awards the game to
+the opponent instead of raising. Traveller actions: ("move", edge_key),
+("wait", until) on temporal models, ("resign",). A wait is a commitment; a
+policy wanting to re-decide every instant can wait one step at a time.
+
+``verify_traveller_strategy`` steps the same rules but branches over every
+legal count vector at every reveal, on an explicit stack, and either
+certifies that the Traveller policy wins within the deadline or replays a
+losing line through ``play``. It assumes the policy is a pure function of
+its view.
 """
 from __future__ import annotations
 
@@ -92,12 +100,18 @@ class UView:
 
 @dataclass(frozen=True)
 class StaticView:
+    """Traveller knowledge in the static models; ``clock`` is accumulated cost."""
+
     position: object
-    cost: int
+    clock: int
     decided: Mapping
     spent: int
     inst: Instance
     deadline: object = None
+
+    @property
+    def cost(self) -> int:
+        return self.clock
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +216,6 @@ def _script_points(tr: Transcript):
             yield ("traveller", pos, clock, _frozen(decided), ("resign",))
 
 
-def _view_clock(view):
-    return view.clock if hasattr(view, "clock") else view.cost
-
-
 def transcript_traveller_policy(tr: Transcript) -> Policy:
     """Pure replay: repeat the transcript's action in each knowledge state.
 
@@ -216,7 +226,7 @@ def transcript_traveller_policy(tr: Transcript) -> Policy:
               if side == "traveller"}
 
     def policy(view):
-        key = (view.position, _view_clock(view), _frozen(view.decided))
+        key = (view.position, view.clock, _frozen(view.decided))
         return script.get(key, ("resign",))
 
     return policy
@@ -245,29 +255,15 @@ def scripted_blocker(choices) -> Policy:
 
 
 # ---------------------------------------------------------------------------
-# shared referee pieces
+# the rules table
 
 
 def _frozen(decided: Mapping) -> tuple:
     return tuple(sorted(decided.items()))
 
 
-def _li_scope(g: TemporalGraph, pos, decided) -> list:
-    return sorted((e for e in g.incident(pos) if e.key not in decided),
-                  key=lambda e: e.key)
-
-
-def _u_scope(g: TemporalGraph, pos, clock, decided) -> list:
-    return sorted(
-        (e for e in g.incident(pos) if e.tau == clock and e.key not in decided),
-        key=lambda e: e.key,
-    )
-
-
-def _static_scope(g: StaticGraph, pos, decided, model: str) -> list:
-    edges = g.outgoing(pos) if model == "dag" else g.incident(pos)
-    return sorted((e for e in edges if e.key not in decided),
-                  key=lambda e: e.key)
+def _undecided(edges, decided) -> list:
+    return sorted((e for e in edges if e.key not in decided), key=lambda e: e.key)
 
 
 def _check_choice(scope, choice, remaining: int) -> Optional[str]:
@@ -287,16 +283,6 @@ def _check_choice(scope, choice, remaining: int) -> Optional[str]:
     if total > remaining:
         return f"blocking {total} copies with only {remaining} budget left"
     return None
-
-
-def _apply_choice(decided: dict, scope, choice) -> tuple:
-    """Record the choice (zeros for unmentioned keys); returns sorted statuses."""
-    statuses = []
-    for e in scope:
-        c = int(choice.get(e.key, 0))
-        decided[e.key] = c
-        statuses.append((e.key, c))
-    return tuple(statuses)
 
 
 def _choices(scope, remaining: int):
@@ -319,33 +305,235 @@ def _choices(scope, remaining: int):
     yield from rec(0, remaining, {})
 
 
-def _horizon(g: TemporalGraph, t1: int, t2) -> int:
-    if t2 != math.inf:
-        return t2
-    return max((e.arrival for e in g.edges), default=t1)
-
-
 _MISS = object()
 
 
 class _Foul(Exception):
-    def __init__(self, by: str, reason: str):
-        self.by = by
-        self.reason = reason
+    """A Traveller action the rules forbid; the reason forfeits the game."""
 
 
-def _take_action(act, by: str = "traveller"):
-    """Normalize a policy output; raises _Foul on garbage."""
+def _take_action(act) -> tuple:
+    """Normalize a Traveller output; raises _Foul on garbage."""
     if not isinstance(act, tuple) or not act:
-        raise _Foul(by, f"action must be a nonempty tuple, got {act!r}")
-    kind = act[0]
-    if kind == "resign" and len(act) == 1:
-        return ("resign",)
-    if kind == "move" and len(act) == 2:
+        raise _Foul(f"action must be a nonempty tuple, got {act!r}")
+    if (act[0] == "resign" and len(act) == 1
+            or act[0] in ("move", "wait") and len(act) == 2):
         return act
-    if kind == "wait" and len(act) == 2:
-        return act
-    raise _Foul(by, f"unrecognized action {act!r}")
+    raise _Foul(f"unrecognized action {act!r}")
+
+
+class _State:
+    """Where a game stands; the verifier copies it at each reveal it branches on.
+
+    ``visited`` holds the vertices whose first-arrival reveal is done;
+    ``seen`` the positions stood on since the last reveal.
+    """
+
+    __slots__ = ("pos", "clock", "spent", "decided", "visited", "seen")
+
+    def __init__(self, pos, clock, spent=0, decided=None, visited=frozenset()):
+        self.pos, self.clock, self.spent = pos, clock, spent
+        self.decided = {} if decided is None else decided
+        self.visited = visited
+        self.seen: set = set()
+
+    def reveal(self, scope, choice) -> tuple:
+        """Record a legal choice (zeros for unmentioned keys); returns the statuses."""
+        statuses = tuple((e.key, int(choice.get(e.key, 0))) for e in scope)
+        self.decided.update(statuses)
+        self.spent += sum(c for _, c in statuses)
+        self.seen.clear()
+        return statuses
+
+    def after(self, scope, choice) -> "_State":
+        st = _State(self.pos, self.clock, self.spent, dict(self.decided), self.visited)
+        st.reveal(scope, choice)
+        return st
+
+
+class _Rules:
+    """One information model's rules, stepped by ``play`` and by the verifier.
+
+    The constructor checks the inputs: the Traveller wins on reaching t with
+    clock <= ``deadline`` and loses once the clock passes ``horizon``. A
+    subclass defines ``scope``, ``view``, ``move``, ``wait`` and ``key``.
+    """
+
+    circling = False  # standing again where nothing was revealed since loses
+
+    def __init__(self, inst: Instance, t1, t2, horizon):
+        self.inst, self.g = inst, inst.graph
+        self.t1, self.t2 = t1, t2  # as policies see them
+        self.t2_record = t2  # as transcripts record it
+        self.deadline = math.inf if t2 is None else t2
+        self.horizon = horizon
+
+    def walk(self, st: _State, tp: Policy, events: list):
+        """Step the Traveller from ``st`` until a reveal is due or the game ends.
+
+        Updates ``st`` and appends the Traveller's events. Returns the
+        nonempty scope of the due reveal, or the outcome.
+        """
+        while True:
+            if st.pos == self.inst.t:
+                return TRAVELLER_WIN if st.clock <= self.deadline else BLOCKER_WIN
+            if st.clock > self.horizon:
+                return BLOCKER_WIN
+            scope = self.scope(st)
+            if scope:
+                return scope
+            if self.circling:
+                if st.pos in st.seen:
+                    return BLOCKER_WIN
+                st.seen.add(st.pos)
+            try:
+                act = _take_action(tp(self.view(st)))
+                if act[0] == "resign":
+                    events.append({"type": "RESIGN", "by": "traveller"})
+                    return BLOCKER_WIN
+                if act[0] == "move":
+                    events.append(self.move(st, act[1]))
+                else:
+                    events.append(self.wait(st, act[1]))
+            except _Foul as f:
+                events.append({"type": "FOUL", "by": "traveller", "reason": str(f)})
+                return BLOCKER_WIN
+
+    def key(self, st: _State) -> tuple:
+        return (st.pos, st.clock, _frozen(st.decided))
+
+    def _first_arrival(self, st: _State, edges) -> list:
+        """The undecided edges on the first arrival at st.pos, marking it visited."""
+        if st.pos in st.visited:
+            return []
+        st.visited = st.visited | {st.pos}
+        return _undecided(edges, st.decided)
+
+    @staticmethod
+    def _surviving(st: _State, e, key) -> None:
+        if e.copies - st.decided.get(e.key, 0) < 1:
+            raise _Foul(f"no surviving copy of {key!r}")
+
+
+class _TemporalRules(_Rules):
+    """Temporal graph, window [t1, t2]; a move arrives at e.tau + e.d."""
+
+    def __init__(self, inst, model, t1, t2):
+        if not isinstance(inst.graph, TemporalGraph):
+            raise ValueError(f"model {model!r} needs a temporal instance")
+        if t2 is None:
+            t2 = inst.deadline if inst.deadline is not None else math.inf
+        if t1 < 0 or t1 > t2:
+            raise ValueError(f"bad window [{t1}, {t2}]")
+        horizon = t2 if t2 != math.inf else max(
+            (e.arrival for e in inst.graph.edges), default=t1)
+        super().__init__(inst, t1, t2, horizon)
+        self.t2_record = None if t2 == math.inf else t2
+
+    def move(self, st, key) -> dict:
+        e = self.g.by_key.get(key)
+        if e is None or not e.touches(st.pos):
+            raise _Foul(f"no edge {key!r} at {st.pos!r}")
+        self._departs(e, key, st.clock)
+        self._surviving(st, e, key)
+        st.pos, st.clock = e.other(st.pos), e.arrival
+        return {"type": "MOVE", "key": e.key, "depart": e.tau, "arrive": e.arrival}
+
+    def wait(self, st, until) -> dict:
+        if not isinstance(until, int) or until <= st.clock:
+            raise _Foul(f"wait until {until!r} never passes {st.clock}")
+        st.clock = self._wake(st, until)
+        return {"type": "WAIT", "at": st.pos, "until": st.clock}
+
+
+class _LiRules(_TemporalRules):
+    """``li``: the view and the merge key carry the visited set."""
+
+    def scope(self, st):
+        return self._first_arrival(st, self.g.incident(st.pos))
+
+    def key(self, st):
+        return super().key(st) + (st.visited,)
+
+    def view(self, st):
+        return LiView(position=st.pos, clock=st.clock, decided=dict(st.decided),
+                      visited=st.visited, budget_used=st.spent,
+                      inst=self.inst, t1=self.t1, t2=self.t2)
+
+    def _departs(self, e, key, clock) -> None:
+        if e.tau < clock:
+            raise _Foul(f"edge {key!r} departed before time {clock}")
+
+    def _wake(self, st, until) -> int:
+        return until
+
+
+class _URules(_TemporalRules):
+    """``u``: reveals and moves happen only at the current instant."""
+
+    def scope(self, st):
+        return _undecided((e for e in self.g.incident(st.pos) if e.tau == st.clock),
+                          st.decided)
+
+    def view(self, st):
+        return UView(position=st.pos, clock=st.clock, decided=dict(st.decided),
+                     spent=st.spent, inst=self.inst, t1=self.t1, t2=self.t2)
+
+    def _departs(self, e, key, clock) -> None:
+        if e.tau != clock:
+            raise _Foul(f"edge {key!r} does not depart at instant {clock}")
+
+    def _wake(self, st, until) -> int:
+        return min((e.tau for e in self.g.incident(st.pos)
+                    if st.clock < e.tau <= until and e.key not in st.decided),
+                   default=until)
+
+
+class _StaticRules(_Rules):
+    """``static`` and ``dag``: the clock is accumulated cost, t1 stays 0."""
+
+    circling = True
+
+    def __init__(self, inst, model, t1, t2):
+        if not isinstance(inst.graph, StaticGraph):
+            raise ValueError(f"model {model!r} needs a weighted-graph instance")
+        if model == "dag" and not inst.graph.directed:
+            raise ValueError("model 'dag' needs a directed graph")
+        if t1 != 0:
+            raise ValueError("static models start at cost 0; t1 must be 0")
+        deadline = t2 if t2 is not None else inst.deadline
+        super().__init__(inst, 0, deadline, math.inf if deadline is None else deadline)
+        self.revealed = inst.graph.outgoing if model == "dag" else inst.graph.incident
+
+    def scope(self, st):
+        return self._first_arrival(st, self.revealed(st.pos))
+
+    def view(self, st):
+        return StaticView(position=st.pos, clock=st.clock, decided=dict(st.decided),
+                          spent=st.spent, inst=self.inst, deadline=self.t2)
+
+    def move(self, st, key) -> dict:
+        e = {e.key: e for e in self.g.outgoing(st.pos)}.get(key)
+        if e is None:
+            raise _Foul(f"no edge {key!r} usable from {st.pos!r}")
+        self._surviving(st, e, key)
+        event = {"type": "MOVE", "key": e.key,
+                 "depart": st.clock, "arrive": st.clock + e.weight}
+        st.clock += e.weight
+        st.pos = e.v if self.g.directed else e.other(st.pos)
+        return event
+
+    def wait(self, st, until) -> dict:
+        raise _Foul("waiting is not a move in the static game")
+
+
+_RULES = {"li": _LiRules, "u": _URules, "static": _StaticRules, "dag": _StaticRules}
+
+
+def _rules(inst: Instance, model: str, t1, t2) -> _Rules:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    return _RULES[model](inst, model, t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,186 +554,26 @@ def play(
     deadline, else unbounded). For static models t2 acts as the deadline and
     t1 must stay 0.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if model in ("li", "u"):
-        if not isinstance(inst.graph, TemporalGraph):
-            raise ValueError(f"model {model!r} needs a temporal instance")
-        return _play_temporal(inst, traveller_policy, blocker_policy, model, t1, t2)
-    if not isinstance(inst.graph, StaticGraph):
-        raise ValueError(f"model {model!r} needs a weighted-graph instance")
-    if model == "dag" and not inst.graph.directed:
-        raise ValueError("model 'dag' needs a directed graph")
-    if t1 != 0:
-        raise ValueError("static models start at cost 0; t1 must be 0")
-    return _play_static(inst, traveller_policy, blocker_policy, model, t2)
-
-
-def _play_temporal(inst, tp, bp, model, t1, t2) -> Transcript:
-    g = inst.graph
-    if t2 is None:
-        t2 = inst.deadline if inst.deadline is not None else math.inf
-    if t1 < 0 or t1 > t2:
-        raise ValueError(f"bad window [{t1}, {t2}]")
-    horizon = _horizon(g, t1, t2)
-    pos, clock, spent = inst.s, t1, 0
-    decided: dict = {}
-    visited: set = set()
+    rules = _rules(inst, model, t1, t2)
+    st = _State(inst.s, rules.t1)
     events: list = []
-
-    def done(outcome):
-        bound = None if t2 == math.inf else t2
-        return Transcript(model, inst.s, inst.t, inst.k, tuple(events),
-                          outcome, clock, spent, t1, bound)
-
     while True:
-        if pos == inst.t:
-            return done(TRAVELLER_WIN if clock <= t2 else BLOCKER_WIN)
-        if clock > horizon:
-            return done(BLOCKER_WIN)
-
-        if model == "li":
-            scope = [] if pos in visited else _li_scope(g, pos, decided)
-            visited.add(pos)
-        else:
-            scope = _u_scope(g, pos, clock, decided)
-        if scope:
-            bview = BlockerView(pos, clock, dict(decided),
-                                tuple(e.key for e in scope),
-                                inst.k - spent, spent, inst, t1, t2)
-            choice = bp(bview)
-            reason = _check_choice(scope, choice, inst.k - spent)
-            if reason is not None:
-                events.append({"type": "FOUL", "by": "blocker", "reason": reason})
-                return done(TRAVELLER_WIN)
-            statuses = _apply_choice(decided, scope, choice)
-            spent += sum(c for _, c in statuses)
-            events.append({"type": "REVEAL", "at": pos, "clock": clock,
-                           "statuses": statuses})
-
-        if model == "li":
-            view = LiView(position=pos, clock=clock, decided=dict(decided),
-                          visited=frozenset(visited), budget_used=spent,
-                          inst=inst, t1=t1, t2=t2)
-        else:
-            view = UView(position=pos, clock=clock, decided=dict(decided),
-                         spent=spent, inst=inst, t1=t1, t2=t2)
-        try:
-            act = _take_action(tp(view))
-            if act[0] == "resign":
-                events.append({"type": "RESIGN", "by": "traveller"})
-                return done(BLOCKER_WIN)
-            if act[0] == "move":
-                e = _legal_temporal_move(g, pos, clock, decided, act[1], model)
-                events.append({"type": "MOVE", "key": e.key,
-                               "depart": e.tau, "arrive": e.arrival})
-                pos, clock = e.other(pos), e.arrival
-            else:
-                until = act[1]
-                if not isinstance(until, int) or until <= clock:
-                    raise _Foul("traveller", f"wait until {until!r} never passes {clock}")
-                stop = _wait_stop(g, pos, clock, until, decided, model)
-                events.append({"type": "WAIT", "at": pos, "until": stop})
-                clock = stop
-        except _Foul as f:
-            events.append({"type": "FOUL", "by": f.by, "reason": f.reason})
-            return done(BLOCKER_WIN if f.by == "traveller" else TRAVELLER_WIN)
-
-
-def _legal_temporal_move(g, pos, clock, decided, key, model) -> TimeEdge:
-    e = g.by_key.get(key)
-    if e is None or not e.touches(pos):
-        raise _Foul("traveller", f"no edge {key!r} at {pos!r}")
-    if model == "u":
-        if e.tau != clock:
-            raise _Foul("traveller", f"edge {key!r} does not depart at instant {clock}")
-    elif e.tau < clock:
-        raise _Foul("traveller", f"edge {key!r} departed before time {clock}")
-    if e.copies - decided.get(e.key, 0) < 1:
-        raise _Foul("traveller", f"no surviving copy of {key!r}")
-    return e
-
-
-def _wait_stop(g, pos, clock, until, decided, model) -> int:
-    """Earliest of `until` and the next instant that would reveal something."""
-    if model != "u":
-        return until
-    nxt = min((e.tau for e in g.incident(pos)
-               if clock < e.tau <= until and e.key not in decided),
-              default=until)
-    return nxt
-
-
-def _play_static(inst, tp, bp, model, t2) -> Transcript:
-    g = inst.graph
-    deadline = t2 if t2 is not None else inst.deadline
-    pos, cost, spent = inst.s, 0, 0
-    decided: dict = {}
-    visited: set = set()
-    seen: set = set()
-    events: list = []
-
-    def done(outcome):
-        return Transcript(model, inst.s, inst.t, inst.k, tuple(events),
-                          outcome, cost, spent, 0, deadline)
-
-    while True:
-        if pos == inst.t:
-            ok = deadline is None or cost <= deadline
-            return done(TRAVELLER_WIN if ok else BLOCKER_WIN)
-        if deadline is not None and cost > deadline:
-            return done(BLOCKER_WIN)
-
-        if pos not in visited:
-            visited.add(pos)
-            scope = _static_scope(g, pos, decided, model)
-            if scope:
-                bview = BlockerView(pos, cost, dict(decided),
-                                    tuple(e.key for e in scope),
-                                    inst.k - spent, spent, inst, 0, deadline)
-                choice = bp(bview)
-                reason = _check_choice(scope, choice, inst.k - spent)
-                if reason is not None:
-                    events.append({"type": "FOUL", "by": "blocker", "reason": reason})
-                    return done(TRAVELLER_WIN)
-                statuses = _apply_choice(decided, scope, choice)
-                spent += sum(c for _, c in statuses)
-                events.append({"type": "REVEAL", "at": pos, "clock": cost,
-                               "statuses": statuses})
-
-        # same knowledge, same place: the walk is circling, nothing can change
-        state = (pos, _frozen(decided))
-        if state in seen:
-            return done(BLOCKER_WIN)
-        seen.add(state)
-
-        view = StaticView(position=pos, cost=cost, decided=dict(decided),
-                          spent=spent, inst=inst, deadline=deadline)
-        try:
-            act = _take_action(tp(view))
-            if act[0] == "resign":
-                events.append({"type": "RESIGN", "by": "traveller"})
-                return done(BLOCKER_WIN)
-            if act[0] == "wait":
-                raise _Foul("traveller", "waiting is not a move in the static game")
-            e = _legal_static_move(g, pos, decided, act[1])
-            events.append({"type": "MOVE", "key": e.key,
-                           "depart": cost, "arrive": cost + e.weight})
-            cost += e.weight
-            pos = e.v if g.directed else e.other(pos)
-        except _Foul as f:
-            events.append({"type": "FOUL", "by": f.by, "reason": f.reason})
-            return done(BLOCKER_WIN if f.by == "traveller" else TRAVELLER_WIN)
-
-
-def _legal_static_move(g, pos, decided, key):
-    candidates = {e.key: e for e in g.outgoing(pos)}
-    e = candidates.get(key)
-    if e is None:
-        raise _Foul("traveller", f"no edge {key!r} usable from {pos!r}")
-    if e.copies - decided.get(e.key, 0) < 1:
-        raise _Foul("traveller", f"no surviving copy of {key!r}")
-    return e
+        stop = rules.walk(st, traveller_policy, events)
+        if not isinstance(stop, list):
+            break
+        remaining = inst.k - st.spent
+        choice = blocker_policy(BlockerView(
+            st.pos, st.clock, dict(st.decided), tuple(e.key for e in stop),
+            remaining, st.spent, inst, rules.t1, rules.t2))
+        reason = _check_choice(stop, choice, remaining)
+        if reason is not None:
+            events.append({"type": "FOUL", "by": "blocker", "reason": reason})
+            stop = TRAVELLER_WIN
+            break
+        events.append({"type": "REVEAL", "at": st.pos, "clock": st.clock,
+                       "statuses": st.reveal(stop, choice)})
+    return Transcript(model, inst.s, inst.t, inst.k, tuple(events), stop,
+                      st.clock, st.spent, rules.t1, rules.t2_record)
 
 
 # ---------------------------------------------------------------------------
@@ -579,215 +607,66 @@ def verify_traveller_strategy(
     is an ordinary transcript. Raises SizeLimitError beyond ``limit``
     explored reveal states unless ``unlimited``.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    v = _Verifier(inst, traveller_policy, model, deadline, t1, limit, unlimited)
-    script = v.refute()
+    rules = _rules(inst, model, t1, deadline)
+    script, explored = _refute(rules, traveller_policy, limit, unlimited)
     if script is None:
-        return VerifyResult(True, None, v.explored)
-    tr = play(inst, traveller_policy, scripted_blocker(script), model,
-              t1=t1, t2=v.bound)
+        return VerifyResult(True, None, explored)
+    choices = []
+    while script:
+        choice, script = script
+        choices.append(choice)
+    tr = play(inst, traveller_policy, scripted_blocker(choices), model,
+              t1=t1, t2=deadline)
     assert tr.outcome == BLOCKER_WIN, "verifier and referee disagree"
-    return VerifyResult(False, tr, v.explored)
+    return VerifyResult(False, tr, explored)
 
 
-class _Verifier:
+def _refute(rules: _Rules, tp: Policy, limit: int, unlimited: bool) -> tuple:
     """Min-max over Blocker choices with the Traveller side fixed.
 
-    ``refute`` returns None when the policy always wins, else the list of
-    reveal choices (in consult order) forcing a loss. Memoized on the
-    knowledge state at each reveal; sound because policies see nothing
-    beyond their view.
+    Returns (script, explored). The script is None when the policy wins
+    every line, else the losing choices in consult order as nested pairs
+    (choice, rest) ending in (). Memoized on the knowledge state at each
+    reveal; sound because policies see nothing beyond their view. Runs on
+    an explicit stack of open reveals, so deep games need no recursion.
     """
-
-    def __init__(self, inst, tp, model, deadline, t1, limit, unlimited):
-        self.inst = inst
-        self.g = inst.graph
-        self.tp = tp
-        self.model = model
-        self.t1 = t1
-        self.limit = limit
-        self.unlimited = unlimited
-        self.explored = 0
-        self.memo: dict = {}
-        if model in ("li", "u"):
-            if not isinstance(self.g, TemporalGraph):
-                raise ValueError(f"model {model!r} needs a temporal instance")
-            if deadline is None:
-                deadline = inst.deadline if inst.deadline is not None else math.inf
-            self.bound = deadline
-            self.horizon = _horizon(self.g, t1, deadline)
+    memo: dict = {}
+    stack: list = []  # open reveals: [key, state, scope, choices, choice tried]
+    explored = 0
+    st = _State(rules.inst.s, rules.t1)
+    stop = rules.walk(st, tp, [])
+    while True:
+        if not isinstance(stop, list):
+            result = None if stop == TRAVELLER_WIN else ()
         else:
-            if not isinstance(self.g, StaticGraph):
-                raise ValueError(f"model {model!r} needs a weighted-graph instance")
-            self.bound = deadline if deadline is not None else inst.deadline
-        self.k = inst.k
-
-    def refute(self) -> Optional[list]:
-        if self.model == "li":
-            return self._advance_li(self.inst.s, self.t1, {}, 0, frozenset())
-        if self.model == "u":
-            return self._advance_u(self.inst.s, self.t1, {}, 0)
-        return self._advance_static(self.inst.s, 0, {}, 0, frozenset())
-
-    def _bump(self) -> None:
-        self.explored += 1
-        if not self.unlimited and self.explored > self.limit:
-            raise SizeLimitError(
-                f"verification explored more than {self.limit} reveal states",
-                self.limit,
-            )
-
-    def _consult(self, view):
-        try:
-            act = _take_action(self.tp(view))
-        except _Foul:
-            return ("resign",)
-        return act
-
-    # each _advance_* mirrors the corresponding play loop exactly, except the
-    # Blocker side branches over every legal choice instead of one policy call
-
-    def _branch(self, scope, spent, after) -> Optional[list]:
-        for choice in _choices(scope, self.k - spent):
-            sub = after(choice, spent + sum(choice.values()))
-            if sub is not None:
-                return [choice] + sub
-        return None
-
-    def _advance_li(self, pos, clock, decided, spent, visited) -> Optional[list]:
-        g = self.g
-        while True:
-            if pos == self.inst.t:
-                return None if clock <= self.bound else []
-            if clock > self.horizon:
-                return []
-            if pos not in visited:
-                visited = visited | {pos}
-                scope = _li_scope(g, pos, decided)
-                if scope:
-                    return self._reveal_li(pos, clock, decided, spent, visited, scope)
-            view = LiView(position=pos, clock=clock, decided=dict(decided),
-                          visited=visited, budget_used=spent,
-                          inst=self.inst, t1=self.t1, t2=self.bound)
-            act = self._consult(view)
-            if act[0] == "resign":
-                return []
-            try:
-                if act[0] == "move":
-                    e = _legal_temporal_move(g, pos, clock, decided, act[1], "li")
-                    pos, clock = e.other(pos), e.arrival
-                else:
-                    until = act[1]
-                    if not isinstance(until, int) or until <= clock:
-                        return []
-                    clock = until
-            except _Foul:
-                return []
-
-    def _reveal_li(self, pos, clock, decided, spent, visited, scope):
-        key = (pos, clock, _frozen(decided), visited)
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        self._bump()
-
-        def after(choice, nspent):
-            nd = dict(decided)
-            _apply_choice(nd, scope, choice)
-            return self._advance_li(pos, clock, nd, nspent, visited)
-
-        out = self._branch(scope, spent, after)
-        self.memo[key] = out
-        return out
-
-    def _advance_u(self, pos, clock, decided, spent) -> Optional[list]:
-        g = self.g
-        while True:
-            if pos == self.inst.t:
-                return None if clock <= self.bound else []
-            if clock > self.horizon:
-                return []
-            scope = _u_scope(g, pos, clock, decided)
-            if scope:
-                return self._reveal_u(pos, clock, decided, spent, scope)
-            view = UView(position=pos, clock=clock, decided=dict(decided),
-                         spent=spent, inst=self.inst, t1=self.t1, t2=self.bound)
-            act = self._consult(view)
-            if act[0] == "resign":
-                return []
-            try:
-                if act[0] == "move":
-                    e = _legal_temporal_move(g, pos, clock, decided, act[1], "u")
-                    pos, clock = e.other(pos), e.arrival
-                else:
-                    until = act[1]
-                    if not isinstance(until, int) or until <= clock:
-                        return []
-                    clock = _wait_stop(g, pos, clock, until, decided, "u")
-            except _Foul:
-                return []
-
-    def _reveal_u(self, pos, clock, decided, spent, scope):
-        key = (pos, clock, _frozen(decided))
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        self._bump()
-
-        def after(choice, nspent):
-            nd = dict(decided)
-            _apply_choice(nd, scope, choice)
-            return self._advance_u(pos, clock, nd, nspent)
-
-        out = self._branch(scope, spent, after)
-        self.memo[key] = out
-        return out
-
-    def _advance_static(self, pos, cost, decided, spent, path) -> Optional[list]:
-        g = self.g
-        while True:
-            if pos == self.inst.t:
-                return None if self.bound is None or cost <= self.bound else []
-            if self.bound is not None and cost > self.bound:
-                return []
-            revealed_here = all(e.key in decided
-                                for e in _static_scope(g, pos, {}, self.model))
-            if not revealed_here:
-                scope = _static_scope(g, pos, decided, self.model)
-                return self._reveal_static(pos, cost, decided, spent, scope)
-            if pos in path:
-                return []
-            path = path | {pos}
-            view = StaticView(position=pos, cost=cost, decided=dict(decided),
-                              spent=spent, inst=self.inst, deadline=self.bound)
-            act = self._consult(view)
-            if act[0] == "resign":
-                return []
-            try:
-                if act[0] != "move":
-                    return []
-                e = _legal_static_move(g, pos, decided, act[1])
-                cost += e.weight
-                pos = e.v if g.directed else e.other(pos)
-            except _Foul:
-                return []
-
-    def _reveal_static(self, pos, cost, decided, spent, scope):
-        key = (pos, cost, _frozen(decided))
-        hit = self.memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        self._bump()
-
-        def after(choice, nspent):
-            nd = dict(decided)
-            _apply_choice(nd, scope, choice)
-            return self._advance_static(pos, cost, nd, nspent, frozenset())
-
-        out = self._branch(scope, spent, after)
-        self.memo[key] = out
-        return out
+            key = rules.key(st)
+            result = memo.get(key, _MISS)
+            if result is _MISS:
+                explored += 1
+                if not unlimited and explored > limit:
+                    raise SizeLimitError(
+                        f"verification explored more than {limit} reveal states",
+                        limit,
+                    )
+                choices = _choices(stop, rules.inst.k - st.spent)
+                stack.append([key, st, stop, choices, None])
+                result = None
+        # a losing line closes its reveal; a won one moves on to the next choice
+        while stack:
+            top = stack[-1]
+            key, state, scope, choices, choice = top
+            if result is None:
+                top[4] = choice = next(choices, None)
+                if choice is not None:
+                    st = state.after(scope, choice)
+                    stop = rules.walk(st, tp, [])
+                    break
+            else:
+                result = (choice, result)
+            memo[key] = result
+            stack.pop()
+        else:
+            return result, explored
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ from .litctp import NEVER, exact_li, solve_k1
 from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from .utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
-DEFAULT_SEED = 0
-
 
 def _common_flags() -> argparse.ArgumentParser:
     # SUPPRESS keeps a flag given before the subcommand from being clobbered
@@ -42,9 +40,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                    help="output style (default text)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help=f"random seed (default {DEFAULT_SEED}; current "
-                        "subcommands are deterministic)")
     p.add_argument("--limit", type=int, default=argparse.SUPPRESS, metavar="STATES",
                    help="override the exhaustive-search state guard")
     p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,

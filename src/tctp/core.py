@@ -230,10 +230,6 @@ class Instance:
             return "temporal"
         return "dag" if self.graph.directed else "static"
 
-    def forced_copies(self) -> int:
-        """Copy count that the blocker can never exhaust."""
-        return self.k + 1
-
 
 def lifespan(g: TemporalGraph) -> int:
     """Largest appearance time over all time edges (0 for an edgeless graph)."""
@@ -373,7 +369,10 @@ def parse_instance(text: str) -> Instance:
     """Parse either serialization; text errors carry the offending line number."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _from_dict(json.loads(text))
+        try:
+            return _from_dict(json.loads(text))
+        except RecursionError:
+            raise InstanceFormatError("JSON nested too deeply") from None
     return _parse_text(text)
 
 
@@ -389,6 +388,8 @@ def _parse_text(text: str) -> Instance:
             continue
         tokens = line.split()
         kw, args = tokens[0], tokens[1:]
+        if kw in fields or (kw == "model" and model is not None):
+            raise InstanceFormatError(f"repeated {kw} line", lineno)
         if kw == "model":
             if len(args) != 1 or args[0] not in _MODELS:
                 raise InstanceFormatError(f"bad model line {line!r}", lineno)

@@ -34,10 +34,6 @@ class LiInfoState:
     visited: frozenset
     budget_used: int
 
-    @property
-    def spent(self) -> int:
-        return self.budget_used
-
 
 def latest_departure_labels(
     g: TemporalGraph, t, deadline=math.inf, skip_one: Optional[tuple] = None
@@ -109,9 +105,6 @@ class Pi1Table:
     lam1: Mapping[object, float]
     deadline: float
     order: tuple
-
-    def latest_safe(self, v):
-        return self.pi1[v]
 
 
 @dataclass

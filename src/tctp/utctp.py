@@ -46,7 +46,9 @@ def decide_u(
     if t2 is None:
         t2 = inst.deadline if inst.deadline is not None else math.inf
     xd = build_expansion(g, inst.s, inst.t, inst.k, t1, t2)
-    table = compute_pi(xd.graph, xd.target, inst.k, xd.groups)
+    # the table does not depend on groups, and the expansion's are path-free
+    # by construction, so they need no validation here
+    table = compute_pi(xd.graph, xd.target, inst.k)
     cost = table.value(xd.source, inst.k)
     wins = cost != UNREACHABLE
     return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, xd, table)

@@ -1,10 +1,12 @@
 """Referee playouts, transcript round trips, and exhaustive policy checks."""
+import json
 import math
 import random
 from types import SimpleNamespace
 
 import pytest
 
+import arena_golden
 from generators import rand_dag, rand_static, rand_temporal
 from tctp.arena import (
     BLOCKER_WIN,
@@ -222,6 +224,41 @@ def test_play_validates_model_and_window():
         play(sep, mover, _no_block, "li", t1=5, t2=2)
     tr = play(stat, lambda v: ("wait", 5), _no_block, "static")
     assert "waiting is not a move" in tr.events[-1]["reason"]
+
+
+def test_play_and_verify_reject_the_same_inputs():
+    sep = separating_instance(2)
+    stat = Instance(StaticGraph.build(["u0", "u1"], [StaticEdge("u0", "u1", 1)]),
+                    "u0", "u1", 0)
+    # a traveller that wins wherever the game is allowed to start
+    mover = lambda v: ("move", ("u0", "u1", 1))
+    bad = [
+        (sep, "omniscient", {}, "unknown model"),
+        (stat, "li", {}, "needs a temporal instance"),
+        (sep, "static", {}, "needs a weighted-graph instance"),
+        (stat, "dag", {}, "needs a directed graph"),
+        (stat, "static", {"t1": 1}, "t1 must be 0"),
+        (stat, "static", {"t1": 1, "t2": 5}, "t1 must be 0"),
+        (sep, "u", {"t1": 5, "t2": 2}, "bad window"),
+        (sep, "li", {"t1": -1}, "bad window"),
+    ]
+    for inst, model, window, fragment in bad:
+        with pytest.raises(ValueError, match=fragment):
+            play(inst, mover, _no_block, model, **window)
+        with pytest.raises(ValueError, match=fragment):
+            verify_traveller_strategy(inst, mover, model, t1=window.get("t1", 0),
+                                      deadline=window.get("t2"))
+
+
+def test_golden_corpus_replays_byte_identical():
+    """Every recorded transcript and verifier result comes back byte for byte."""
+    cases = json.loads(arena_golden.GOLDEN.read_text())
+    assert {c["model"] for c in cases} == {"li", "u", "static", "dag"}
+    for i, case in enumerate(cases):
+        got = arena_golden.replay(case)
+        assert got["play"] == case["play"], f"case {i} ({case['model']}): play"
+        for name, want in case["verify"].items():
+            assert got["verify"][name] == want, f"case {i} ({case['model']}): {name}"
 
 
 def test_verify_certifies_and_refutes_the_parallel_arcs():

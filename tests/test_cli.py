@@ -249,6 +249,38 @@ def test_wrong_model_and_field_types_exit_two(tmp_path, sep_file):
     assert (code, out) == (2, "") and err == "tctp: tau must be an integer, got '0'\n"
 
 
+def test_malformed_headers_and_deep_json_exit_two(tmp_path):
+    twice = tmp_path / "twice.ctp"
+    twice.write_text("model temporal\nvertices a b\ns a\nt b\nk 1\nk 2\n"
+                     "edge a b 0 1\n")
+    code, out, err = _run(["solve-li", "--exact", str(twice)])
+    assert (code, out, err) == (2, "", "tctp: line 6: repeated k line\n")
+
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' + "[" * 100_000)
+    code, out, err = _run(["solve-u", str(deep)])
+    assert (code, out, err) == (2, "", "tctp: JSON nested too deeply\n")
+
+
+def test_play_and_verify_handle_a_deep_chain(tmp_path):
+    names = [f"v{i}" for i in range(1201)]
+    chain = list(zip(names, names[1:]))
+    timed = TemporalGraph.build(names, [TimeEdge(u, v, i, 1)
+                                        for i, (u, v) in enumerate(chain)])
+    arcs = StaticGraph.build(names, [StaticEdge(u, v, 1) for u, v in chain],
+                             directed=True)
+    u_file = _write(tmp_path, "chain_u.ctp", Instance(timed, "v0", "v1200", 0))
+    dag_file = _write(tmp_path, "chain_dag.ctp", Instance(arcs, "v0", "v1200", 0))
+    for path, model in ((u_file, "u"), (dag_file, "dag")):
+        code, out, err = _run(["verify", path, "--model", model])
+        assert (code, out, err) == (
+            0, "verified: wins every blocker line (1200 reveal states)\n", "")
+    code, out, err = _run(["play", u_file, "--model", "u", "--blocker", "exhaustive"])
+    assert code == 0 and err == ""
+    tr = Transcript.from_json_lines(out)
+    assert tr.outcome == TRAVELLER_WIN and len(tr.moves()) == 1200
+
+
 def test_identical_invocations_identical_bytes(sep_file, triple_file):
     for argv in (["expand", sep_file], ["dag-solve", "--table", triple_file],
                  ["play", sep_file, "--model", "li"]):

@@ -102,7 +102,6 @@ def test_instance_validation():
         Instance(g, "a", "b", -1)
     with pytest.raises(ValueError):
         Instance(g, "a", "b", 0, deadline=-1)
-    assert Instance(g, "a", "b", 2).forced_copies() == 3
 
 
 def test_model_tags():
@@ -223,6 +222,22 @@ def test_parse_reports_line_numbers():
         parse_instance("model temporal\nvertices a b\ns a\nt b\nk 0\nedge a b 0\n")
     with pytest.raises(InstanceFormatError, match="unknown keyword"):
         parse_instance("model temporal\nwat\n")
+
+
+def test_parse_rejects_repeated_header_lines():
+    head = "model temporal\nvertices a b\ns a\nt b\nk 1\ndeadline 3\n"
+    for line in ("model temporal", "s b", "t a", "k 2", "deadline 9"):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(head + line + "\n")
+        assert info.value.line == 7
+        assert f"repeated {line.split()[0]} line" in str(info.value)
+    # vertices lines accumulate, and that is no repeat
+    assert parse_instance(head + "vertices c\n").graph.vertices == ("a", "b", "c")
+
+
+def test_parse_rejects_deeply_nested_json():
+    with pytest.raises(InstanceFormatError, match="nested too deeply"):
+        parse_instance('{"a": ' + "[" * 100_000)
 
 
 def test_parse_merges_duplicate_edge_records():
