@@ -12,6 +12,7 @@ through ``parse_instance`` / ``serialize_instance``.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -472,7 +473,10 @@ _JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an o
 def _typed(value, kind: type, what: str):
     """value, if its JSON type is kind (a bool is no integer here)."""
     if type(value) is not kind:
-        raise InstanceFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+        got = reprlib.repr(value)  # depth-capped, so deep nesting stays short
+        if len(got) > 80:
+            got = got[:80] + "..."
+        raise InstanceFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
     return value
 
 

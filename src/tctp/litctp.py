@@ -11,10 +11,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 from .core import Instance, TemporalGraph, TimeEdge
-from .errors import SizeLimitError
+from .knowledge import EMPTY, Knowledge, run
 
 NEVER = -math.inf
 
@@ -225,15 +225,12 @@ def k1_traveller_policy(result: K1Result):
 class LiGame:
     """Memoized minimax search over locally-informed knowledge states.
 
-    A state is (position, clock, decided) where decided maps every edge key
-    incident to a visited vertex to its blocked-copy count -- zero counts are
-    knowledge too and stay in the state. On arrival at an unvisited vertex,
-    Blocker fixes the undecided incident keys. Two prunings keep this exact:
-    partially blocking a key is dominated by not blocking it (the key stays
-    crossable either way and never gets re-decided, so the spent budget buys
-    nothing), and keys costlier than the remaining budget can only be left
-    unblocked. Clocks are snapped to the next feasible departure so states
-    between events collapse.
+    A position is (vertex, clock, state), where the ``knowledge`` state has
+    every edge incident to a visited vertex settled -- edges settled open
+    are knowledge too. On arrival at an unvisited vertex, Blocker settles
+    the rest of its incident edges, choosing among ``reveal_choices``.
+    Clocks are snapped to the next feasible departure so positions between
+    events collapse.
     """
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
@@ -242,78 +239,59 @@ class LiGame:
             raise ValueError("locally-informed solver needs a temporal instance")
         if t2 is None:
             t2 = inst.deadline if inst.deadline is not None else math.inf
-        if t1 > t2:
+        if t1 < 0 or t1 > t2:
             raise ValueError(f"bad window [{t1}, {t2}]")
         self.inst = inst
-        self.g = g
         self.t1, self.t2 = t1, t2
-        self.state_limit = state_limit
         self.memo: dict = {}
-        self.incident = {
-            v: sorted(g.incident(v), key=lambda e: (e.tau, e.key)) for v in g.vertices
+        incident = {v: sorted(g.incident(v), key=lambda e: (e.tau, e.key))
+                    for v in g.vertices}
+        self.know = Knowledge(g.edges, incident, inst.k, state_limit)
+        bit = self.know.bit
+        # departures arriving inside the window: (tau, arrival, bit, head, key)
+        self.departures = {
+            v: [(e.tau, e.arrival, bit[e.key], e.other(v), e.key)
+                for e in es if e.arrival <= t2]
+            for v, es in incident.items()
         }
 
-    def _options(self, pos, clock, decided):
-        out = []
-        for e in self.incident[pos]:
-            if e.tau < clock or e.tau + e.d > self.t2:
-                continue
-            if e.copies - decided[e.key] >= 1:
-                out.append(e)
-        return out
+    def _options(self, pos, clock, blocked: int) -> list:
+        return [x for x in self.departures[pos] if x[0] >= clock and not blocked & x[2]]
 
-    def traveller_wins(self, pos, clock, decided: dict) -> bool:
+    def traveller_wins(self, pos, clock, decided: Mapping) -> bool:
         """Post-reveal: every key incident to pos is present in decided."""
+        return run(self._wins(pos, clock, self.know.state(decided)))
+
+    def _wins(self, pos, clock, state):
         if pos == self.inst.t:
             return True
-        options = self._options(pos, clock, decided)
+        options = self._options(pos, clock, state[1])
         if not options:
             return False
-        snap = options[0].tau
-        key = (pos, snap, tuple(sorted(decided.items())))
+        key = (pos, options[0][0], state)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if len(self.memo) >= self.state_limit:
-            raise SizeLimitError(
-                f"memoized state count exceeded {self.state_limit}", self.state_limit
-            )
+        self.know.count()
         self.memo[key] = False  # cycle guard; clock strictly increases anyway
-        win = any(
-            self.reveal_wins(e.other(pos), e.tau + e.d, decided) for e in options
-        )
+        win = False
+        for _tau, arrival, _bit, head, _key in options:
+            if (yield self._reveal_wins(head, arrival, state)):
+                win = True
+                break
         self.memo[key] = win
         return win
 
-    def reveal_wins(self, v, arrive, decided: dict) -> bool:
-        """Blocker to fix statuses of v's undecided incident keys."""
-        for choice in self.reveal_choices(v, decided):
-            if not self.traveller_wins(v, arrive, choice):
+    def _reveal_wins(self, v, arrive, state):
+        """Blocker to settle v's undecided incident edges."""
+        for choice in self.reveal_choices(v, state):
+            if not (yield self._wins(v, arrive, choice)):
                 return False
         return True
 
-    def reveal_choices(self, v, decided: dict):
-        """All undominated reveals, nothing-blocked first, then by cost."""
-        undecided = [e for e in self.incident[v] if e.key not in decided]
-        remaining = self.inst.k - sum(decided.values())
-        blockable = [e for e in undecided if e.copies <= remaining]
-        base = dict(decided)
-        for e in undecided:
-            base[e.key] = 0
-        subsets = []
-        for mask in range(1 << len(blockable)):
-            total = sum(
-                blockable[i].copies for i in range(len(blockable)) if mask >> i & 1
-            )
-            if total <= remaining:
-                subsets.append((total, mask))
-        subsets.sort()
-        for total, mask in subsets:
-            choice = dict(base)
-            for i in range(len(blockable)):
-                if mask >> i & 1:
-                    choice[blockable[i].key] = blockable[i].copies
-            yield choice
+    def reveal_choices(self, v, state) -> list:
+        """All undominated reveals at v, nothing-blocked first, then by cost."""
+        return self.know.choices(v, state)
 
 
 @dataclass
@@ -326,19 +304,18 @@ class LiResult:
 
     @property
     def states(self) -> int:
-        return len(self.game.memo)
+        return self.game.know.states
 
     def traveller_policy(self):
         game = self.game
 
         def policy(view):
-            decided = dict(view.decided)
-            for e in game.incident[view.position]:
-                decided.setdefault(e.key, 0)
-            options = game._options(view.position, view.clock, decided)
-            for e in options:
-                if game.reveal_wins(e.other(view.position), e.tau + e.d, decided):
-                    return ("move", e.key)
+            r, blocked, spent = game.know.state(view.decided)
+            state = (r | game.know.scope[view.position], blocked, spent)
+            for _tau, arrival, _bit, head, key in game._options(
+                    view.position, view.clock, blocked):
+                if run(game._reveal_wins(head, arrival, state)):
+                    return ("move", key)
             return ("resign",)
 
         return policy
@@ -347,24 +324,17 @@ class LiResult:
         game = self.game
 
         def policy(view):
-            for choice in game.reveal_choices(view.position, dict(view.decided)):
-                if not game.traveller_wins(view.position, view.clock, choice):
-                    return {
-                        k: c
-                        for k, c in choice.items()
-                        if k not in view.decided and c > 0
-                    }
+            state = game.know.state(view.decided)
+            for choice in game.reveal_choices(view.position, state):
+                if not run(game._wins(view.position, view.clock, choice)):
+                    statuses = game.know.statuses(view.position, state, choice)
+                    return {k: c for k, c in statuses.items() if c > 0}
             return {}
 
         return policy
 
 
-def exact_li(
-    inst: Instance,
-    t1=0,
-    t2=None,
-    state_limit: int = 10**7,
-) -> LiResult:
+def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = 10**7) -> LiResult:
     """Exact decision of the locally-informed game for any budget.
 
     Traveller departs no sooner than t1 and must reach t by t2 (t2 defaults
@@ -372,5 +342,5 @@ def exact_li(
     playable strategies for both sides.
     """
     game = LiGame(inst, t1, t2, state_limit)
-    wins = game.reveal_wins(inst.s, game.t1, {})
+    wins = run(game._reveal_wins(inst.s, game.t1, EMPTY))
     return LiResult(wins, game)

@@ -18,15 +18,11 @@ from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
 from .dagctp import UNREACHABLE
-from .errors import SizeLimitError
-
-
-def _frozen(decided: Mapping) -> tuple:
-    return tuple(sorted(decided.items()))
+from .knowledge import EMPTY, Knowledge, run
 
 
 class StaticGame:
-    """Minimax engine over knowledge states (position, decided statuses).
+    """Minimax engine over knowledge states (position, settled statuses).
 
     discovery="incident" settles every edge at a vertex on the walker's first
     arrival there; discovery="out" settles only departing arcs, which is the
@@ -42,138 +38,90 @@ class StaticGame:
         if discovery not in ("incident", "out"):
             raise ValueError(f"unknown discovery mode {discovery!r}")
         self.inst = inst
-        self.g = inst.graph
-        self.discovery = discovery
-        self.state_limit = state_limit
-        self._value_memo: dict = {}
-        self._reveal_memo: dict = {}
-        # threshold bands: (pos, frozen decided) -> [largest losing slack,
-        # smallest winning slack]; sound because winning is monotone in slack
-        self._win_band: dict = {}
-        self._reveal_band: dict = {}
-        self._states = 0
+        self.g = g = inst.graph
+        scope = g.incident if discovery == "incident" else g.outgoing
+        self.know = Knowledge(g.edges, {v: scope(v) for v in g.vertices},
+                              inst.k, state_limit)
+        bit = self.know.bit
+        # usable ways out of each vertex: (bit, head, weight, key)
+        self.moves = {
+            v: [(bit[e.key], e.v if g.directed else e.other(v), e.weight, e.key)
+                for e in g.outgoing(v)]
+            for v in g.vertices
+        }
+        # cost-to-go memo, keyed (pos, state) for settled and unsettled pos
+        self._values: dict = {}
+        # threshold bands: (pos, state) -> [largest losing slack, smallest
+        # winning slack]; sound because winning is monotone in slack
+        self._bands: dict = {}
 
     @property
     def states(self) -> int:
-        return self._states
+        return self.know.states
 
-    def _bump(self) -> None:
-        self._states += 1
-        if self._states > self.state_limit:
-            raise SizeLimitError("knowledge-state budget exhausted",
-                                 limit=self.state_limit)
-
-    # -- mechanics shared by both engines ---------------------------------
-
-    def _moves(self, v):
-        return self.g.outgoing(v)
-
-    def _head(self, e, v):
-        return e.v if self.g.directed else e.other(v)
-
-    def _scope(self, v):
-        if self.discovery == "incident":
-            return self.g.incident(v)
-        return self.g.outgoing(v)
-
-    def _undecided(self, v, decided):
-        return [e for e in self._scope(v) if e.key not in decided]
-
-    def revealed(self, v, decided) -> bool:
-        """Nothing left to settle at v, so the blocker has no move there."""
-        return not self._undecided(v, decided)
-
-    def reveal_choices(self, v, decided):
-        """Blocker reveals at v, canonically ordered, cheapest spend first.
-
-        Blocking part of a copy group is dominated by blocking none of it
-        (the group stays passable either way and partial blocking wastes
-        budget), so only none-or-all choices per group are enumerated.
-        """
-        undecided = self._undecided(v, decided)
-        remaining = self.inst.k - sum(decided.values())
-        blockable = [e for e in undecided if e.copies <= remaining]
-        ranked = []
-        for mask in range(1 << len(blockable)):
-            picks = [e for i, e in enumerate(blockable) if mask >> i & 1]
-            total = sum(e.copies for e in picks)
-            if total <= remaining:
-                ranked.append((total, mask, picks))
-        ranked.sort(key=lambda item: item[:2])
-        out = []
-        for _total, _mask, picks in ranked:
-            choice = {e.key: 0 for e in undecided}
-            for e in picks:
-                choice[e.key] = e.copies
-            out.append(choice)
-        return out
+    def reveal_choices(self, v, state) -> list:
+        """Blocker reveals at v as child states, cheapest spend first."""
+        return self.know.choices(v, state)
 
     # -- value engine ------------------------------------------------------
 
     def entry_value(self):
         if self.inst.s == self.inst.t:
             return 0
-        return self.reveal_value(self.inst.s, {})
+        return run(self._value(self.inst.s, EMPTY))
 
-    def reveal_value(self, pos, decided):
-        """Cost-to-go at pos with the blocker's reveal there still pending."""
+    def _value(self, pos, state):
+        """Cost-to-go at pos; while pos is unsettled the blocker moves first.
+        Moves between settled vertices are deterministic: one sweep suffices."""
         if pos == self.inst.t:
             return 0
-        if not self._undecided(pos, decided):
-            return self.value_from(pos, decided)
-        key = (pos, _frozen(decided))
-        hit = self._reveal_memo.get(key)
+        key = (pos, state)
+        hit = self._values.get(key)
         if hit is not None:
             return hit
-        self._bump()
-        worst = max(self.value_from(pos, {**decided, **choice})
-                    for choice in self.reveal_choices(pos, decided))
-        self._reveal_memo[key] = worst
-        return worst
+        self.know.count()
+        if self.know.settled(pos, state):
+            ends, _ = yield from self._sweep(pos, state)
+            value = min((cost for cost, _, _ in ends), default=UNREACHABLE)
+        else:
+            value = None
+            for choice in self.reveal_choices(pos, state):
+                sub = yield self._value(pos, choice)
+                if value is None or sub > value:
+                    value = sub
+        self._values[key] = value
+        return value
 
-    def value_from(self, pos, decided):
-        """Cost-to-go once every status beside pos is already settled.
-
-        Movement between fully-settled vertices is deterministic, so a
-        Dijkstra sweep over them suffices; vertices with undecided edges act
-        as portals where the search stops and the blocker moves again.
-        """
-        t = self.inst.t
-        if pos == t:
-            return 0
-        if not self.revealed(pos, decided):
-            return self.reveal_value(pos, decided)
-        key = (pos, _frozen(decided))
-        hit = self._value_memo.get(key)
-        if hit is not None:
-            return hit
-        self._bump()
-        idx = self.g.index
+    def _sweep(self, pos, state):
+        """Dijkstra from the settled pos over settled vertices; unsettled ones
+        are portals where the blocker moves again. Returns the route ends,
+        each (cost via it, vertex index, vertex), and the predecessor map."""
+        t, idx, settled = self.inst.t, self.g.index, self.know.settled
+        blocked = state[1]
         dist = {pos: 0}
+        prev: dict = {}
         heap = [(0, idx[pos], pos)]
-        best = UNREACHABLE
+        ends = []
         while heap:
-            d, _, v = heapq.heappop(heap)
+            d, i, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
             if v == t:
                 # onward candidates all cost at least d from here on
-                best = min(best, d)
+                ends.append((d, i, v))
                 break
-            if not self.revealed(v, decided):
-                best = min(best, d + self.reveal_value(v, decided))
+            if not settled(v, state):
+                ends.append((d + (yield self._value(v, state)), i, v))
                 continue
-            for e in self._moves(v):
-                blocked = decided.get(e.key)
-                if blocked is None or e.copies - blocked < 1:
+            for bit, w, weight, key in self.moves[v]:
+                if blocked & bit:
                     continue
-                w = self._head(e, v)
-                nd = d + e.weight
+                nd = d + weight
                 if nd < dist.get(w, UNREACHABLE):
                     dist[w] = nd
+                    prev[w] = (v, key)
                     heapq.heappush(heap, (nd, idx[w], w))
-        self._value_memo[key] = best
-        return best
+        return ends, prev
 
     # -- threshold engine --------------------------------------------------
 
@@ -203,146 +151,104 @@ class StaticGame:
     def decide(self, slack) -> bool:
         if self.inst.s == self.inst.t:
             return slack >= 0
-        return self.reveal_win(self.inst.s, {}, slack)
+        return run(self._win(self.inst.s, EMPTY, slack))
 
-    def _band(self, table, key):
-        band = table.get(key)
-        if band is None:
-            self._bump()
-            band = table[key] = [-math.inf, math.inf]
-        return band
-
-    def reveal_win(self, pos, decided, slack) -> bool:
-        """True iff the walker still wins when the blocker reveals at pos."""
+    def _win(self, pos, state, slack):
+        """True iff the cost-to-go at pos is at most slack."""
         if pos == self.inst.t:
             return slack >= 0
         if slack < 0 or self.h.get(pos, UNREACHABLE) > slack:
             return False
-        if not self._undecided(pos, decided):
-            return self.win(pos, decided, slack)
-        band = self._band(self._reveal_band, (pos, _frozen(decided)))
+        key = (pos, state)
+        band = self._bands.get(key)
+        if band is None:
+            self.know.count()
+            band = self._bands[key] = [-math.inf, math.inf]
         if slack <= band[0]:
             return False
         if slack >= band[1]:
             return True
-        result = all(self.win(pos, {**decided, **choice}, slack)
-                     for choice in self.reveal_choices(pos, decided))
+        if not self.know.settled(pos, state):
+            result = True
+            for choice in self.reveal_choices(pos, state):
+                if not (yield self._win(pos, choice, slack)):
+                    result = False
+                    break
+        else:
+            result = yield from self._reaches(pos, state, slack)
+        # no position recurs below itself, so the band is as read above
         if result:
             band[1] = slack
         else:
             band[0] = slack
         return result
 
-    def win(self, pos, decided, slack) -> bool:
-        """True iff cost-to-go at the settled position pos is at most slack."""
-        t = self.inst.t
-        if pos == t:
-            return slack >= 0
-        if slack < 0 or self.h.get(pos, UNREACHABLE) > slack:
-            return False
-        if not self.revealed(pos, decided):
-            return self.reveal_win(pos, decided, slack)
-        band = self._band(self._win_band, (pos, _frozen(decided)))
-        if slack <= band[0]:
-            return False
-        if slack >= band[1]:
-            return True
-        idx = self.g.index
+    def _reaches(self, pos, state, slack):
+        """From the settled pos: t within slack over settled vertices, or a
+        portal whose reveal the walker wins with the slack left there."""
+        t, h, idx, settled = self.inst.t, self.h, self.g.index, self.know.settled
+        blocked = state[1]
         dist = {pos: 0}
         heap = [(0, idx[pos], pos)]
         portals = []
-        result = False
         while heap:
             d, _, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
             if v == t:
-                result = True
-                break
-            if not self.revealed(v, decided):
+                return True
+            if not settled(v, state):
                 portals.append((d, v))
                 continue
-            for e in self._moves(v):
-                blocked = decided.get(e.key)
-                if blocked is None or e.copies - blocked < 1:
+            for bit, w, weight, _key in self.moves[v]:
+                if blocked & bit:
                     continue
-                w = self._head(e, v)
-                nd = d + e.weight
+                nd = d + weight
                 # exact pruning: h never overestimates the cost still to pay
-                if nd + self.h.get(w, UNREACHABLE) > slack:
+                if nd + h.get(w, UNREACHABLE) > slack:
                     continue
                 if nd < dist.get(w, UNREACHABLE):
                     dist[w] = nd
                     heapq.heappush(heap, (nd, idx[w], w))
-        if not result:
-            result = any(self.reveal_win(v, decided, slack - d)
-                         for d, v in portals)
-        if result:
-            band[1] = min(band[1], slack)
-        else:
-            band[0] = max(band[0], slack)
-        return result
+        for d, v in portals:
+            if (yield self._win(v, state, slack - d)):
+                return True
+        return False
 
     # -- play helpers ------------------------------------------------------
 
-    def plan_move(self, pos, decided) -> Optional[tuple]:
+    def plan_move(self, pos, decided: Mapping) -> Optional[tuple]:
         """Key of the first edge on a cheapest guaranteed route, else None."""
-        t = self.inst.t
-        if pos == t or not self.revealed(pos, decided):
+        state = self.know.state(decided)
+        if pos == self.inst.t or not self.know.settled(pos, state):
             return None
-        idx = self.g.index
-        dist = {pos: 0}
-        prev: dict = {}
-        heap = [(0, idx[pos], pos)]
-        candidates = []
-        while heap:
-            d, _, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            if v == t:
-                candidates.append((d, idx[v], v))
-                break
-            if not self.revealed(v, decided):
-                candidates.append((d + self.reveal_value(v, decided),
-                                   idx[v], v))
-                continue
-            for e in self._moves(v):
-                blocked = decided.get(e.key)
-                if blocked is None or e.copies - blocked < 1:
-                    continue
-                w = self._head(e, v)
-                nd = d + e.weight
-                if nd < dist.get(w, UNREACHABLE):
-                    dist[w] = nd
-                    prev[w] = (v, e.key)
-                    heapq.heappush(heap, (nd, idx[w], w))
-        live = [c for c in candidates if c[0] != UNREACHABLE]
+        ends, prev = run(self._sweep(pos, state))
+        live = [end for end in ends if end[0] != UNREACHABLE]
         if not live:
             return None
-        _, _, goal = min(live)
+        _, _, at = min(live)
         step = None
-        at = goal
         while at != pos:
             at, step = prev[at]
         return step
 
-    def best_reveal(self, pos, decided) -> dict:
+    def best_reveal(self, pos, decided: Mapping) -> dict:
         """Canonical worst reveal at pos: first maximizer in choice order."""
-        if not self._undecided(pos, decided):
+        state = self.know.state(decided)
+        if self.know.settled(pos, state):
             return {}
         best, best_val = None, None
-        for choice in self.reveal_choices(pos, decided):
-            val = self.value_from(pos, {**decided, **choice})
+        for choice in self.reveal_choices(pos, state):
+            val = run(self._value(pos, choice))
             if best is None or val > best_val:
                 best, best_val = choice, val
-        return best
+        return self.know.statuses(pos, state, best)
 
 
 def exact_static_value(inst: Instance, discovery: str = "incident",
                        state_limit: int = 10 ** 7):
     """Least cost the walker can guarantee from s to t, UNREACHABLE if none."""
-    game = StaticGame(inst, discovery=discovery, state_limit=state_limit)
-    return game.entry_value()
+    return StaticGame(inst, discovery, state_limit).entry_value()
 
 
 def decide_static(inst: Instance, T=None, discovery: str = "incident",
@@ -357,24 +263,21 @@ def decide_static(inst: Instance, T=None, discovery: str = "incident",
         T = inst.deadline
     if T is None:
         raise ValueError("no cost bound: pass T or set a deadline")
-    game = StaticGame(inst, discovery=discovery, state_limit=state_limit)
-    return game.decide(T)
+    return StaticGame(inst, discovery, state_limit).decide(T)
 
 
 def static_traveller_policy(game: StaticGame):
     """Policy following a cheapest guaranteed route, replanned every step."""
 
     def policy(view):
-        key = game.plan_move(view.position, dict(view.decided))
-        if key is None:
-            return ("resign",)
-        return ("move", key)
+        key = game.plan_move(view.position, view.decided)
+        return ("resign",) if key is None else ("move", key)
 
     return policy
 
 
 def static_blocker_policy(game: StaticGame):
     def policy(view):
-        return game.best_reveal(view.position, dict(view.decided))
+        return game.best_reveal(view.position, view.decided)
 
     return policy

@@ -249,6 +249,18 @@ def test_wrong_model_and_field_types_exit_two(tmp_path, sep_file):
     assert (code, out) == (2, "") and err == "tctp: tau must be an integer, got '0'\n"
 
 
+def test_bad_json_values_are_shown_short(tmp_path):
+    """A deeply nested or long bad value is cut short in the diagnostic."""
+    for i, bad in enumerate(["[" * 500 + "]" * 500, '{"x": "' + "x" * 5000 + '"}',
+                             "[" + ", ".join(["1"] * 2000) + "]"]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text('{"model": "temporal", "vertices": [' + bad + '], "s": "a", '
+                        '"t": "b", "k": 0, "edges": []}\n')
+        code, out, err = _run(["solve-u", str(path)])
+        assert (code, out) == (2, "") and err.startswith("tctp: vertex name must be")
+        assert len(err.encode()) < 200, err
+
+
 def test_malformed_headers_and_deep_json_exit_two(tmp_path):
     twice = tmp_path / "twice.ctp"
     twice.write_text("model temporal\nvertices a b\ns a\nt b\nk 1\nk 2\n"
@@ -279,6 +291,25 @@ def test_play_and_verify_handle_a_deep_chain(tmp_path):
     assert code == 0 and err == ""
     tr = Transcript.from_json_lines(out)
     assert tr.outcome == TRAVELLER_WIN and len(tr.moves()) == 1200
+
+    # the exact knowledge-state searches run as deep as the games go; the
+    # verifier also enumerates partial blocks, so it checks the k=0 chain
+    long = [f"c{i}" for i in range(3001)]
+    li_chain = TemporalGraph.build(long, [TimeEdge(u, v, i, 1, copies=4) for i, (u, v)
+                                          in enumerate(zip(long, long[1:]))])
+    li_file = _write(tmp_path, "chain_li.ctp", Instance(li_chain, "c0", "c3000", 3))
+    hops = [StaticEdge(u, v, 1) for u, v in chain]
+    static_file = _write(tmp_path, "path.ctp",
+                         Instance(StaticGraph.build(names, hops), "v0", "v1200", 1))
+    dag_file = _write(tmp_path, "path_dag.ctp", Instance(
+        StaticGraph.build(names, hops, directed=True), "v0", "v1200", 1))
+    for argv in (["solve-li", "--exact", li_file], ["play", li_file, "--model", "li"],
+                 ["verify", u_file, "--model", "li"], ["solve-static", static_file],
+                 ["play", static_file, "--model", "static"],
+                 ["verify", static_file, "--model", "static"],
+                 ["solve-static", dag_file]):
+        code, out, err = _run(argv)
+        assert code in (0, 3) and "Traceback" not in err, argv
 
 
 def test_identical_invocations_identical_bytes(sep_file, triple_file):

@@ -261,3 +261,9 @@ def test_exact_search_input_checks():
         exact_li(Instance(sg, "a", "b", 0))
     with pytest.raises(ValueError, match="bad window"):
         exact_li(separating_instance(1), 3, 1)
+
+
+def test_exact_search_rejects_a_negative_window_start():
+    """exact_li checks the window as play and verify do."""
+    with pytest.raises(ValueError, match=r"bad window \[-3, inf\]"):
+        exact_li(separating_instance(2), -3)

@@ -9,6 +9,7 @@ from generators import rand_dag
 from tctp.core import Instance, StaticEdge, StaticGraph
 from tctp.dagctp import UNREACHABLE, compute_pi
 from tctp.errors import SizeLimitError
+from tctp.knowledge import EMPTY
 from tctp.samples import separating_instance
 from tctp.staticctp import (
     StaticGame,
@@ -190,9 +191,10 @@ def test_everything_open_bound_is_plain_shortest_path():
 def test_reveal_choices_spend_cheapest_first():
     inst = _witness()
     game = StaticGame(inst)
-    choices = game.reveal_choices("u0", {})
+    states = game.reveal_choices("u0", EMPTY)
+    choices = [game.know.statuses("u0", EMPTY, st) for st in states]
     spends = [sum(c.values()) for c in choices]
-    assert spends == [0, 1, 2]
+    assert spends == [st[2] for st in states] == [0, 1, 2]
     assert choices[0] == {("u0", "u1", 1): 0, ("u0", "u2", 0): 0}
     assert choices[1][("u0", "u2", 0)] == 1
     assert choices[2][("u0", "u1", 1)] == 2
