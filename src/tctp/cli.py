@@ -10,6 +10,7 @@ Output is deterministic: identical invocations yield identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,13 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every call shares the one parser, so callers must not modify it; parsing
+    leaves it unchanged, and each parse starts from a fresh namespace.
+    """
     common = _common_flags()
     root = argparse.ArgumentParser(prog="tctp", parents=[common],
                                    description=__doc__.splitlines()[0])
@@ -135,6 +142,11 @@ class _Out:
     def block(self, text: str) -> None:
         if not self.quiet:
             sys.stdout.write(text)
+
+    @property
+    def prints_json(self) -> bool:
+        """True when result() will print its object."""
+        return self.fmt == "json" and not self.quiet
 
     def result(self, obj: dict, text_lines) -> None:
         """Emit obj as JSON, or the prepared text lines."""
@@ -267,7 +279,8 @@ def cmd_solve_li(ns) -> int:
         if ns.exact:
             tp, bp = res.traveller_policy(), res.blocker_policy()
             tr = play(inst, tp, bp, "li", 0, ns.deadline)
-            obj["transcript"] = _transcript_obj(tr)
+            if out.prints_json:
+                obj["transcript"] = _transcript_obj(tr)
             lines.append(tr.to_json_lines().rstrip("\n"))
         out.result(obj, lines)
         return 0 if res.wins else 3
@@ -296,12 +309,14 @@ def cmd_solve_static(ns) -> int:
     wins = val != UNREACHABLE and (deadline is None or val <= deadline)
     obj = {"value": _finite(val), "deadline": deadline, "wins": wins}
     lines = ["value " + ("UNREACHABLE" if val == UNREACHABLE else str(val))]
+    out = _Out(ns)
     if val != UNREACHABLE:
         tr = play(inst, static_traveller_policy(game), static_blocker_policy(game),
                   "dag" if inst.graph.directed else "static")
-        obj["transcript"] = _transcript_obj(tr)
+        if out.prints_json:
+            obj["transcript"] = _transcript_obj(tr)
         lines.append(tr.to_json_lines().rstrip("\n"))
-    _Out(ns).result(obj, lines)
+    out.result(obj, lines)
     return 0 if wins else 3
 
 
@@ -324,38 +339,40 @@ def cmd_gen(ns) -> int:
     return 0
 
 
-def _pick_traveller(ns, inst: Instance):
+def _builtin(ns, inst: Instance):
+    """The (traveller, blocker) builtin pair, built on first use only."""
+    return functools.cache(
+        lambda: builtin_policies(inst, ns.model, ns.t1, getattr(ns, "t2", None)))
+
+
+def _pick_traveller(ns, builtin):
     if ns.traveller == "transcript":
         if ns.transcript is None:
             raise ValueError("--traveller transcript needs --transcript FILE")
         with open(ns.transcript, "r", encoding="utf-8") as fh:
             return transcript_traveller_policy(Transcript.from_json_lines(fh.read()))
-    return builtin_policies(inst, ns.model, getattr(ns, "t1", 0),
-                            getattr(ns, "t2", None))[0]
+    return builtin()[0]
 
 
 def cmd_play(ns) -> int:
     inst = _load(ns.instance)
-    tp = _pick_traveller(ns, inst)
+    builtin = _builtin(ns, inst)
+    tp = _pick_traveller(ns, builtin)
+    tr = None
     if ns.blocker == "exhaustive":
-        res = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.t2,
-                                        t1=ns.t1, limit=_limit(ns, 200_000))
-        if res.counterexample is not None:
-            tr = res.counterexample
-        else:
-            bp = builtin_policies(inst, ns.model, ns.t1, ns.t2)[1]
-            tr = play(inst, tp, bp, ns.model, ns.t1, ns.t2)
-    else:
-        bp = builtin_policies(inst, ns.model, ns.t1, ns.t2)[1]
-        tr = play(inst, tp, bp, ns.model, ns.t1, ns.t2)
+        tr = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.t2, t1=ns.t1,
+                                       limit=_limit(ns, 200_000)).counterexample
+    if tr is None:
+        tr = play(inst, tp, builtin()[1], ns.model, ns.t1, ns.t2)
     out = _Out(ns)
-    out.result(_transcript_obj(tr), [tr.to_json_lines().rstrip("\n")])
+    out.result(_transcript_obj(tr) if out.prints_json else None,
+               [tr.to_json_lines().rstrip("\n")])
     return 0 if tr.outcome == TRAVELLER_WIN else 3
 
 
 def cmd_verify(ns) -> int:
     inst = _load(ns.instance)
-    tp = _pick_traveller(ns, inst)
+    tp = _pick_traveller(ns, _builtin(ns, inst))
     res = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.deadline,
                                     t1=ns.t1, limit=_limit(ns, 200_000))
     out = _Out(ns)

@@ -99,11 +99,24 @@ class StaticEdge:
         raise ValueError(f"{x!r} is not an endpoint of {self.u}-{self.v}")
 
 
-def _merge(edges, make):
-    merged: dict[tuple, int] = {}
-    for key, copies in edges:
-        merged[key] = merged.get(key, 0) + copies
-    return tuple(make(key, copies) for key, copies in sorted(merged.items()))
+def _merge(keyed, make):
+    """One edge per canonical key, in key order; parallel records sum copies.
+
+    keyed yields (canonical key, edge) pairs. An edge whose key occurs once
+    and already reads canonically is kept as it is.
+    """
+    merged: dict[tuple, list] = {}
+    for key, e in keyed:
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [e, e.copies]
+        else:
+            entry[0] = None
+            entry[1] += e.copies
+    return tuple(
+        e if e is not None and e.key == key else make(key, copies)
+        for key, (e, copies) in sorted(merged.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ class TemporalGraph:
                 if x not in vset:
                     raise ValueError(f"edge endpoint {x!r} not in vertex list")
         merged = _merge(
-            ((e.key, e.copies) for e in edges),
+            ((e.key, e) for e in edges),
             lambda key, copies: TimeEdge(*key, copies=copies),
         )
         return cls(vs, merged)
@@ -169,7 +182,7 @@ class StaticGraph:
             u, v = e.u, e.v
             if not directed and v < u:
                 u, v = v, u
-            keyed.append(((u, v, e.weight), e.copies))
+            keyed.append(((u, v, e.weight), e))
         merged = _merge(keyed, lambda key, copies: StaticEdge(*key, copies=copies))
         return cls(vs, merged, directed)
 

@@ -9,11 +9,9 @@ search and exists purely as a cross-check.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Mapping, Optional
 
 from .core import StaticEdge, StaticGraph
@@ -114,6 +112,12 @@ def compute_pi(
     counted once per copy and valued at cost-from-head (with budget i-m) plus
     arc weight.
 
+    Each vertex reads (head row, weight, copies capped at k+1) once per
+    out-arc. For every budget index r it lists each arc's candidate once per
+    capped copy and sorts the list: Blocker never removes more than k copies,
+    so the first k+1 entries are all the max can reach, and the cap keeps the
+    list at most (k+1) * out-degree long.
+
     Block groups are validated but do not alter the table: a group's member
     arcs sit at distinct tails, and no directed path holds two of them, so at
     most one member is ever reachable in a single play and group coupling
@@ -130,24 +134,31 @@ def compute_pi(
     if groups is not None:
         _check_groups_path_free(g, _group_members(g, groups), order)
     k = budget
+    width = k + 1
+    budgets = range(width)
+    unreachable = (UNREACHABLE,) * width
     values: dict = {}
     for v in reversed(order):
         if v == target:
-            values[v] = tuple(0 for _ in range(k + 1))
+            values[v] = (0,) * width
             continue
-        out = g.outgoing(v)
-        if not out:
-            values[v] = tuple(UNREACHABLE for _ in range(k + 1))
+        arcs = [(values[e.v], e.weight, min(e.copies, width)) for e in g.outgoing(v)]
+        if not arcs:
+            values[v] = unreachable
             continue
-        # best k+1 candidate costs per remaining-budget index r
+        # sorted candidate costs per remaining-budget index r
         prefixes = []
-        for r in range(k + 1):
-            cands = chain.from_iterable(
-                repeat(values[e.v][r] + e.weight, min(e.copies, k + 1)) for e in out
-            )
-            prefixes.append(heapq.nsmallest(k + 1, cands))
+        for r in budgets:
+            cands = []
+            for head, weight, copies in arcs:
+                if copies == 1:
+                    cands.append(head[r] + weight)
+                else:
+                    cands.extend([head[r] + weight] * copies)
+            cands.sort()
+            prefixes.append(cands)
         row = []
-        for i in range(k + 1):
+        for i in budgets:
             best = 0
             for m in range(i + 1):
                 prefix = prefixes[i - m]

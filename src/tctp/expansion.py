@@ -78,16 +78,16 @@ def build_expansion(
             {(e.u, e.tau), (e.v, e.tau), (e.u, e.arrival), (e.v, e.arrival)}
         )
 
-    arcs: list[StaticEdge] = []
+    copies_of: dict = {}  # arc key -> copies; no two arcs share a key
     origins: dict = {}
     arc_to_group: dict = {}
     group_copies: dict = {}
 
     def add(u: Node, v: Node, weight: int, copies: int, gid, origin) -> None:
-        arc = StaticEdge(u, v, weight, copies)
-        arcs.append(arc)
-        origins[arc.key] = origin
-        arc_to_group[arc.key] = gid
+        key = (u, v, weight)
+        copies_of[key] = copies
+        origins[key] = origin
+        arc_to_group[key] = gid
         group_copies[gid] = copies
 
     for e in surviving:
@@ -107,7 +107,10 @@ def build_expansion(
         add((t, tau), TARGET, 0, k + 1, ("sink", tau), SINK)
     nodes.add(TARGET)
 
-    graph = StaticGraph.build(sorted(nodes), arcs, directed=True)
+    # every endpoint is a node and every key is unique, so the canonical
+    # graph is the sorted nodes and arcs as they stand
+    arcs = tuple(StaticEdge(*key, copies) for key, copies in sorted(copies_of.items()))
+    graph = StaticGraph(tuple(sorted(nodes)), arcs, directed=True)
     return ExpandedDag(
         graph=graph,
         source=(s, t1),

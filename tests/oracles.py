@@ -7,12 +7,19 @@ reads off a shared table or a pruned pass:
   candidate window;
 * the single-block solver with one label pass per single-copy edge and a
   full rescan of the unsettled vertices at every settling step;
-* block-group path-freeness by a descendant search from every member head.
+* block-group path-freeness by a descendant search from every member head;
+* the budget table with ``heapq.nsmallest`` over every capped copy;
+* the time expansion built through ``StaticGraph.build``, which re-checks
+  every endpoint and re-merges every arc;
+* edge merging by summing copies per key into freshly built edges.
 """
+import heapq
 import math
+from itertools import chain, repeat
 
-from tctp.core import Instance
-from tctp.dagctp import BlockGroups
+from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge
+from tctp.dagctp import UNREACHABLE, BlockGroups, topological_order
+from tctp.expansion import SINK, TARGET, WAIT
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.utctp import decide_u
 
@@ -123,3 +130,87 @@ def groups_share_a_path(g, groups: BlockGroups) -> bool:
         for a in arcs
         for b in arcs
     )
+
+
+def nsmallest_pi_values(g: StaticGraph, target, k: int) -> dict:
+    """Budget-table rows, each candidate list cut by ``heapq.nsmallest``."""
+    values: dict = {}
+    for v in reversed(topological_order(g)):
+        if v == target:
+            values[v] = tuple(0 for _ in range(k + 1))
+            continue
+        out = g.outgoing(v)
+        if not out:
+            values[v] = tuple(UNREACHABLE for _ in range(k + 1))
+            continue
+        prefixes = []
+        for r in range(k + 1):
+            cands = chain.from_iterable(
+                repeat(values[e.v][r] + e.weight, min(e.copies, k + 1)) for e in out
+            )
+            prefixes.append(heapq.nsmallest(k + 1, cands))
+        row = []
+        for i in range(k + 1):
+            best = 0
+            for m in range(i + 1):
+                prefix = prefixes[i - m]
+                cand = prefix[m] if m < len(prefix) else UNREACHABLE
+                if cand > best:
+                    best = cand
+            row.append(best)
+        values[v] = tuple(row)
+    return values
+
+
+def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:
+    """(graph, origins, arc_to_group, group_copies) of the [t1, t2] expansion.
+
+    Every arc is made as a StaticEdge and handed to StaticGraph.build.
+    """
+    surviving = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
+    nodes = {(s, t1)}
+    for e in surviving:
+        nodes.update({(e.u, e.tau), (e.v, e.tau), (e.u, e.arrival), (e.v, e.arrival)})
+    arcs, origins, arc_to_group, group_copies = [], {}, {}, {}
+
+    def add(u, v, weight, copies, gid, origin):
+        arc = StaticEdge(u, v, weight, copies)
+        arcs.append(arc)
+        origins[arc.key] = origin
+        arc_to_group[arc.key] = gid
+        group_copies[gid] = copies
+
+    for e in surviving:
+        gid = ("edge", e.key)
+        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, gid, e)
+        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, gid, e)
+    times_of = {}
+    for name, tau in nodes:
+        times_of.setdefault(name, []).append(tau)
+    for name, times in sorted(times_of.items()):
+        times.sort()
+        for a, b in zip(times, times[1:]):
+            add((name, a), (name, b), b - a, k + 1, ("wait", name, a), WAIT)
+    for tau in sorted(times_of.get(t, [])):
+        add((t, tau), TARGET, 0, k + 1, ("sink", tau), SINK)
+    nodes.add(TARGET)
+    graph = StaticGraph.build(sorted(nodes), arcs, directed=True)
+    return graph, origins, arc_to_group, group_copies
+
+
+def summed_edges(records, directed=None) -> tuple:
+    """Canonical edges of records: copies summed per key, sorted by key.
+
+    directed is None for time edges, else whether static edges keep their
+    orientation.
+    """
+    merged = {}
+    for e in records:
+        if directed is None:
+            key = e.key
+        else:
+            u, v = (e.u, e.v) if directed or e.u <= e.v else (e.v, e.u)
+            key = (u, v, e.weight)
+        merged[key] = merged.get(key, 0) + e.copies
+    make = TimeEdge if directed is None else StaticEdge
+    return tuple(make(*key, copies=c) for key, c in sorted(merged.items()))

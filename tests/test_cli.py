@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from tctp import arena, cli
 from tctp.arena import TRAVELLER_WIN, Transcript
 from tctp.cli import dispatch
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, \
@@ -310,6 +311,39 @@ def test_play_and_verify_handle_a_deep_chain(tmp_path):
                  ["solve-static", dag_file]):
         code, out, err = _run(argv)
         assert code in (0, 3) and "Traceback" not in err, argv
+
+
+def test_global_flags_do_not_carry_into_the_next_dispatch(sep_file):
+    plain = _run(["solve-li", "--exact", sep_file])
+    flagged = _run(["--quiet", "solve-li", "--exact", sep_file,
+                    "--format", "json", "--limit", "1"])
+    assert flagged[:2] == (4, "")
+    assert _run(["solve-li", "--exact", sep_file]) == plain
+
+
+def test_play_solves_once_and_transcripts_parse_back_only_for_json(
+        monkeypatch, sep_file, triple_file):
+    calls = {"exact_li": 0, "transcript": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arena, "exact_li", counted("exact_li", arena.exact_li))
+    monkeypatch.setattr(cli, "_transcript_obj",
+                        counted("transcript", cli._transcript_obj))
+    for blocker in ("builtin", "exhaustive"):
+        calls["exact_li"] = 0
+        code, _, _ = _run(["play", sep_file, "--model", "li", "--blocker", blocker])
+        assert code == 0 and calls["exact_li"] == 1, blocker
+
+    for argv in (["solve-li", "--exact", sep_file], ["solve-static", triple_file],
+                 ["play", sep_file, "--model", "li"]):
+        calls["transcript"] = 0
+        assert _run(argv)[0] == 0 and calls["transcript"] == 0, argv
+        assert _run(argv + ["--format", "json"])[0] == 0 and calls["transcript"] == 1
 
 
 def test_identical_invocations_identical_bytes(sep_file, triple_file):

@@ -3,19 +3,32 @@
 Each fast path answers from one shared table or a pruned pass; the oracles in
 ``oracles.py`` recompute the same answers naively on generated instances.
 """
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     groups_share_a_path,
+    nsmallest_pi_values,
     per_edge_k1_table,
+    rebuilt_expansion,
     scan_earliest_arrival,
     scan_latest_departure,
     scan_shortest_duration,
+    summed_edges,
 )
-from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
+from tctp.core import (
+    Instance,
+    StaticEdge,
+    StaticGraph,
+    TemporalGraph,
+    TimeEdge,
+    parse_instance,
+)
 from tctp.dagctp import BlockGroups, compute_pi
+from tctp.expansion import build_expansion
 from tctp.litctp import solve_k1
 from tctp.utctp import earliest_arrival, latest_departure, shortest_duration
 
@@ -98,3 +111,74 @@ def test_group_check_matches_exhaustive_path_search(case):
             compute_pi(g, target, k, groups)
     else:
         assert compute_pi(g, target, k, groups) == compute_pi(g, target, k)
+
+
+@st.composite
+def weighted_dags(draw):
+    """A random DAG with zero weights, copies past any budget and dead ends."""
+    n = draw(st.integers(2, 8))
+    names = [f"n{i}" for i in range(n)]
+    arcs = [StaticEdge(names[i], names[j], w, copies=c)
+            for i, j, w, c in draw(st.lists(
+                st.tuples(st.integers(0, n - 2), st.integers(1, n - 1),
+                          st.integers(0, 4), st.integers(1, 12)).filter(
+                    lambda a: a[0] < a[1]),
+                max_size=20))]
+    g = StaticGraph.build(names, arcs, directed=True)
+    return g, draw(st.sampled_from(names)), draw(st.integers(0, 8))
+
+
+@SETTINGS
+@given(weighted_dags())
+def test_sorted_budget_table_matches_nsmallest(case):
+    g, target, k = case
+    assert compute_pi(g, target, k).values == nsmallest_pi_values(g, target, k)
+
+
+@SETTINGS
+@given(temporal_instances(), st.integers(0, 4), st.none() | st.integers(0, 9))
+def test_one_pass_expansion_matches_static_graph_build(inst, t1, t2):
+    if t2 is not None and t2 < t1:
+        t1, t2 = t2, t1
+    xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
+    graph, origins, arc_to_group, group_copies = rebuilt_expansion(
+        inst.graph, inst.s, inst.t, inst.k, t1, math.inf if t2 is None else t2)
+    assert xd.graph.vertices == graph.vertices
+    assert xd.graph.edges == graph.edges  # edge equality covers copies
+    assert xd.graph.directed
+    assert xd.origins == origins
+    assert xd.groups == BlockGroups(arc_to_group, group_copies)
+
+
+@st.composite
+def edge_records(draw):
+    """(model, vertex names, records) with repeated and reversed records."""
+    model = draw(st.sampled_from(("temporal", "static", "dag")))
+    names = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1])
+    if model == "temporal":
+        one = st.builds(lambda p, tau, d, c: TimeEdge(*p, tau, d, c), pairs,
+                        st.integers(0, 3), st.integers(1, 2), st.integers(1, 3))
+    else:
+        one = st.builds(lambda p, w, c: StaticEdge(*p, w, c), pairs,
+                        st.integers(0, 2), st.integers(1, 3))
+    distinct = draw(st.lists(one, min_size=1, max_size=6))
+    records = draw(st.lists(st.sampled_from(distinct), max_size=12))
+    return model, names, records
+
+
+@SETTINGS
+@given(edge_records())
+def test_parse_merges_records_into_equal_graphs(case):
+    model, names, records = case
+    if model == "temporal":
+        lines = [f"edge {e.u} {e.v} {e.tau} {e.d} {e.copies}" for e in records]
+        want = summed_edges(records)
+    else:
+        lines = [f"edge {e.u} {e.v} {e.weight} {e.copies}" for e in records]
+        want = summed_edges(records, directed=model == "dag")
+    text = "\n".join([f"model {model}", "vertices " + " ".join(names),
+                      f"s {names[0]}", f"t {names[-1]}", "k 1", *lines]) + "\n"
+    inst = parse_instance(text)
+    assert inst.graph.edges == want
