@@ -747,7 +747,12 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
 
 
 def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None) -> tuple:
-    """(traveller, blocker) pair backed by the matching solver."""
+    """(traveller, blocker) pair backed by the matching solver.
+
+    The model's input checks run first, so an instance of the wrong kind is
+    a ValueError here, as in ``play`` and ``verify_traveller_strategy``.
+    """
+    _rules(inst, model, t1, t2)
     if model == "li":
         res = exact_li(inst, t1, t2)
         return res.traveller_policy(), res.blocker_policy()
@@ -756,6 +761,4 @@ def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None) -> tuple:
     if model == "static":
         game = StaticGame(inst, discovery="incident")
         return static_traveller_policy(game), static_blocker_policy(game)
-    if model == "dag":
-        return table_policies(inst)
-    raise ValueError(f"unknown model {model!r}")
+    return table_policies(inst)  # dag

@@ -25,7 +25,7 @@ from .arena import (
     transcript_traveller_policy,
     verify_traveller_strategy,
 )
-from .core import Instance, TemporalGraph, parse_instance, serialize_instance
+from .core import Instance, StaticGraph, TemporalGraph, parse_instance, serialize_instance
 from .dagctp import UNREACHABLE, compute_pi
 from .errors import InstanceFormatError, SizeLimitError
 from .expansion import build_expansion
@@ -302,6 +302,8 @@ def cmd_solve_li(ns) -> int:
 
 def cmd_solve_static(ns) -> int:
     inst = _load(ns.instance)
+    if not isinstance(inst.graph, StaticGraph):
+        raise ValueError("solve-static needs a weighted-graph instance")
     discovery = "out" if inst.graph.directed else "incident"
     game = StaticGame(inst, discovery=discovery, state_limit=_limit(ns, 10**7))
     val = game.entry_value()

@@ -101,6 +101,39 @@ class PiTable:
         return self.values[v][i]
 
 
+def pi_row(arcs: list, width: int) -> tuple:
+    """One vertex's row of the budget table, from its out-arcs.
+
+    arcs holds (head row, weight, copies capped at width) per out-arc, and
+    width is the budget plus one. Entry i is the guarantee with budget i
+    left: the max over m <= i of the (m+1)-smallest candidate at budget
+    i - m, candidates counted once per copy. No out-arc gives an
+    unreachable row.
+    """
+    budgets = range(width)
+    # sorted candidate costs per remaining-budget index r
+    prefixes = []
+    for r in budgets:
+        cands = []
+        for head, weight, copies in arcs:
+            if copies == 1:
+                cands.append(head[r] + weight)
+            else:
+                cands.extend([head[r] + weight] * copies)
+        cands.sort()
+        prefixes.append(cands)
+    row = []
+    for i in budgets:
+        best = 0
+        for m in range(i + 1):
+            prefix = prefixes[i - m]
+            cand = prefix[m] if m < len(prefix) else UNREACHABLE
+            if cand > best:
+                best = cand
+        row.append(best)
+    return tuple(row)
+
+
 def compute_pi(
     g: StaticGraph, target, budget: int, groups: Optional[BlockGroups] = None
 ) -> PiTable:
@@ -113,10 +146,11 @@ def compute_pi(
     arc weight.
 
     Each vertex reads (head row, weight, copies capped at k+1) once per
-    out-arc. For every budget index r it lists each arc's candidate once per
-    capped copy and sorts the list: Blocker never removes more than k copies,
-    so the first k+1 entries are all the max can reach, and the cap keeps the
-    list at most (k+1) * out-degree long.
+    out-arc and hands them to ``pi_row``. For every budget index r it lists
+    each arc's candidate once per capped copy and sorts the list: Blocker
+    never removes more than k copies, so the first k+1 entries are all the
+    max can reach, and the cap keeps the list at most (k+1) * out-degree
+    long.
 
     Block groups are validated but do not alter the table: a group's member
     arcs sit at distinct tails, and no directed path holds two of them, so at
@@ -135,38 +169,16 @@ def compute_pi(
         _check_groups_path_free(g, _group_members(g, groups), order)
     k = budget
     width = k + 1
-    budgets = range(width)
-    unreachable = (UNREACHABLE,) * width
+    zero = (0,) * width
     values: dict = {}
     for v in reversed(order):
         if v == target:
-            values[v] = (0,) * width
+            values[v] = zero
             continue
-        arcs = [(values[e.v], e.weight, min(e.copies, width)) for e in g.outgoing(v)]
-        if not arcs:
-            values[v] = unreachable
-            continue
-        # sorted candidate costs per remaining-budget index r
-        prefixes = []
-        for r in budgets:
-            cands = []
-            for head, weight, copies in arcs:
-                if copies == 1:
-                    cands.append(head[r] + weight)
-                else:
-                    cands.extend([head[r] + weight] * copies)
-            cands.sort()
-            prefixes.append(cands)
-        row = []
-        for i in budgets:
-            best = 0
-            for m in range(i + 1):
-                prefix = prefixes[i - m]
-                cand = prefix[m] if m < len(prefix) else UNREACHABLE
-                if cand > best:
-                    best = cand
-            row.append(best)
-        values[v] = tuple(row)
+        values[v] = pi_row(
+            [(values[e.v], e.weight, min(e.copies, width)) for e in g.outgoing(v)],
+            width,
+        )
     return PiTable(values, k, target)
 
 

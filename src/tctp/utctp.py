@@ -1,24 +1,28 @@
 """Uninformed temporal game: blocked copies surface only at departure time.
 
 Blocker reveals the status of a time edge exactly when Traveller stands at
-one of its endpoints at its departure time. Deciding a window reduces to
-finite-budget reachability on the time expansion. The three window
-optimizers (earliest arrival, latest departure, fastest path) read their
-answers from the one budget table of the unbounded window, and
-``brute_u_game`` replays the game definition directly on tiny instances as an
-independent oracle.
+one of its endpoints at its departure time. Deciding a window is a budget
+table over the (vertex, time) nodes of the time expansion, filled by one
+sweep over those nodes in decreasing time: every arc of the expansion,
+departure or wait, leads strictly later, so no graph and no topological
+order is built. ``UDecision.expansion`` builds the expansion itself on first
+access, for callers that need its arcs. The three window optimizers
+(earliest arrival, latest departure, fastest path) read their answers from
+the one budget table of the unbounded window, and ``brute_u_game`` replays
+the game definition directly on tiny instances as an independent oracle.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan
-from .dagctp import UNREACHABLE, PiTable, compute_pi
+from .dagctp import UNREACHABLE, PiTable, pi_row
 from .errors import SizeLimitError
-from .expansion import ExpandedDag, build_expansion
+from .expansion import TARGET, ExpandedDag, build_expansion
 
 
 @dataclass
@@ -27,11 +31,17 @@ class UDecision:
     t1: int
     t2: Union[int, float]
     guaranteed_arrival: Union[int, float]
-    expansion: ExpandedDag
-    table: PiTable
+    table: PiTable  # keyed by the expansion's (vertex, time) nodes and TARGET
+    instance: Instance = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.wins
+
+    @cached_property
+    def expansion(self) -> ExpandedDag:
+        """The time expansion of the decided window, built on first access."""
+        inst = self.instance
+        return build_expansion(inst.graph, inst.s, inst.t, inst.k, self.t1, self.t2)
 
 
 def decide_u(
@@ -45,13 +55,68 @@ def decide_u(
         raise ValueError("uninformed solver needs a temporal instance")
     if t2 is None:
         t2 = inst.deadline if inst.deadline is not None else math.inf
-    xd = build_expansion(g, inst.s, inst.t, inst.k, t1, t2)
-    # the table does not depend on groups, and the expansion's are path-free
-    # by construction, so they need no validation here
-    table = compute_pi(xd.graph, xd.target, inst.k)
-    cost = table.value(xd.source, inst.k)
+    table = _sweep(g, inst.s, inst.t, inst.k, t1, t2)
+    cost = table.value((inst.s, t1), inst.k)
     wins = cost != UNREACHABLE
-    return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, xd, table)
+    return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, table, inst)
+
+
+def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
+    """The budget table of the [t1, t2] time expansion, node by node in
+    decreasing time.
+
+    A (v, tau) node's candidates are the wait to v's next time (k+1 copies,
+    weight the gap), each surviving time edge departing v at tau (weight d),
+    and, for v = t, the target at cost 0 with k+1 copies, which makes the row
+    zero. A node whose only candidate is the wait takes the next row plus the
+    gap: ``pi_row`` gives the running max of that for k+1 equal candidates,
+    and no row falls as the budget grows (a row entry is a max over
+    candidates that do not fall with it), so the running max is the row
+    itself. The result equals ``compute_pi`` on ``build_expansion`` with the
+    same arguments.
+    """
+    for x in (s, t):
+        if x not in g.index:
+            raise ValueError(f"unknown vertex {x!r}")
+    if t1 < 0 or t1 > t2:
+        raise ValueError(f"bad window [{t1}, {t2}]")
+    width = k + 1
+    departs: dict = {}  # (v, tau) -> [(head node, d, capped copies)]
+    at_time: dict = {t1: {s}}  # tau -> vertices with a node at tau
+    for e in g.edges:
+        tau, arrival = e.tau, e.arrival
+        if tau < t1 or arrival > t2:
+            continue
+        copies = min(e.copies, width)
+        departs.setdefault((e.u, tau), []).append(((e.v, arrival), e.d, copies))
+        departs.setdefault((e.v, tau), []).append(((e.u, arrival), e.d, copies))
+        at_time.setdefault(tau, set()).update((e.u, e.v))
+        at_time.setdefault(arrival, set()).update((e.u, e.v))
+
+    zero = (0,) * width
+    unreachable = (UNREACHABLE,) * width
+    values: dict = {TARGET: zero}
+    later: dict = {}  # v -> (time, row) of v's next node in time
+    for tau in sorted(at_time, reverse=True):
+        for v in at_time[tau]:
+            node = (v, tau)
+            nxt = later.get(v)
+            edges = departs.get(node)
+            if v == t:
+                row = zero
+            elif edges is not None:
+                arcs = [(values[head], d, copies) for head, d, copies in edges]
+                if nxt is not None:
+                    arcs.append((nxt[1], nxt[0] - tau, width))
+                row = pi_row(arcs, width)
+            elif nxt is not None:
+                gap = nxt[0] - tau
+                row = tuple([x + gap for x in nxt[1]])
+            else:
+                row = unreachable
+            values[node] = row
+            later[v] = (tau, row)
+    return PiTable(values, k, TARGET)
 
 
 def _source_arrivals(inst: Instance) -> list:
@@ -64,9 +129,9 @@ def _source_arrivals(inst: Instance) -> list:
     """
     dec = decide_u(inst, 0, math.inf)
     return sorted(
-        (node[1], node[1] + dec.table.value(node, inst.k))
-        for node in dec.expansion.non_target_nodes()
-        if node[0] == inst.s
+        (node[1], node[1] + row[inst.k])
+        for node, row in dec.table.values.items()
+        if node[0] == inst.s and node != TARGET
     )
 
 

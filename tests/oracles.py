@@ -9,6 +9,8 @@ reads off a shared table or a pruned pass:
   full rescan of the unsettled vertices at every settling step;
 * block-group path-freeness by a descendant search from every member head;
 * the budget table with ``heapq.nsmallest`` over every capped copy;
+* the uninformed game's table as ``compute_pi`` on the materialized time
+  expansion, in place of the reverse-time sweep;
 * the time expansion built through ``StaticGraph.build``, which re-checks
   every endpoint and re-merges every arc;
 * edge merging by summing copies per key into freshly built edges.
@@ -18,8 +20,8 @@ import math
 from itertools import chain, repeat
 
 from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge
-from tctp.dagctp import UNREACHABLE, BlockGroups, topological_order
-from tctp.expansion import SINK, TARGET, WAIT
+from tctp.dagctp import UNREACHABLE, BlockGroups, PiTable, compute_pi, topological_order
+from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.utctp import decide_u
 
@@ -160,6 +162,12 @@ def nsmallest_pi_values(g: StaticGraph, target, k: int) -> dict:
             row.append(best)
         values[v] = tuple(row)
     return values
+
+
+def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
+    """The [t1, t2] budget table of ``compute_pi`` on the built expansion."""
+    xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
+    return compute_pi(xd.graph, xd.target, inst.k)
 
 
 def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tctp import arena, cli
 from tctp.arena import TRAVELLER_WIN, Transcript
@@ -248,6 +250,58 @@ def test_wrong_model_and_field_types_exit_two(tmp_path, sep_file):
         '"edges": [{"u": "a", "v": "b", "tau": "0", "d": 1}]}\n')
     code, out, err = _run(["solve-u", str(string_tau)])
     assert (code, out) == (2, "") and err == "tctp: tau must be an integer, got '0'\n"
+
+
+def test_static_models_reject_a_temporal_instance(sep_file):
+    for argv, what in ((["solve-static"], "solve-static"),
+                       (["play", "--model", "static"], "model 'static'"),
+                       (["play", "--model", "dag"], "model 'dag'"),
+                       (["verify", "--model", "static"], "model 'static'"),
+                       (["verify", "--model", "dag"], "model 'dag'")):
+        code, out, err = _run(argv[:1] + [sep_file] + argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == f"tctp: {what} needs a weighted-graph instance\n"
+
+
+@st.composite
+def model_instances(draw):
+    """A small valid instance of a random model, in a random format."""
+    model = draw(st.sampled_from(("temporal", "static", "dag")))
+    names = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))
+                          .filter(lambda p: p[0] != p[1]), max_size=6))
+    if model == "temporal":
+        edges = [TimeEdge(u, v, draw(st.integers(0, 4)), draw(st.integers(1, 2)),
+                          draw(st.integers(1, 2))) for u, v in pairs]
+        graph = TemporalGraph.build(names, edges)
+    else:
+        edges = [StaticEdge(*sorted((u, v)), draw(st.integers(0, 3)),
+                            draw(st.integers(1, 2))) for u, v in pairs]
+        graph = StaticGraph.build(names, edges, directed=model == "dag")
+    inst = Instance(graph, draw(st.sampled_from(names)), draw(st.sampled_from(names)),
+                    draw(st.integers(0, 2)), draw(st.none() | st.integers(0, 6)))
+    return inst, draw(st.sampled_from(("text", "json")))
+
+
+CONTRACT_ARGS = [["expand"], ["dag-solve"], ["solve-u"], ["solve-li"],
+                 ["solve-static"], ["gen", "sat4"]] + [
+    [cmd, "--model", model] for cmd in ("play", "verify")
+    for model in ("li", "u", "static", "dag")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(model_instances())
+def test_every_command_keeps_the_exit_contract(tmp_path_factory, case):
+    """Any valid instance, any command and model: a contract exit code and no
+    traceback, whether or not the model fits the instance."""
+    inst, fmt = case
+    path = tmp_path_factory.mktemp("contract") / f"inst.{fmt}"
+    path.write_text(serialize_instance(inst, fmt))
+    for args in CONTRACT_ARGS:
+        at = 2 if args[0] == "gen" else 1
+        code, _, err = _run(args[:at] + [str(path)] + args[at:])
+        assert code in (0, 2, 3, 4), args
+        assert "Traceback" not in err, args
 
 
 def test_bad_json_values_are_shown_short(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    expansion_pi_table,
     groups_share_a_path,
     nsmallest_pi_values,
     per_edge_k1_table,
@@ -30,7 +31,7 @@ from tctp.core import (
 from tctp.dagctp import BlockGroups, compute_pi
 from tctp.expansion import build_expansion
 from tctp.litctp import solve_k1
-from tctp.utctp import earliest_arrival, latest_departure, shortest_duration
+from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 # derandomized so that every run of the suite checks the same examples
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -148,6 +149,38 @@ def test_one_pass_expansion_matches_static_graph_build(inst, t1, t2):
     assert xd.graph.directed
     assert xd.origins == origins
     assert xd.groups == BlockGroups(arc_to_group, group_copies)
+
+
+@st.composite
+def u_windows(draw):
+    """(instance, t1, t2): k up to 4 and copies up to k+2, so the cap binds."""
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(2, 6))
+    names = [f"v{i}" for i in range(n)]
+    records = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 6),
+                  st.integers(1, 3), st.integers(1, k + 2)).filter(
+            lambda r: r[0] != r[1]),
+        max_size=14,
+    ))
+    edges = [TimeEdge(names[a], names[b], tau, d, copies)
+             for a, b, tau, d, copies in records]
+    s, t = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    t1 = draw(st.integers(0, 4))
+    deadline = draw(st.none() | st.integers(t1, 10))
+    t2 = draw(st.none() | st.integers(t1, 10))
+    return Instance(TemporalGraph.build(names, edges), s, t, k, deadline), t1, t2
+
+
+@SETTINGS
+@given(u_windows())
+def test_sweep_table_matches_compute_pi_on_the_expansion(case):
+    inst, t1, t2 = case
+    dec = decide_u(inst, t1, t2)
+    # the whole table: every (v, tau) row and the target's, budget and target
+    assert dec.table == expansion_pi_table(inst, t1, dec.t2)
+    assert dec.expansion == build_expansion(inst.graph, inst.s, inst.t, inst.k,
+                                            t1, dec.t2)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from generators import rand_temporal
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
-from tctp import utctp
+from tctp import dagctp, expansion, utctp
 from tctp.errors import SizeLimitError
 from tctp.samples import separating_instance
 from tctp.utctp import (
@@ -120,6 +120,25 @@ def test_each_optimizer_builds_one_table(monkeypatch):
             calls.clear()
             optimizer(inst)
             assert len(calls) == 1, optimizer.__name__
+
+
+def test_decide_u_builds_no_expansion_and_no_dag_table(monkeypatch):
+    calls = []
+
+    def counted(name):
+        return lambda *a, **kw: calls.append(name)
+
+    for mod in (expansion, dagctp, utctp):
+        for name in ("build_expansion", "compute_pi"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name))
+    rng = random.Random(24)
+    for _ in range(20):
+        inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=12, max_k=3)
+        decide_u(inst, 1, 9)
+        for optimizer in (earliest_arrival, latest_departure, shortest_duration):
+            optimizer(inst)
+    assert calls == []
 
 
 def test_agrees_with_exhaustive_game():
