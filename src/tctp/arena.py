@@ -40,9 +40,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from .core import Instance, StaticGraph, TemporalGraph, TimeEdge
+from .core import Instance, StaticEdge, StaticGraph, TemporalGraph
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import NoSafeMoveError, SizeLimitError
+from .expansion import TARGET
 from .litctp import LiInfoState, exact_li
 from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from .utctp import decide_u
@@ -674,46 +675,60 @@ def _refute(rules: _Rules, tp: Policy, limit: int, unlimited: bool) -> tuple:
 
 
 def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
-    """Both sides of the per-instant model, guided by the expansion table."""
-    dec = decide_u(inst, t1, t2)
-    xd, table = dec.expansion, dec.table
-    g = xd.graph
+    """Both sides of the per-instant model, guided by the ``u`` budget table.
 
-    def newly_at(node, decided) -> dict:
-        out = {}
-        for arc in g.outgoing(node):
-            origin = xd.origins[arc.key]
-            if isinstance(origin, TimeEdge):
-                c = decided.get(origin.key, 0)
-                if c:
-                    out[arc.key] = c
-        return out
+    A node's out-arcs are read from the instance as the time expansion makes
+    them: one per time edge departing the vertex at that time and arriving in
+    the window, and the wait to the vertex's next node in the table.
+    """
+    dec = decide_u(inst, t1, t2)
+    table = dec.table
+    nodes = sorted(node for node in table.values if node != TARGET)
+    later = {a: b for a, b in zip(nodes, nodes[1:]) if a[0] == b[0]}
+
+    def out_arcs(node) -> tuple:
+        """(arcs out of node, arc key -> its time edge, or None for the wait)."""
+        v, tau = node
+        arcs, origin = [], {}
+        for e in inst.graph.incident(v):
+            if e.tau == tau and e.arrival <= dec.t2:
+                arcs.append(StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies))
+                origin[arcs[-1].key] = e
+        nxt = later.get(node)
+        if nxt is not None:
+            arcs.append(StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1))
+            origin[arcs[-1].key] = None
+        return arcs, origin
 
     def traveller(view):
         node = (view.position, view.clock)
-        if node not in g.index:
+        if node not in table.values:
             return ("resign",)
-        newly = newly_at(node, view.decided)
+        arcs, origin = out_arcs(node)
+        newly = {}
+        for arc in arcs:
+            e = origin[arc.key]
+            c = 0 if e is None else view.decided.get(e.key, 0)
+            if c:
+                newly[arc.key] = c
         try:
-            arc = traveller_move(g, table, node, view.spent - sum(newly.values()),
-                                 newly)
+            arc = traveller_move(arcs, table, view.spent - sum(newly.values()), newly)
         except NoSafeMoveError:
             return ("resign",)
-        origin = xd.origins[arc.key]
-        if isinstance(origin, TimeEdge):
-            return ("move", origin.key)
-        return ("wait", arc.v[1])
+        e = origin[arc.key]
+        return ("wait", arc.v[1]) if e is None else ("move", e.key)
 
     def blocker(view):
         node = (view.position, view.clock)
-        if node not in g.index:
+        if node not in table.values:
             return {}
         scope = set(view.undecided)
+        arcs, origin = out_arcs(node)
         out = {}
-        for ak, c in blocker_move(g, table, node, view.remaining).items():
-            origin = xd.origins[ak]
-            if isinstance(origin, TimeEdge) and origin.key in scope:
-                out[origin.key] = c
+        for ak, c in blocker_move(arcs, table, view.remaining).items():
+            e = origin[ak]
+            if e is not None and e.key in scope:
+                out[e.key] = c
         return out
 
     return traveller, blocker
@@ -733,14 +748,14 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
                 newly[e.key] = c
         before = view.spent - sum(newly.values())
         try:
-            arc = traveller_move(g, table, view.position, before, newly)
+            arc = traveller_move(g.outgoing(view.position), table, before, newly)
         except NoSafeMoveError:
             return ("resign",)
         return ("move", arc.key)
 
     def blocker(view):
         scope = set(view.undecided)
-        mv = blocker_move(g, table, view.position, view.remaining)
+        mv = blocker_move(g.outgoing(view.position), table, view.remaining)
         return {k: c for k, c in mv.items() if k in scope}
 
     return traveller, blocker

@@ -5,14 +5,17 @@ total, and each blocked copy becomes visible only when Traveller arrives at
 its tail. ``compute_pi`` computes, for every vertex v and every
 remaining blocker budget i, the worst-case cost Traveller can guarantee from
 v; ``brute_dag_game`` recomputes the same quantity by exhaustive game-tree
-search and exists purely as a cross-check.
+search and exists purely as a cross-check. Only the oracle takes block
+groups (arcs that one block decision removes together); the table treats
+every arc as its own group, which is exact when no directed path visits the
+tails of two members of one group, as in the time expansion.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .core import StaticEdge, StaticGraph
 from .errors import CyclicGraphError, NoSafeMoveError, SizeLimitError
@@ -80,13 +83,6 @@ def _group_members(g: StaticGraph, groups: BlockGroups) -> dict:
     return members
 
 
-def _groups_or_identity(g: StaticGraph, groups: Optional[BlockGroups]) -> BlockGroups:
-    if groups is None:
-        return BlockGroups.identity(g)
-    _group_members(g, groups)
-    return groups
-
-
 @dataclass(frozen=True)
 class PiTable:
     """table.value(v, i): guaranteed cost from v with blocker budget i left."""
@@ -134,9 +130,7 @@ def pi_row(arcs: list, width: int) -> tuple:
     return tuple(row)
 
 
-def compute_pi(
-    g: StaticGraph, target, budget: int, groups: Optional[BlockGroups] = None
-) -> PiTable:
+def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     """Worst-case guaranteed cost per (vertex, remaining blocker budget).
 
     With budget i at vertex v, Blocker may remove m <= i of v's outgoing arc
@@ -151,22 +145,10 @@ def compute_pi(
     never removes more than k copies, so the first k+1 entries are all the
     max can reach, and the cap keeps the list at most (k+1) * out-degree
     long.
-
-    Block groups are validated but do not alter the table: a group's member
-    arcs sit at distinct tails, and no directed path holds two of them, so at
-    most one member is ever reachable in a single play and group coupling
-    never binds. The brute-force oracle, which honours groups exactly,
-    cross-checks this. Path-freeness is settled in O(V+E) from longest-path
-    depths along the topological order: a group whose deepest tail is
-    shallower than its shallowest head is path-free. Groups built by the time
-    expansion always pass (each tail reaches each head of its time edge); any
-    other group falls back to an exact descendant search.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
     order = topological_order(g)
-    if groups is not None:
-        _check_groups_path_free(g, _group_members(g, groups), order)
     k = budget
     width = k + 1
     zero = (0,) * width
@@ -182,87 +164,26 @@ def compute_pi(
     return PiTable(values, k, target)
 
 
-def _check_groups_path_free(g: StaticGraph, members: dict, order: list) -> None:
-    """Reject groups whose members could both occur on one directed path.
-
-    members maps group ids to member arcs; order is a topological order of g.
-    A path from one member's head to another's tail would make that tail at
-    least as deep as that head, so a group whose tails all lie shallower than
-    all its heads needs no search.
-    """
-    multi = [arcs for arcs in members.values() if len(arcs) > 1]
-    if not multi:
-        return
-    depth = dict.fromkeys(order, 0)
-    for v in order:
-        for e in g.outgoing(v):
-            if depth[e.v] <= depth[v]:
-                depth[e.v] = depth[v] + 1
-    unsure = [
-        arcs
-        for arcs in multi
-        if max(depth[a.u] for a in arcs) >= min(depth[a.v] for a in arcs)
-    ]
-    if unsure:
-        _search_group_paths(g, unsure)
-
-
-def _search_group_paths(g: StaticGraph, multi: list) -> None:
-    """Exact check of the given member-arc lists by descendant search."""
-    reach_memo: dict = {}
-
-    def descendants(v) -> frozenset:
-        if v in reach_memo:
-            return reach_memo[v]
-        seen = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for e in g.outgoing(x):
-                if e.v not in seen:
-                    seen.add(e.v)
-                    stack.append(e.v)
-        out = frozenset(seen)
-        reach_memo[v] = out
-        return out
-
-    for arcs in multi:
-        for a in arcs:
-            reachable = descendants(a.v) | {a.v}
-            for b in arcs:
-                if b is not a and b.u in reachable:
-                    raise ValueError(
-                        f"block group members {a.key} and {b.key} can share a path"
-                    )
-
-
-def decide_dag(
-    g: StaticGraph,
-    s,
-    t,
-    budget: int,
-    deadline,
-    groups: Optional[BlockGroups] = None,
-) -> bool:
+def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:
     """True iff Traveller can guarantee reaching t from s with cost <= deadline."""
-    table = compute_pi(g, t, budget, groups)
+    table = compute_pi(g, t, budget)
     if s not in g.index:
         raise ValueError(f"unknown source vertex {s!r}")
     return table.value(s, budget) <= deadline
 
 
 def traveller_move(
-    g: StaticGraph,
+    out: Iterable[StaticEdge],
     table: PiTable,
-    u,
     blocked_before: int,
     newly_blocked: Mapping[tuple, int],
 ) -> StaticEdge:
-    """Pick the surviving arc out of u minimizing cost-from-head plus weight.
+    """Pick the surviving arc of out minimizing cost-from-head plus weight.
 
-    blocked_before counts copies seen blocked at earlier vertices;
-    newly_blocked maps arc key -> copies just revealed blocked at u. The
-    relevant budget index is what Blocker has left after both.
+    out holds the out-arcs of Traveller's vertex; blocked_before counts
+    copies seen blocked at earlier vertices; newly_blocked maps arc key ->
+    copies just revealed blocked at this one. The relevant budget index is
+    what Blocker has left after both.
     """
     m2 = sum(newly_blocked.values())
     i = table.budget - blocked_before - m2
@@ -270,26 +191,27 @@ def traveller_move(
         raise ValueError("observed blocks exceed the blocker budget")
     best = None
     best_key = None
-    for e in sorted(g.outgoing(u), key=lambda a: a.key):
+    for e in sorted(out, key=lambda a: a.key):
         if e.copies - newly_blocked.get(e.key, 0) < 1:
             continue
         cand = table.value(e.v, i) + e.weight
         if best_key is None or cand < best:
             best, best_key = cand, e
     if best_key is None or best == UNREACHABLE:
-        raise NoSafeMoveError(f"no arc out of {u!r} keeps a finite guarantee")
+        raise NoSafeMoveError("no surviving arc keeps a finite guarantee")
     return best_key
 
 
-def blocker_move(g: StaticGraph, table: PiTable, u, remaining: int) -> dict:
-    """Arc copies to block at u: maximizes the survivor Traveller is forced to.
+def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> dict:
+    """Copies to block among one vertex's out-arcs (out).
 
-    Returns {arc key: copies blocked}; empty when blocking does not help.
-    Ties between block sizes go to the smaller (cheaper) one.
+    Maximizes the survivor Traveller is forced to. Returns {arc key: copies
+    blocked}; empty when blocking does not help. Ties between block sizes go
+    to the smaller (cheaper) one.
     """
     if not 0 <= remaining <= table.budget:
         raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
-    out = sorted(g.outgoing(u), key=lambda a: a.key)
+    out = sorted(out, key=lambda a: a.key)
     best_m, best_val = 0, None
     per_m: dict[int, list] = {}
     for m in range(remaining + 1):
@@ -320,16 +242,21 @@ def brute_dag_game(
 ):
     """Exact game value by exhaustive search over reveal histories.
 
-    The information state is the set of block decisions made so far (one per
-    group, fixed on first reveal); Blocker enumerates every legal count
-    vector, budget permitting. Intended for small cross-check instances; the
-    per-vertex information-state guard trips otherwise unless unlimited.
+    This is the only consumer of ``BlockGroups``; groups default to one per
+    arc and are validated against g. The information state is the set of
+    block decisions made so far (one per group, fixed on first reveal);
+    Blocker enumerates every legal count vector, budget permitting. Intended
+    for small cross-check instances; the per-vertex information-state guard
+    trips otherwise unless unlimited.
     """
     for x in (s, t):
         if x not in g.index:
             raise ValueError(f"unknown vertex {x!r}")
     topological_order(g)  # validates acyclicity
-    grp = _groups_or_identity(g, groups)
+    if groups is None:
+        groups = BlockGroups.identity(g)
+    else:
+        _group_members(g, groups)
     out_arcs = {v: sorted(g.outgoing(v), key=lambda a: a.key) for v in g.vertices}
     memo: dict = {}
     states_per_vertex: dict = {}
@@ -340,7 +267,7 @@ def brute_dag_game(
             yield decided
             return
         gid, rest = gids[0], gids[1:]
-        cap = min(grp.group_copies[gid], rem)
+        cap = min(groups.group_copies[gid], rem)
         for c in range(cap + 1):
             yield from reveal_vectors(rest, rem - c, decided + ((gid, c),))
 
@@ -363,7 +290,7 @@ def brute_dag_game(
         undecided = []
         seen = set()
         for e in out_arcs[v]:
-            gid = grp.group_of(e)
+            gid = groups.group_of(e)
             if gid not in dmap and gid not in seen:
                 seen.add(gid)
                 undecided.append(gid)
@@ -373,7 +300,7 @@ def brute_dag_game(
             ordered = tuple(sorted(new_decided))
             best = UNREACHABLE
             for e in out_arcs[v]:
-                if e.copies - ndmap.get(grp.group_of(e), 0) < 1:
+                if e.copies - ndmap.get(groups.group_of(e), 0) < 1:
                     continue
                 sub = e.weight + value(e.v, ordered)
                 if sub < best:

@@ -8,8 +8,10 @@ time labels, and every (t, tau) node gets unblockable zero-weight arcs into a
 single synthetic target, so reaching t at any admissible time is one
 reachability question on the DAG.
 
-The two arcs born from one time edge share a block group: blocking a copy of
-the edge removes that copy in both directions.
+Blocking a copy of a time edge removes it in both directions, but the two
+arcs born from the edge leave from two nodes at its departure time, and no
+play stands on both (every arc leads strictly later), so each arc can be
+blocked alone.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .core import StaticEdge, StaticGraph, TemporalGraph, TemporalWalk, TimeEdge, WalkStep
-from .dagctp import BlockGroups
 
 Node = tuple  # (vertex name, time); the synthetic target is ("@target", 0)
 WAIT = "wait"
@@ -39,7 +40,6 @@ class ExpandedDag:
     t1: int
     t2: Union[int, float]
     origins: dict
-    groups: BlockGroups
 
     @cached_property
     def arc_by_pair(self) -> dict:
@@ -80,20 +80,15 @@ def build_expansion(
 
     copies_of: dict = {}  # arc key -> copies; no two arcs share a key
     origins: dict = {}
-    arc_to_group: dict = {}
-    group_copies: dict = {}
 
-    def add(u: Node, v: Node, weight: int, copies: int, gid, origin) -> None:
+    def add(u: Node, v: Node, weight: int, copies: int, origin) -> None:
         key = (u, v, weight)
         copies_of[key] = copies
         origins[key] = origin
-        arc_to_group[key] = gid
-        group_copies[gid] = copies
 
     for e in surviving:
-        gid = ("edge", e.key)
-        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, gid, e)
-        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, gid, e)
+        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, e)
+        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, e)
 
     times_of: dict[str, list[int]] = {}
     for name, tau in nodes:
@@ -101,10 +96,10 @@ def build_expansion(
     for name, times in sorted(times_of.items()):
         times.sort()
         for a, b in zip(times, times[1:]):
-            add((name, a), (name, b), b - a, k + 1, ("wait", name, a), WAIT)
+            add((name, a), (name, b), b - a, k + 1, WAIT)
 
     for tau in sorted(times_of.get(t, [])):
-        add((t, tau), TARGET, 0, k + 1, ("sink", tau), SINK)
+        add((t, tau), TARGET, 0, k + 1, SINK)
     nodes.add(TARGET)
 
     # every endpoint is a node and every key is unique, so the canonical
@@ -121,7 +116,6 @@ def build_expansion(
         t1=t1,
         t2=t2,
         origins=origins,
-        groups=BlockGroups(arc_to_group, group_copies),
     )
 
 

@@ -5,24 +5,24 @@ one of its endpoints at its departure time. Deciding a window is a budget
 table over the (vertex, time) nodes of the time expansion, filled by one
 sweep over those nodes in decreasing time: every arc of the expansion,
 departure or wait, leads strictly later, so no graph and no topological
-order is built. ``UDecision.expansion`` builds the expansion itself on first
-access, for callers that need its arcs. The three window optimizers
-(earliest arrival, latest departure, fastest path) read their answers from
-the one budget table of the unbounded window, and ``brute_u_game`` replays
-the game definition directly on tiny instances as an independent oracle.
+order is built. The playout policies (``arena.expansion_policies``) read a
+node's arcs straight from the instance in the same way. The three window
+optimizers (earliest arrival, latest departure, fastest path) read their
+answers from the one budget table of the unbounded window, and
+``brute_u_game`` replays the game definition directly on tiny instances as
+an independent oracle.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan
 from .dagctp import UNREACHABLE, PiTable, pi_row
 from .errors import SizeLimitError
-from .expansion import TARGET, ExpandedDag, build_expansion
+from .expansion import TARGET
 
 
 @dataclass
@@ -32,16 +32,9 @@ class UDecision:
     t2: Union[int, float]
     guaranteed_arrival: Union[int, float]
     table: PiTable  # keyed by the expansion's (vertex, time) nodes and TARGET
-    instance: Instance = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.wins
-
-    @cached_property
-    def expansion(self) -> ExpandedDag:
-        """The time expansion of the decided window, built on first access."""
-        inst = self.instance
-        return build_expansion(inst.graph, inst.s, inst.t, inst.k, self.t1, self.t2)
 
 
 def decide_u(
@@ -58,7 +51,7 @@ def decide_u(
     table = _sweep(g, inst.s, inst.t, inst.k, t1, t2)
     cost = table.value((inst.s, t1), inst.k)
     wins = cost != UNREACHABLE
-    return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, table, inst)
+    return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, table)
 
 
 def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:

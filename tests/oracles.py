@@ -7,10 +7,14 @@ reads off a shared table or a pruned pass:
   candidate window;
 * the single-block solver with one label pass per single-copy edge and a
   full rescan of the unsettled vertices at every settling step;
-* block-group path-freeness by a descendant search from every member head;
+* whether a block group can bind, by a descendant search from every member
+  tail;
 * the budget table with ``heapq.nsmallest`` over every capped copy;
 * the uninformed game's table as ``compute_pi`` on the materialized time
   expansion, in place of the reverse-time sweep;
+* the uninformed game's playout policies reading each node's out-arcs from
+  the materialized time expansion, in place of reading them from the
+  instance;
 * the time expansion built through ``StaticGraph.build``, which re-checks
   every endpoint and re-merges every arc;
 * edge merging by summing copies per key into freshly built edges.
@@ -20,7 +24,16 @@ import math
 from itertools import chain, repeat
 
 from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge
-from tctp.dagctp import UNREACHABLE, BlockGroups, PiTable, compute_pi, topological_order
+from tctp.dagctp import (
+    UNREACHABLE,
+    BlockGroups,
+    PiTable,
+    blocker_move,
+    compute_pi,
+    topological_order,
+    traveller_move,
+)
+from tctp.errors import NoSafeMoveError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.utctp import decide_u
@@ -108,8 +121,13 @@ def per_edge_k1_table(inst: Instance, T=None) -> Pi1Table:
     return Pi1Table(pi1, nu, mu, lam1, T, tuple(order))
 
 
-def groups_share_a_path(g, groups: BlockGroups) -> bool:
-    """True iff some directed path holds two arcs of one block group."""
+def groups_can_bind(g, groups: BlockGroups) -> bool:
+    """True iff one directed path visits the tails of two arcs of one group.
+
+    The group is decided at the first of those tails, so a block chosen
+    there also removes the arc at the second, even when no path holds both
+    arcs.
+    """
     members = {}
     for e in g.edges:
         members.setdefault(groups.arc_to_group[e.key], []).append(e)
@@ -127,7 +145,7 @@ def groups_share_a_path(g, groups: BlockGroups) -> bool:
         return False
 
     return any(
-        a is not b and reaches(a.v, b.u)
+        a is not b and reaches(a.u, b.u)
         for arcs in members.values()
         for a in arcs
         for b in arcs
@@ -170,8 +188,54 @@ def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
     return compute_pi(xd.graph, xd.target, inst.k)
 
 
+def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
+    """Both sides of the ``u`` playout, reading out-arcs from the expansion."""
+    dec = decide_u(inst, t1, t2)
+    xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
+    table, g = dec.table, xd.graph
+
+    def newly_at(node, decided) -> dict:
+        out = {}
+        for arc in g.outgoing(node):
+            origin = xd.origins[arc.key]
+            if isinstance(origin, TimeEdge):
+                c = decided.get(origin.key, 0)
+                if c:
+                    out[arc.key] = c
+        return out
+
+    def traveller(view):
+        node = (view.position, view.clock)
+        if node not in g.index:
+            return ("resign",)
+        newly = newly_at(node, view.decided)
+        try:
+            arc = traveller_move(g.outgoing(node), table,
+                                 view.spent - sum(newly.values()), newly)
+        except NoSafeMoveError:
+            return ("resign",)
+        origin = xd.origins[arc.key]
+        if isinstance(origin, TimeEdge):
+            return ("move", origin.key)
+        return ("wait", arc.v[1])
+
+    def blocker(view):
+        node = (view.position, view.clock)
+        if node not in g.index:
+            return {}
+        scope = set(view.undecided)
+        out = {}
+        for ak, c in blocker_move(g.outgoing(node), table, view.remaining).items():
+            origin = xd.origins[ak]
+            if isinstance(origin, TimeEdge) and origin.key in scope:
+                out[origin.key] = c
+        return out
+
+    return traveller, blocker
+
+
 def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:
-    """(graph, origins, arc_to_group, group_copies) of the [t1, t2] expansion.
+    """(graph, origins) of the [t1, t2] expansion.
 
     Every arc is made as a StaticEdge and handed to StaticGraph.build.
     """
@@ -179,31 +243,28 @@ def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:
     nodes = {(s, t1)}
     for e in surviving:
         nodes.update({(e.u, e.tau), (e.v, e.tau), (e.u, e.arrival), (e.v, e.arrival)})
-    arcs, origins, arc_to_group, group_copies = [], {}, {}, {}
+    arcs, origins = [], {}
 
-    def add(u, v, weight, copies, gid, origin):
+    def add(u, v, weight, copies, origin):
         arc = StaticEdge(u, v, weight, copies)
         arcs.append(arc)
         origins[arc.key] = origin
-        arc_to_group[arc.key] = gid
-        group_copies[gid] = copies
 
     for e in surviving:
-        gid = ("edge", e.key)
-        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, gid, e)
-        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, gid, e)
+        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, e)
+        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, e)
     times_of = {}
     for name, tau in nodes:
         times_of.setdefault(name, []).append(tau)
     for name, times in sorted(times_of.items()):
         times.sort()
         for a, b in zip(times, times[1:]):
-            add((name, a), (name, b), b - a, k + 1, ("wait", name, a), WAIT)
+            add((name, a), (name, b), b - a, k + 1, WAIT)
     for tau in sorted(times_of.get(t, [])):
-        add((t, tau), TARGET, 0, k + 1, ("sink", tau), SINK)
+        add((t, tau), TARGET, 0, k + 1, SINK)
     nodes.add(TARGET)
     graph = StaticGraph.build(sorted(nodes), arcs, directed=True)
-    return graph, origins, arc_to_group, group_copies
+    return graph, origins
 
 
 def summed_edges(records, directed=None) -> tuple:

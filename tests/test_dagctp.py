@@ -69,28 +69,30 @@ def test_table_matches_exhaustive_game():
 def test_traveller_move_picks_cheapest_survivor():
     g = _triple()
     table = compute_pi(g, "t", 2)
-    assert traveller_move(g, table, "s", 0, {}).weight == 1
-    assert traveller_move(g, table, "s", 0, {("s", "t", 1): 1}).weight == 2
-    assert traveller_move(g, table, "s", 1, {("s", "t", 1): 1}).weight == 2
+    out = g.outgoing("s")
+    assert traveller_move(out, table, 0, {}).weight == 1
+    assert traveller_move(out, table, 0, {("s", "t", 1): 1}).weight == 2
+    assert traveller_move(out, table, 1, {("s", "t", 1): 1}).weight == 2
 
 
 def test_traveller_move_errors():
     g = StaticGraph.build(["s", "t"], [StaticEdge("s", "t", 1)], directed=True)
     table = compute_pi(g, "t", 1)
     with pytest.raises(NoSafeMoveError):
-        traveller_move(g, table, "s", 0, {("s", "t", 1): 1})
+        traveller_move(g.outgoing("s"), table, 0, {("s", "t", 1): 1})
     with pytest.raises(ValueError, match="exceed"):
-        traveller_move(g, table, "s", 1, {("s", "t", 1): 1})
+        traveller_move(g.outgoing("s"), table, 1, {("s", "t", 1): 1})
 
 
 def test_blocker_move_spends_where_it_hurts():
     g = _triple()
     table = compute_pi(g, "t", 2)
-    assert blocker_move(g, table, "s", 2) == {("s", "t", 1): 1, ("s", "t", 2): 1}
-    assert blocker_move(g, table, "s", 1) == {("s", "t", 1): 1}
-    assert blocker_move(g, table, "s", 0) == {}
+    out = g.outgoing("s")
+    assert blocker_move(out, table, 2) == {("s", "t", 1): 1, ("s", "t", 2): 1}
+    assert blocker_move(out, table, 1) == {("s", "t", 1): 1}
+    assert blocker_move(out, table, 0) == {}
     with pytest.raises(ValueError, match="remaining budget"):
-        blocker_move(g, table, "s", 3)
+        blocker_move(out, table, 3)
 
 
 def test_optimal_playout_realizes_the_table_value():
@@ -107,8 +109,8 @@ def test_optimal_playout_realizes_the_table_value():
         finite += 1
         pos, spent, cost = inst.s, 0, 0
         while pos != inst.t:
-            newly = blocker_move(g, table, pos, k - spent)
-            arc = traveller_move(g, table, pos, spent, newly)
+            newly = blocker_move(g.outgoing(pos), table, k - spent)
+            arc = traveller_move(g.outgoing(pos), table, spent, newly)
             spent += sum(newly.values())
             cost += arc.weight
             pos = arc.v
@@ -134,26 +136,21 @@ def test_grouped_diamond_agrees_with_exhaustive():
         {"sa": 1, "sb": 1, "exit": 2},
     )
     for k in range(3):
-        table = compute_pi(g, "t", k, groups)
+        table = compute_pi(g, "t", k)
         assert table.value("s", k) == brute_dag_game(g, "s", "t", k, groups)
 
 
 def test_group_validation():
     chain_arcs = [StaticEdge("s", "a", 1), StaticEdge("a", "t", 1)]
     g = StaticGraph.build(["s", "a", "t"], chain_arcs, directed=True)
-    shared = BlockGroups(
-        {("s", "a", 1): "x", ("a", "t", 1): "x"}, {"x": 1}
-    )
-    with pytest.raises(ValueError, match="share a path"):
-        compute_pi(g, "t", 1, shared)
     missing = BlockGroups({("s", "a", 1): 0}, {0: 1})
     with pytest.raises(ValueError, match="missing from block groups"):
-        compute_pi(g, "t", 1, missing)
+        brute_dag_game(g, "s", "t", 1, missing)
     bad_copies = BlockGroups(
         {("s", "a", 1): 0, ("a", "t", 1): 1}, {0: 2, 1: 1}
     )
     with pytest.raises(ValueError, match="copies differ"):
-        compute_pi(g, "t", 1, bad_copies)
+        brute_dag_game(g, "s", "t", 1, bad_copies)
     same_tail = BlockGroups(
         {("s", "t", 1): "x", ("s", "t", 2): "x"}, {"x": 1}
     )
@@ -161,7 +158,20 @@ def test_group_validation():
         ["s", "t"], [StaticEdge("s", "t", 1), StaticEdge("s", "t", 2)], directed=True
     )
     with pytest.raises(ValueError, match="one tail"):
-        compute_pi(g2, "t", 1, same_tail)
+        brute_dag_game(g2, "s", "t", 1, same_tail)
+
+
+def test_a_group_binds_without_a_shared_path():
+    # no path holds both members of "x", but one play can stand on both
+    # tails: the block decided at s also removes a -> t
+    arcs = [StaticEdge("s", "a", 1), StaticEdge("s", "t", 1), StaticEdge("a", "t", 1)]
+    g = StaticGraph.build(["s", "a", "t"], arcs, directed=True)
+    groups = BlockGroups(
+        {("s", "a", 1): "sa", ("s", "t", 1): "x", ("a", "t", 1): "x"},
+        {"sa": 1, "x": 1},
+    )
+    assert compute_pi(g, "t", 1).value("s", 1) == brute_dag_game(g, "s", "t", 1) == 2
+    assert brute_dag_game(g, "s", "t", 1, groups) == UNREACHABLE
 
 
 def test_topological_order():

@@ -1,4 +1,4 @@
-"""Time expansion: inventory, block groups, and walk correspondence."""
+"""Time expansion: inventory, values, and walk correspondence."""
 import math
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from generators import enumerate_walks, rand_temporal
 from tctp.core import TemporalGraph, TemporalWalk, TimeEdge, WalkStep, validate_walk
-from tctp import dagctp
 from tctp.dagctp import compute_pi
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion, project_walk
 from tctp.samples import separating_instance
@@ -53,30 +52,6 @@ def test_node_count_is_linear_in_surviving_edges():
         assert len(xd.non_target_nodes()) <= 4 * len(inst.graph.edges) + 2
 
 
-def test_orientations_share_a_block_group():
-    xd = _fig()
-    e = separating_instance(2).graph.by_key[("v0", "v1", 1, 1)]
-    fwd = xd.arc_by_pair[(("v0", 1), ("v1", 2))]
-    bwd = xd.arc_by_pair[(("v1", 1), ("v0", 2))]
-    gid = ("edge", e.key)
-    assert xd.groups.group_of(fwd) == gid
-    assert xd.groups.group_of(bwd) == gid
-    assert xd.groups.group_copies[gid] == 3
-
-
-def test_expansion_groups_need_no_path_search(monkeypatch):
-    # both tails of a time edge reach both its heads, so the depth test
-    # settles every expansion group without the descendant search
-    def search(g, groups):
-        raise AssertionError(f"fell back to the path search for {groups}")
-    monkeypatch.setattr(dagctp, "_search_group_paths", search)
-    rng = random.Random(5)
-    for _ in range(30):
-        inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=10)
-        xd = build_expansion(inst.graph, inst.s, inst.t, inst.k)
-        compute_pi(xd.graph, xd.target, inst.k, xd.groups)
-
-
 def test_wait_and_sink_arcs_cannot_be_blocked():
     xd = _fig()
     for arc in xd.graph.edges:
@@ -101,7 +76,7 @@ def test_window_excludes_late_arrivals():
 
 def test_values_on_the_expansion():
     xd = _fig()
-    table = compute_pi(xd.graph, xd.target, 2, xd.groups)
+    table = compute_pi(xd.graph, xd.target, 2)
     assert table.value(xd.source, 0) == 3
     assert table.value(xd.source, 2) == math.inf
 
@@ -167,7 +142,7 @@ def test_source_equal_target_still_reaches():
     g = TemporalGraph.build(["a", "b"], [TimeEdge("a", "b", 1, 1)])
     xd = build_expansion(g, "a", "a", 1)
     assert (("a", 0), TARGET) in xd.arc_by_pair
-    table = compute_pi(xd.graph, xd.target, 1, xd.groups)
+    table = compute_pi(xd.graph, xd.target, 1)
     assert table.value(xd.source, 1) == 0
 
 

@@ -3,15 +3,16 @@
 Each fast path answers from one shared table or a pruned pass; the oracles in
 ``oracles.py`` recompute the same answers naively on generated instances.
 """
+import dataclasses
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     expansion_pi_table,
-    groups_share_a_path,
+    expansion_read_policies,
+    groups_can_bind,
     nsmallest_pi_values,
     per_edge_k1_table,
     rebuilt_expansion,
@@ -20,6 +21,7 @@ from oracles import (
     scan_shortest_duration,
     summed_edges,
 )
+from tctp.arena import builtin_policies, play, verify_traveller_strategy
 from tctp.core import (
     Instance,
     StaticEdge,
@@ -27,8 +29,9 @@ from tctp.core import (
     TemporalGraph,
     TimeEdge,
     parse_instance,
+    serialize_instance,
 )
-from tctp.dagctp import BlockGroups, compute_pi
+from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
 from tctp.expansion import build_expansion
 from tctp.litctp import solve_k1
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
@@ -105,13 +108,13 @@ def grouped_dags(draw):
 
 @SETTINGS
 @given(grouped_dags())
-def test_group_check_matches_exhaustive_path_search(case):
+def test_groups_with_tails_on_no_common_path_never_bind(case):
+    # the table ignores groups; where no path visits two tails of one group,
+    # the exhaustive game that honours them must agree with it
     g, target, k, groups = case
-    if groups_share_a_path(g, groups):
-        with pytest.raises(ValueError, match="share a path"):
-            compute_pi(g, target, k, groups)
-    else:
-        assert compute_pi(g, target, k, groups) == compute_pi(g, target, k)
+    if not groups_can_bind(g, groups):
+        want = compute_pi(g, target, k).value("n0", k)
+        assert brute_dag_game(g, "n0", target, k, groups, unlimited=True) == want
 
 
 @st.composite
@@ -142,13 +145,12 @@ def test_one_pass_expansion_matches_static_graph_build(inst, t1, t2):
     if t2 is not None and t2 < t1:
         t1, t2 = t2, t1
     xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
-    graph, origins, arc_to_group, group_copies = rebuilt_expansion(
+    graph, origins = rebuilt_expansion(
         inst.graph, inst.s, inst.t, inst.k, t1, math.inf if t2 is None else t2)
     assert xd.graph.vertices == graph.vertices
     assert xd.graph.edges == graph.edges  # edge equality covers copies
     assert xd.graph.directed
     assert xd.origins == origins
-    assert xd.groups == BlockGroups(arc_to_group, group_copies)
 
 
 @st.composite
@@ -179,8 +181,23 @@ def test_sweep_table_matches_compute_pi_on_the_expansion(case):
     dec = decide_u(inst, t1, t2)
     # the whole table: every (v, tau) row and the target's, budget and target
     assert dec.table == expansion_pi_table(inst, t1, dec.t2)
-    assert dec.expansion == build_expansion(inst.graph, inst.s, inst.t, inst.k,
-                                            t1, dec.t2)
+
+
+def _bytes(transcript):
+    return None if transcript is None else transcript.to_json_lines()
+
+
+@SETTINGS
+@given(u_windows())
+def test_u_policies_match_the_expansion_reading_reference(case):
+    inst, t1, t2 = case
+    got = builtin_policies(inst, "u", t1, t2)
+    want = expansion_read_policies(inst, t1, t2)
+    assert _bytes(play(inst, *got, "u", t1, t2)) == _bytes(play(inst, *want, "u", t1, t2))
+    mine, ref = (verify_traveller_strategy(inst, tp, "u", deadline=t2, t1=t1)
+                 for tp, _ in (got, want))
+    assert mine.explored == ref.explored
+    assert _bytes(mine.counterexample) == _bytes(ref.counterexample)
 
 
 @st.composite
@@ -215,3 +232,28 @@ def test_parse_merges_records_into_equal_graphs(case):
                       f"s {names[0]}", f"t {names[-1]}", "k 1", *lines]) + "\n"
     inst = parse_instance(text)
     assert inst.graph.edges == want
+
+
+@st.composite
+def instances(draw):
+    """A temporal, static or dag instance: odd vertex names, merged records,
+    isolated vertices, with or without a deadline."""
+    model, names, records = draw(edge_records())
+    odd = draw(st.lists(st.text("ab@_-.09", min_size=1, max_size=3),
+                        min_size=len(names), max_size=len(names), unique=True))
+    rename = dict(zip(names, odd))
+    records = [dataclasses.replace(e, u=rename[e.u], v=rename[e.v]) for e in records]
+    if model == "temporal":
+        graph = TemporalGraph.build(odd, records)
+    else:
+        graph = StaticGraph.build(odd, records, directed=model == "dag")
+    s, t = draw(st.sampled_from(odd)), draw(st.sampled_from(odd))
+    return Instance(graph, s, t, draw(st.integers(0, 3)),
+                    draw(st.none() | st.integers(0, 20)))
+
+
+@SETTINGS
+@given(instances())
+def test_parse_inverts_serialize(inst):
+    for fmt in ("text", "json"):
+        assert parse_instance(serialize_instance(inst, fmt)) == inst

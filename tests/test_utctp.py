@@ -6,7 +6,7 @@ import pytest
 
 from generators import rand_temporal
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
-from tctp import dagctp, expansion, utctp
+from tctp import arena, dagctp, expansion, utctp
 from tctp.errors import SizeLimitError
 from tctp.samples import separating_instance
 from tctp.utctp import (
@@ -123,21 +123,26 @@ def test_each_optimizer_builds_one_table(monkeypatch):
 
 
 def test_decide_u_builds_no_expansion_and_no_dag_table(monkeypatch):
+    # neither the decision, the optimizers nor a u playout and its
+    # verification materialize the expansion or run the DAG table
     calls = []
 
-    def counted(name):
-        return lambda *a, **kw: calls.append(name)
+    def recorded(name, real):
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
 
-    for mod in (expansion, dagctp, utctp):
+    for mod in (expansion, dagctp, utctp, arena):
         for name in ("build_expansion", "compute_pi"):
             if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counted(name))
+                monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
     rng = random.Random(24)
     for _ in range(20):
         inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=12, max_k=3)
         decide_u(inst, 1, 9)
         for optimizer in (earliest_arrival, latest_departure, shortest_duration):
             optimizer(inst)
+        tp, bp = arena.builtin_policies(inst, "u")
+        arena.play(inst, tp, bp, "u")
+        arena.verify_traveller_strategy(inst, tp, "u")
     assert calls == []
 
 
