@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import NoSafeMoveError, SizeLimitError
-from .expansion import TARGET
-from .litctp import LiInfoState, exact_li
+from .litctp import exact_li
 from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from .utctp import decide_u
 
@@ -80,7 +79,19 @@ class BlockerView:
 
 
 @dataclass(frozen=True)
-class LiView(LiInfoState):
+class LiView:
+    """Traveller knowledge in the locally-informed model.
+
+    ``decided`` maps edge keys to blocked-copy counts and covers exactly the
+    edges incident to ``visited`` vertices; ``budget_used`` is the sum of its
+    values.
+    """
+
+    position: str
+    clock: int
+    decided: Mapping
+    visited: frozenset
+    budget_used: int
     inst: Instance = None
     t1: int = 0
     t2: object = None
@@ -146,16 +157,16 @@ class Transcript:
     def moves(self) -> tuple:
         return tuple(e for e in self.events if e["type"] == "MOVE")
 
+    def rows(self):
+        """Yield the JSON-ready header, one row per event, and the footer."""
+        yield {"model": self.model, "s": self.s, "t": self.t, "k": self.k,
+               "t1": self.t1, "t2": self.t2}
+        yield from map(_jsonable, self.events)
+        yield {"outcome": self.outcome, "final_time": self.final_time,
+               "budget_spent": self.budget_spent}
+
     def to_json_lines(self) -> str:
-        head = {"model": self.model, "s": self.s, "t": self.t, "k": self.k,
-                "t1": self.t1, "t2": self.t2}
-        lines = [json.dumps(head, sort_keys=True)]
-        for ev in self.events:
-            lines.append(json.dumps(_jsonable(ev), sort_keys=True))
-        foot = {"outcome": self.outcome, "final_time": self.final_time,
-                "budget_spent": self.budget_spent}
-        lines.append(json.dumps(foot, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.rows())
 
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":
@@ -674,6 +685,44 @@ def _refute(rules: _Rules, tp: Policy, limit: int, unlimited: bool) -> tuple:
 # ready-made policies
 
 
+def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
+    """Both sides of the blocked-arc game, guided by a budget table.
+
+    ``node_of`` maps a view to its table node. ``out_arcs`` maps a node to
+    its out-arcs as (arc, key of the edge whose status the arc follows or
+    None when nothing can block it, the Traveller action that takes it).
+    """
+
+    def traveller(view):
+        node = node_of(view)
+        if node not in table.values:
+            return ("resign",)
+        arcs, newly, action = [], {}, {}
+        for arc, key, act in out_arcs(node):
+            arcs.append(arc)
+            action[arc.key] = act
+            c = 0 if key is None else view.decided.get(key, 0)
+            if c:
+                newly[arc.key] = c
+        try:
+            arc = traveller_move(arcs, table, view.spent - sum(newly.values()), newly)
+        except NoSafeMoveError:
+            return ("resign",)
+        return action[arc.key]
+
+    def blocker(view):
+        node = node_of(view)
+        if node not in table.values:
+            return {}
+        out = out_arcs(node)
+        follows = {arc.key: key for arc, key, _ in out}
+        scope = set(view.undecided)
+        mv = blocker_move([arc for arc, _, _ in out], table, view.remaining)
+        return {follows[ak]: c for ak, c in mv.items() if follows[ak] in scope}
+
+    return traveller, blocker
+
+
 def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     """Both sides of the per-instant model, guided by the ``u`` budget table.
 
@@ -682,56 +731,21 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     the window, and the wait to the vertex's next node in the table.
     """
     dec = decide_u(inst, t1, t2)
-    table = dec.table
-    nodes = sorted(node for node in table.values if node != TARGET)
+    nodes = sorted(dec.table.values)
     later = {a: b for a, b in zip(nodes, nodes[1:]) if a[0] == b[0]}
 
-    def out_arcs(node) -> tuple:
-        """(arcs out of node, arc key -> its time edge, or None for the wait)."""
+    def out_arcs(node) -> list:
         v, tau = node
-        arcs, origin = [], {}
-        for e in inst.graph.incident(v):
-            if e.tau == tau and e.arrival <= dec.t2:
-                arcs.append(StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies))
-                origin[arcs[-1].key] = e
+        out = [(StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies),
+                e.key, ("move", e.key))
+               for e in inst.graph.incident(v) if e.tau == tau and e.arrival <= dec.t2]
         nxt = later.get(node)
         if nxt is not None:
-            arcs.append(StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1))
-            origin[arcs[-1].key] = None
-        return arcs, origin
-
-    def traveller(view):
-        node = (view.position, view.clock)
-        if node not in table.values:
-            return ("resign",)
-        arcs, origin = out_arcs(node)
-        newly = {}
-        for arc in arcs:
-            e = origin[arc.key]
-            c = 0 if e is None else view.decided.get(e.key, 0)
-            if c:
-                newly[arc.key] = c
-        try:
-            arc = traveller_move(arcs, table, view.spent - sum(newly.values()), newly)
-        except NoSafeMoveError:
-            return ("resign",)
-        e = origin[arc.key]
-        return ("wait", arc.v[1]) if e is None else ("move", e.key)
-
-    def blocker(view):
-        node = (view.position, view.clock)
-        if node not in table.values:
-            return {}
-        scope = set(view.undecided)
-        arcs, origin = out_arcs(node)
-        out = {}
-        for ak, c in blocker_move(arcs, table, view.remaining).items():
-            e = origin[ak]
-            if e is not None and e.key in scope:
-                out[e.key] = c
+            out.append((StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1),
+                        None, ("wait", nxt[1])))
         return out
 
-    return traveller, blocker
+    return _table_pair(dec.table, lambda view: (view.position, view.clock), out_arcs)
 
 
 def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
@@ -739,26 +753,8 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
     g = inst.graph
     if table is None:
         table = compute_pi(g, inst.t, inst.k)
-
-    def traveller(view):
-        newly = {}
-        for e in g.outgoing(view.position):
-            c = view.decided.get(e.key, 0)
-            if c:
-                newly[e.key] = c
-        before = view.spent - sum(newly.values())
-        try:
-            arc = traveller_move(g.outgoing(view.position), table, before, newly)
-        except NoSafeMoveError:
-            return ("resign",)
-        return ("move", arc.key)
-
-    def blocker(view):
-        scope = set(view.undecided)
-        mv = blocker_move(g.outgoing(view.position), table, view.remaining)
-        return {k: c for k, c in mv.items() if k in scope}
-
-    return traveller, blocker
+    return _table_pair(table, lambda view: view.position,
+                       lambda v: [(e, e.key, ("move", e.key)) for e in g.outgoing(v)])
 
 
 def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None) -> tuple:

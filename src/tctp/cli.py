@@ -14,10 +14,8 @@ import functools
 import json
 import math
 import sys
-from typing import Optional
 
 from .arena import (
-    BLOCKER_WIN,
     TRAVELLER_WIN,
     Transcript,
     builtin_policies,
@@ -135,10 +133,6 @@ class _Out:
         self.fmt = getattr(ns, "format", "text")
         self.quiet = getattr(ns, "quiet", False)
 
-    def line(self, text: str) -> None:
-        if not self.quiet:
-            sys.stdout.write(text + "\n")
-
     def block(self, text: str) -> None:
         if not self.quiet:
             sys.stdout.write(text)
@@ -177,7 +171,7 @@ def _render(x) -> str:
 
 
 def _transcript_obj(tr: Transcript) -> dict:
-    rows = [json.loads(line) for line in tr.to_json_lines().splitlines()]
+    rows = list(tr.rows())
     return {"header": rows[0], "events": rows[1:-1], "footer": rows[-1]}
 
 

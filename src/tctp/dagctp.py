@@ -89,7 +89,6 @@ class PiTable:
 
     values: Mapping[object, tuple]
     budget: int
-    target: object
 
     def value(self, v, i: int):
         if not 0 <= i <= self.budget:
@@ -161,7 +160,7 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
             [(values[e.v], e.weight, min(e.copies, width)) for e in g.outgoing(v)],
             width,
         )
-    return PiTable(values, k, target)
+    return PiTable(values, k)
 
 
 def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:

@@ -19,22 +19,6 @@ from .knowledge import EMPTY, Knowledge, run
 NEVER = -math.inf
 
 
-@dataclass(frozen=True)
-class LiInfoState:
-    """Everything the walking player knows mid-game.
-
-    ``decided`` maps edge keys to blocked-copy counts and covers exactly the
-    edges incident to ``visited`` vertices; ``budget_used`` is the sum of its
-    values. Statuses are immutable once recorded.
-    """
-
-    position: str
-    clock: int
-    decided: Mapping[tuple, int]
-    visited: frozenset
-    budget_used: int
-
-
 def latest_departure_labels(
     g: TemporalGraph, t, deadline=math.inf, skip_one: Optional[tuple] = None
 ) -> dict:
@@ -273,7 +257,6 @@ class LiGame:
         if hit is not None:
             return hit
         self.know.count()
-        self.memo[key] = False  # cycle guard; clock strictly increases anyway
         win = False
         for _tau, arrival, _bit, head, _key in options:
             if (yield self._reveal_wins(head, arrival, state)):

@@ -1,14 +1,16 @@
 """Uninformed temporal game: blocked copies surface only at departure time.
 
 Blocker reveals the status of a time edge exactly when Traveller stands at
-one of its endpoints at its departure time. Deciding a window is a budget
-table over the (vertex, time) nodes of the time expansion, filled by one
-sweep over those nodes in decreasing time: every arc of the expansion,
-departure or wait, leads strictly later, so no graph and no topological
-order is built. The playout policies (``arena.expansion_policies``) read a
-node's arcs straight from the instance in the same way. The three window
-optimizers (earliest arrival, latest departure, fastest path) read their
-answers from the one budget table of the unbounded window, and
+one of its endpoints at its departure time. This is the blocked-arc game
+of ``dagctp`` on the time expansion, whose (vertex, time) nodes form a DAG.
+Deciding a window is a budget table over those nodes, filled by one sweep
+in decreasing time: every arc of the expansion, departure or wait, leads
+strictly later, so no graph and no topological order is built, and no
+node stands for the target (a node of t is worth 0). The playout policies
+(``arena.expansion_policies``) read a node's arcs straight from the
+instance in the same way and play the table as ``dag`` play does. The
+three window optimizers (earliest arrival, latest departure, fastest path)
+read their answers from the one budget table of the unbounded window, and
 ``brute_u_game`` replays the game definition directly on tiny instances as
 an independent oracle.
 """
@@ -22,7 +24,6 @@ from typing import Optional, Union
 from .core import Instance, TemporalGraph, lifespan
 from .dagctp import UNREACHABLE, PiTable, pi_row
 from .errors import SizeLimitError
-from .expansion import TARGET
 
 
 @dataclass
@@ -31,7 +32,7 @@ class UDecision:
     t1: int
     t2: Union[int, float]
     guaranteed_arrival: Union[int, float]
-    table: PiTable  # keyed by the expansion's (vertex, time) nodes and TARGET
+    table: PiTable  # keyed by the expansion's (vertex, time) nodes
 
     def __bool__(self) -> bool:
         return self.wins
@@ -58,15 +59,15 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     """The budget table of the [t1, t2] time expansion, node by node in
     decreasing time.
 
-    A (v, tau) node's candidates are the wait to v's next time (k+1 copies,
-    weight the gap), each surviving time edge departing v at tau (weight d),
-    and, for v = t, the target at cost 0 with k+1 copies, which makes the row
-    zero. A node whose only candidate is the wait takes the next row plus the
-    gap: ``pi_row`` gives the running max of that for k+1 equal candidates,
-    and no row falls as the budget grows (a row entry is a max over
-    candidates that do not fall with it), so the running max is the row
-    itself. The result equals ``compute_pi`` on ``build_expansion`` with the
-    same arguments.
+    A node of t has the zero row. Any other (v, tau) node's candidates are
+    the wait to v's next time (k+1 copies, weight the gap) and each surviving
+    time edge departing v at tau (weight d). A node whose only candidate is
+    the wait takes the next row plus the gap: ``pi_row`` gives the running
+    max of that for k+1 equal candidates, and no row falls as the budget
+    grows (a row entry is a max over candidates that do not fall with it),
+    so the running max is the row itself. Row for row, the result equals
+    ``compute_pi`` on ``build_expansion`` with the same arguments, less the
+    expansion's target node, which is entered only from nodes of t.
     """
     for x in (s, t):
         if x not in g.index:
@@ -88,7 +89,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
 
     zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
-    values: dict = {TARGET: zero}
+    values: dict = {}
     later: dict = {}  # v -> (time, row) of v's next node in time
     for tau in sorted(at_time, reverse=True):
         for v in at_time[tau]:
@@ -109,7 +110,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
                 row = unreachable
             values[node] = row
             later[v] = (tau, row)
-    return PiTable(values, k, TARGET)
+    return PiTable(values, k)
 
 
 def _source_arrivals(inst: Instance) -> list:
@@ -124,7 +125,7 @@ def _source_arrivals(inst: Instance) -> list:
     return sorted(
         (node[1], node[1] + row[inst.k])
         for node, row in dec.table.values.items()
-        if node[0] == inst.s and node != TARGET
+        if node[0] == inst.s
     )
 
 

@@ -15,6 +15,8 @@ reads off a shared table or a pruned pass:
 * the uninformed game's playout policies reading each node's out-arcs from
   the materialized time expansion, in place of reading them from the
   instance;
+* the DAG game's playout policies as their own traveller and blocker
+  bodies, in place of the table game shared with the uninformed game;
 * the time expansion built through ``StaticGraph.build``, which re-checks
   every endpoint and re-merges every arc;
 * edge merging by summing copies per key into freshly built edges.
@@ -183,9 +185,12 @@ def nsmallest_pi_values(g: StaticGraph, target, k: int) -> dict:
 
 
 def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
-    """The [t1, t2] budget table of ``compute_pi`` on the built expansion."""
+    """The [t1, t2] budget table of ``compute_pi`` on the built expansion,
+    less the row of its target node."""
     xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
-    return compute_pi(xd.graph, xd.target, inst.k)
+    table = compute_pi(xd.graph, xd.target, inst.k)
+    return PiTable({node: row for node, row in table.values.items() if node != xd.target},
+                   table.budget)
 
 
 def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
@@ -230,6 +235,33 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
             if isinstance(origin, TimeEdge) and origin.key in scope:
                 out[origin.key] = c
         return out
+
+    return traveller, blocker
+
+
+def outgoing_read_policies(inst: Instance, table=None) -> tuple:
+    """Both sides of the DAG game, reading each vertex's out-arcs from the graph."""
+    g = inst.graph
+    if table is None:
+        table = compute_pi(g, inst.t, inst.k)
+
+    def traveller(view):
+        newly = {}
+        for e in g.outgoing(view.position):
+            c = view.decided.get(e.key, 0)
+            if c:
+                newly[e.key] = c
+        before = view.spent - sum(newly.values())
+        try:
+            arc = traveller_move(g.outgoing(view.position), table, before, newly)
+        except NoSafeMoveError:
+            return ("resign",)
+        return ("move", arc.key)
+
+    def blocker(view):
+        scope = set(view.undecided)
+        mv = blocker_move(g.outgoing(view.position), table, view.remaining)
+        return {k: c for k, c in mv.items() if k in scope}
 
     return traveller, blocker
 

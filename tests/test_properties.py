@@ -14,6 +14,7 @@ from oracles import (
     expansion_read_policies,
     groups_can_bind,
     nsmallest_pi_values,
+    outgoing_read_policies,
     per_edge_k1_table,
     rebuilt_expansion,
     scan_earliest_arrival,
@@ -179,7 +180,7 @@ def u_windows(draw):
 def test_sweep_table_matches_compute_pi_on_the_expansion(case):
     inst, t1, t2 = case
     dec = decide_u(inst, t1, t2)
-    # the whole table: every (v, tau) row and the target's, budget and target
+    # the whole table: every (v, tau) row and the budget
     assert dec.table == expansion_pi_table(inst, t1, dec.t2)
 
 
@@ -195,6 +196,36 @@ def test_u_policies_match_the_expansion_reading_reference(case):
     want = expansion_read_policies(inst, t1, t2)
     assert _bytes(play(inst, *got, "u", t1, t2)) == _bytes(play(inst, *want, "u", t1, t2))
     mine, ref = (verify_traveller_strategy(inst, tp, "u", deadline=t2, t1=t1)
+                 for tp, _ in (got, want))
+    assert mine.explored == ref.explored
+    assert _bytes(mine.counterexample) == _bytes(ref.counterexample)
+
+
+@st.composite
+def dag_games(draw):
+    """A random DAG instance with parallel copies and dead ends, and a deadline."""
+    n = draw(st.integers(2, 7))
+    names = [f"n{i}" for i in range(n)]
+    arcs = [StaticEdge(names[i], names[j], w, copies=c)
+            for i, j, w, c in draw(st.lists(
+                st.tuples(st.integers(0, n - 2), st.integers(1, n - 1),
+                          st.integers(0, 4), st.integers(1, 3)).filter(
+                    lambda a: a[0] < a[1]),
+                max_size=12))]
+    g = StaticGraph.build(names, arcs, directed=True)
+    inst = Instance(g, names[0], draw(st.sampled_from(names)), draw(st.integers(0, 2)))
+    return inst, draw(st.none() | st.integers(0, 12))
+
+
+@SETTINGS
+@given(dag_games())
+def test_dag_policies_match_the_outgoing_reading_reference(case):
+    inst, deadline = case
+    got = builtin_policies(inst, "dag")
+    want = outgoing_read_policies(inst)
+    assert (_bytes(play(inst, *got, "dag", t2=deadline))
+            == _bytes(play(inst, *want, "dag", t2=deadline)))
+    mine, ref = (verify_traveller_strategy(inst, tp, "dag", deadline=deadline)
                  for tp, _ in (got, want))
     assert mine.explored == ref.explored
     assert _bytes(mine.counterexample) == _bytes(ref.counterexample)
