@@ -102,6 +102,7 @@ __all__ = [
     "WalkStep",
     "brute_dag_game",
     "brute_u_game",
+    "build_expansion",
     "builtin_policies",
     "compute_pi",
     "decide_dag",

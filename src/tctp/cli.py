@@ -132,23 +132,18 @@ class _Out:
     def __init__(self, ns):
         self.fmt = getattr(ns, "format", "text")
         self.quiet = getattr(ns, "quiet", False)
+        # the format result() prints in, None under --quiet
+        self.prints = None if self.quiet else self.fmt
 
     def block(self, text: str) -> None:
         if not self.quiet:
             sys.stdout.write(text)
 
-    @property
-    def prints_json(self) -> bool:
-        """True when result() will print its object."""
-        return self.fmt == "json" and not self.quiet
-
     def result(self, obj: dict, text_lines) -> None:
         """Emit obj as JSON, or the prepared text lines."""
-        if self.quiet:
-            return
-        if self.fmt == "json":
+        if self.prints == "json":
             sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-        else:
+        elif self.prints == "text":
             for line in text_lines:
                 sys.stdout.write(line + "\n")
 
@@ -273,9 +268,10 @@ def cmd_solve_li(ns) -> int:
         if ns.exact:
             tp, bp = res.traveller_policy(), res.blocker_policy()
             tr = play(inst, tp, bp, "li", 0, ns.deadline)
-            if out.prints_json:
+            if out.prints == "json":
                 obj["transcript"] = _transcript_obj(tr)
-            lines.append(tr.to_json_lines().rstrip("\n"))
+            elif out.prints == "text":
+                lines.append(tr.to_json_lines().rstrip("\n"))
         out.result(obj, lines)
         return 0 if res.wins else 3
     res = solve_k1(inst, ns.deadline)
@@ -309,9 +305,10 @@ def cmd_solve_static(ns) -> int:
     if val != UNREACHABLE:
         tr = play(inst, static_traveller_policy(game), static_blocker_policy(game),
                   "dag" if inst.graph.directed else "static")
-        if out.prints_json:
+        if out.prints == "json":
             obj["transcript"] = _transcript_obj(tr)
-        lines.append(tr.to_json_lines().rstrip("\n"))
+        elif out.prints == "text":
+            lines.append(tr.to_json_lines().rstrip("\n"))
     out.result(obj, lines)
     return 0 if wins else 3
 
@@ -361,8 +358,8 @@ def cmd_play(ns) -> int:
     if tr is None:
         tr = play(inst, tp, builtin()[1], ns.model, ns.t1, ns.t2)
     out = _Out(ns)
-    out.result(_transcript_obj(tr) if out.prints_json else None,
-               [tr.to_json_lines().rstrip("\n")])
+    out.result(_transcript_obj(tr) if out.prints == "json" else None,
+               [tr.to_json_lines().rstrip("\n")] if out.prints == "text" else [])
     return 0 if tr.outcome == TRAVELLER_WIN else 3
 
 
@@ -379,7 +376,8 @@ def cmd_verify(ns) -> int:
         out.result(obj, [f"verified: wins every blocker line "
                          f"({res.explored} reveal states)"])
         return 0
-    out.result(obj, ["refuted:", res.counterexample.to_json_lines().rstrip("\n")])
+    out.result(obj, ["refuted:", res.counterexample.to_json_lines().rstrip("\n")]
+               if out.prints == "text" else [])
     return 3
 
 

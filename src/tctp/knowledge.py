@@ -50,7 +50,7 @@ class Knowledge:
         self.state_limit = state_limit
         self.states = 0
         self._spends: dict = {}
-        self._last = ([], EMPTY)
+        self._last = ([], [], EMPTY)
 
     def count(self) -> None:
         """Book one more knowledge state; past the limit, raise."""
@@ -62,18 +62,20 @@ class Knowledge:
     def state(self, decided: Mapping) -> tuple:
         """The state of a ``{edge key: blocked copies}`` mapping. Policies
         see one growing mapping after another, so the last one's state is
-        extended when it is a prefix of this one."""
-        items = list(decided.items())
-        seen, (r, b, spent) = self._last
-        if items[:len(seen)] != seen:
-            seen, (r, b, spent) = [], EMPTY
-        for key, c in items[len(seen):]:
+        extended by the new tail when its keys and counts (compared as two
+        lists, with no per-entry tuple) are a prefix of this one's."""
+        keys, counts = list(decided), list(decided.values())
+        seen_keys, seen_counts, (r, b, spent) = self._last
+        n = len(seen_keys)
+        if keys[:n] != seen_keys or counts[:n] != seen_counts:
+            n, (r, b, spent) = 0, EMPTY
+        for key, c in zip(keys[n:], counts[n:]):
             bit = self.bit[key]
             r |= bit
             if c >= self.copies[key]:
                 b |= bit
             spent += c
-        self._last = items, (r, b, spent)
+        self._last = keys, counts, (r, b, spent)
         return r, b, spent
 
     def settled(self, v, state) -> bool:
@@ -94,15 +96,12 @@ class Knowledge:
             remaining = self.k - spent
             blockable = [(bit, c) for bit, c, _ in self.local[v]
                          if not r & bit and c <= remaining]
-            ranked = []
-            for mask in range(1 << len(blockable)):
-                total = bits = 0
-                for i, (bit, c) in enumerate(blockable):
-                    if mask >> i & 1:
-                        total += c
-                        bits |= bit
-                if total <= remaining:
-                    ranked.append((total, mask, bits))
+            # (total, mask over blockable, edge bits) of every reveal that
+            # fits the budget: each edge extends only the subsets it fits
+            ranked = [(0, 0, 0)]
+            for i, (bit, c) in enumerate(blockable):
+                ranked += [(total + c, mask | 1 << i, bits | bit)
+                           for total, mask, bits in ranked if total + c <= remaining]
             ranked.sort()
             spends = self._spends[key] = [(bits, total) for total, _, bits in ranked]
         r |= self.scope[v]

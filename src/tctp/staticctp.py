@@ -95,23 +95,33 @@ class StaticGame:
     def _sweep(self, pos, state):
         """Dijkstra from the settled pos over settled vertices; unsettled ones
         are portals where the blocker moves again. Returns the route ends,
-        each (cost via it, vertex index, vertex), and the predecessor map."""
-        t, idx, settled = self.inst.t, self.g.index, self.know.settled
+        each (cost via it, vertex index, vertex), and the predecessor map.
+        Past ``best``, the cheapest end found so far, the sweep stops, and a
+        popped vertex whose distance plus ``h`` exceeds it is neither expanded
+        nor valued. Both tests are strict, so the cheapest ends, their
+        ``(cost, index)`` order and ``prev`` chains are as in a full sweep."""
+        t, h, idx, settled = self.inst.t, self.h, self.g.index, self.know.settled
         blocked = state[1]
         dist = {pos: 0}
         prev: dict = {}
         heap = [(0, idx[pos], pos)]
         ends = []
+        best = UNREACHABLE
         while heap:
             d, i, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
+            if d > best:
+                break
             if v == t:
                 # onward candidates all cost at least d from here on
                 ends.append((d, i, v))
                 break
+            if d + h.get(v, UNREACHABLE) > best:
+                continue
             if not settled(v, state):
                 ends.append((d + (yield self._value(v, state)), i, v))
+                best = min(best, ends[-1][0])
                 continue
             for bit, w, weight, key in self.moves[v]:
                 if blocked & bit:
@@ -127,7 +137,8 @@ class StaticGame:
 
     @cached_property
     def h(self) -> dict:
-        """Everything-open distance to t: a lower bound on any cost-to-go."""
+        """Everything-open distance to t: a lower bound on any cost-to-go,
+        which prunes the value sweeps as well as the threshold search."""
         g = self.g
         rev: dict = {v: [] for v in g.vertices}
         for e in g.edges:

@@ -19,7 +19,11 @@ reads off a shared table or a pruned pass:
   bodies, in place of the table game shared with the uninformed game;
 * the time expansion built through ``StaticGraph.build``, which re-checks
   every endpoint and re-merges every arc;
-* edge merging by summing copies per key into freshly built edges.
+* edge merging by summing copies per key into freshly built edges;
+* the Blocker's reveals as a filter over every mask of the blockable edges,
+  in place of extending only the subsets that fit the budget;
+* the static game's value sweeps run until t is popped, in place of
+  stopping at the cheapest route end found.
 """
 import heapq
 import math
@@ -38,6 +42,7 @@ from tctp.dagctp import (
 from tctp.errors import NoSafeMoveError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
+from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u
 
 
@@ -315,3 +320,59 @@ def summed_edges(records, directed=None) -> tuple:
         merged[key] = merged.get(key, 0) + e.copies
     make = TimeEdge if directed is None else StaticEdge
     return tuple(make(*key, copies=c) for key, c in sorted(merged.items()))
+
+
+def mask_choices(know, v, state) -> list:
+    """``Knowledge.choices`` by a filter over all 2^n masks of the blockable
+    edges at v, sorted by (spend, mask)."""
+    r, b, spent = state
+    remaining = know.k - spent
+    blockable = [(bit, c) for bit, c, _ in know.local[v]
+                 if not r & bit and c <= remaining]
+    ranked = []
+    for mask in range(1 << len(blockable)):
+        total = bits = 0
+        for i, (bit, c) in enumerate(blockable):
+            if mask >> i & 1:
+                total += c
+                bits |= bit
+        if total <= remaining:
+            ranked.append((total, mask, bits))
+    ranked.sort()
+    r |= know.scope[v]
+    return [(r, b | bits, spent + total) for total, _, bits in ranked]
+
+
+class _UnboundedStaticGame(StaticGame):
+    def _sweep(self, pos, state):
+        t, idx, settled = self.inst.t, self.g.index, self.know.settled
+        blocked = state[1]
+        dist = {pos: 0}
+        prev: dict = {}
+        heap = [(0, idx[pos], pos)]
+        ends = []
+        while heap:
+            d, i, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            if v == t:
+                ends.append((d, i, v))
+                break
+            if not settled(v, state):
+                ends.append((d + (yield self._value(v, state)), i, v))
+                continue
+            for bit, w, weight, key in self.moves[v]:
+                if blocked & bit:
+                    continue
+                nd = d + weight
+                if nd < dist.get(w, UNREACHABLE):
+                    dist[w] = nd
+                    prev[w] = (v, key)
+                    heapq.heappush(heap, (nd, idx[w], w))
+        return ends, prev
+
+
+def unbounded_static_game(inst: Instance, discovery: str = "incident") -> StaticGame:
+    """A ``StaticGame`` whose value sweeps value every portal and expand every
+    settled vertex popped before t, however dear."""
+    return _UnboundedStaticGame(inst, discovery)

@@ -377,7 +377,7 @@ def test_global_flags_do_not_carry_into_the_next_dispatch(sep_file):
 
 def test_play_solves_once_and_transcripts_parse_back_only_for_json(
         monkeypatch, sep_file, triple_file):
-    calls = {"exact_li": 0, "transcript": 0}
+    calls = {"exact_li": 0, "transcript": 0, "text": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -388,16 +388,27 @@ def test_play_solves_once_and_transcripts_parse_back_only_for_json(
     monkeypatch.setattr(arena, "exact_li", counted("exact_li", arena.exact_li))
     monkeypatch.setattr(cli, "_transcript_obj",
                         counted("transcript", cli._transcript_obj))
+    monkeypatch.setattr(Transcript, "to_json_lines",
+                        counted("text", Transcript.to_json_lines))
     for blocker in ("builtin", "exhaustive"):
         calls["exact_li"] = 0
         code, _, _ = _run(["play", sep_file, "--model", "li", "--blocker", blocker])
         assert code == 0 and calls["exact_li"] == 1, blocker
 
-    for argv in (["solve-li", "--exact", sep_file], ["solve-static", triple_file],
-                 ["play", sep_file, "--model", "li"]):
-        calls["transcript"] = 0
-        assert _run(argv)[0] == 0 and calls["transcript"] == 0, argv
-        assert _run(argv + ["--format", "json"])[0] == 0 and calls["transcript"] == 1
+    # each transcript is rendered once, in the format that prints it
+    for argv, code in ((["solve-li", "--exact", sep_file], 0),
+                       (["solve-static", triple_file], 0),
+                       (["play", sep_file, "--model", "li"], 0),
+                       (["verify", sep_file, "--model", "u"], 3)):
+        for flags, renders in (([], 1), (["--format", "json"], 0), (["--quiet"], 0)):
+            calls["text"] = 0
+            assert _run(argv + flags)[0] == code and calls["text"] == renders, flags
+        if code == 0:
+            calls["transcript"] = 0
+            assert _run(argv)[0] == 0 and calls["transcript"] == 0, argv
+            assert _run(argv + ["--format", "json"])[0] == 0 and calls["transcript"] == 1
+            assert _run(argv + ["--format", "json", "--quiet"])[0] == 0
+            assert calls["transcript"] == 1, argv
 
 
 def test_identical_invocations_identical_bytes(sep_file, triple_file):

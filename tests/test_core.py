@@ -1,6 +1,5 @@
 """Data model, walk validation, and instance format round trips."""
 import json
-import math
 import random
 
 import pytest

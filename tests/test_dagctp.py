@@ -1,5 +1,4 @@
 """Worst-case route tables on DAGs, cross-checked by exhaustive play."""
-import math
 import random
 
 import pytest

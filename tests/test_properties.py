@@ -1,4 +1,4 @@
-"""Property tests: the fast polynomial paths against their reference versions.
+"""Property tests: the fast paths against their reference versions.
 
 Each fast path answers from one shared table or a pruned pass; the oracles in
 ``oracles.py`` recompute the same answers naively on generated instances.
@@ -13,6 +13,7 @@ from oracles import (
     expansion_pi_table,
     expansion_read_policies,
     groups_can_bind,
+    mask_choices,
     nsmallest_pi_values,
     outgoing_read_policies,
     per_edge_k1_table,
@@ -21,6 +22,7 @@ from oracles import (
     scan_latest_departure,
     scan_shortest_duration,
     summed_edges,
+    unbounded_static_game,
 )
 from tctp.arena import builtin_policies, play, verify_traveller_strategy
 from tctp.core import (
@@ -34,7 +36,9 @@ from tctp.core import (
 )
 from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
 from tctp.expansion import build_expansion
-from tctp.litctp import solve_k1
+from tctp.knowledge import EMPTY, Knowledge
+from tctp.litctp import LiGame, solve_k1
+from tctp.staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 # derandomized so that every run of the suite checks the same examples
@@ -288,3 +292,135 @@ def instances(draw):
 def test_parse_inverts_serialize(inst):
     for fmt in ("text", "json"):
         assert parse_instance(serialize_instance(inst, fmt)) == inst
+
+
+@st.composite
+def blocking_games(draw):
+    """A static or dag instance with zero weights, copies past the budget and
+    dead ends, s and t anywhere, with or without a deadline."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    names = [f"u{i}" for i in range(n)]
+    records = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 5),
+                  st.integers(1, 4)).filter(
+            lambda r: r[0] < r[1] if directed else r[0] != r[1]),
+        max_size=12,
+    ))
+    edges = [StaticEdge(names[a], names[b], w, copies=c) for a, b, w, c in records]
+    g = StaticGraph.build(names, edges, directed=directed)
+    s, t = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    return Instance(g, s, t, draw(st.integers(0, 3)), draw(st.none() | st.integers(0, 12)))
+
+
+def _decided(know, state) -> dict:
+    """A mapping whose knowledge state is ``state``: every group blocked whole."""
+    r, b, _ = state
+    return {key: know.copies[key] if b & bit else 0
+            for key, bit in know.bit.items() if r & bit}
+
+
+@SETTINGS
+@given(blocking_games())
+def test_bounded_static_sweeps_match_the_unbounded_reference(inst):
+    for discovery in ("incident", "out"):
+        got, want = StaticGame(inst, discovery), unbounded_static_game(inst, discovery)
+        assert got.entry_value() == want.entry_value()
+        assert got.best_reveal(inst.s, {}) == want.best_reveal(inst.s, {})
+        # the move and the reveal at every position the full search valued
+        for pos, state in list(want._values):
+            decided = _decided(want.know, state)
+            assert got.know.state(decided) == state
+            assert got.plan_move(pos, decided) == want.plan_move(pos, decided)
+            assert got.best_reveal(pos, decided) == want.best_reveal(pos, decided)
+    # the playout of solve-static: each model's own discovery mode
+    discovery, model = ("out", "dag") if inst.graph.directed else ("incident", "static")
+    plays = []
+    for game in (StaticGame(inst, discovery), unbounded_static_game(inst, discovery)):
+        tr = play(inst, static_traveller_policy(game), static_blocker_policy(game), model)
+        plays.append(_bytes(tr))
+    assert plays[0] == plays[1]
+
+
+@st.composite
+def reveal_scopes(draw):
+    """(knowledge, state): vertex v's scope is up to 10 of the game's edges in
+    any order, some settled or blocked already, part of the budget spent."""
+    m = draw(st.integers(1, 12))
+    edges = [StaticEdge("a", f"b{i}", 1, copies=c)
+             for i, c in enumerate(draw(st.lists(st.integers(1, 4), min_size=m,
+                                                 max_size=m)))]
+    scope = draw(st.lists(st.sampled_from(edges), unique=True, max_size=10))
+    k = draw(st.integers(0, 6))
+    know = Knowledge(edges, {"v": scope}, k, 1)
+    settled = draw(st.integers(0, (1 << m) - 1))
+    blocked = draw(st.integers(0, (1 << m) - 1)) & settled
+    return know, (settled, blocked, draw(st.integers(0, k)))
+
+
+@SETTINGS
+@given(reveal_scopes())
+def test_budget_bounded_reveals_match_the_mask_filter(case):
+    know, state = case
+    want = mask_choices(know, "v", state)
+    assert know.choices("v", state) == want
+    assert know.choices("v", state) == want  # and again from the cache
+
+
+def test_a_degree_20_hub_has_one_reveal_per_spoke_and_none():
+    spokes = [f"x{i}" for i in range(20)]
+    static = StaticGraph.build(
+        ["s", "t", *spokes],
+        [StaticEdge(a, b, 1) for x in spokes for a, b in (("s", x), (x, "t"))])
+    assert len(StaticGame(Instance(static, "s", "t", 1)).reveal_choices("s", EMPTY)) == 21
+    temporal = TemporalGraph.build(
+        ["s", "t", *spokes],
+        [TimeEdge(a, b, tau, 1) for x in spokes for a, b, tau in (("s", x, 0), (x, "t", 1))])
+    assert len(LiGame(Instance(temporal, "s", "t", 1)).reveal_choices("s", EMPTY)) == 21
+
+
+@st.composite
+def mapping_sequences(draw):
+    """(edges, mappings): each ``{edge key: blocked copies}`` mapping grows,
+    cuts or reorders the one before it, or changes one of its counts."""
+    m = draw(st.integers(1, 8))
+    edges = [StaticEdge("a", f"b{i}", 1, copies=c)
+             for i, c in enumerate(draw(st.lists(st.integers(1, 3), min_size=m,
+                                                 max_size=m)))]
+    copies = {e.key: e.copies for e in edges}
+    items, out = [], []
+    for op in draw(st.lists(st.sampled_from(("grow", "sibling", "cut", "reorder")),
+                            max_size=12)):
+        if op == "grow":
+            used = {key for key, _ in items}
+            unused = [e.key for e in edges if e.key not in used]
+            if unused:
+                for key in draw(st.lists(st.sampled_from(unused), unique=True,
+                                         min_size=1, max_size=3)):
+                    items.append((key, draw(st.integers(0, copies[key]))))
+        elif op == "sibling" and items:
+            i = draw(st.integers(0, len(items) - 1))
+            key, c = items[i]
+            items[i] = key, (c + draw(st.integers(1, copies[key]))) % (copies[key] + 1)
+        elif op == "cut":
+            items = items[:draw(st.integers(0, len(items)))]
+        elif op == "reorder":
+            items = list(draw(st.permutations(items)))
+        out.append(dict(items))
+    return edges, out
+
+
+@SETTINGS
+@given(mapping_sequences())
+def test_knowledge_state_reuse_matches_a_fresh_fold(case):
+    edges, mappings = case
+    know = Knowledge(edges, {}, 3, 1)
+    for decided in mappings:
+        r = b = spent = 0
+        for e in edges:
+            if e.key in decided:
+                r |= know.bit[e.key]
+                if decided[e.key] >= e.copies:
+                    b |= know.bit[e.key]
+                spent += decided[e.key]
+        assert know.state(decided) == (r, b, spent)
