@@ -3,8 +3,8 @@
 The four information models differ only in what a reveal exposes and when,
 so each is one rules object that the referee and the verifier both step.
 It defines, once: the inputs it accepts and the bound it plays to; the
-reveal scope at a state; the legal moves and waits and where they lead; the
-Traveller's view; and the knowledge the verifier may merge states on.
+reveal scope at a state; the legal moves and waits and where they lead; and
+the knowledge the verifier may merge states on.
 
   "li"      (``_LiRules``) temporal graph; all edges incident to a vertex are
             decided at the Traveller's first arrival there. Any later
@@ -23,15 +23,19 @@ Traveller's view; and the knowledge the verifier may merge states on.
 ``play`` steps the rules against a Blocker policy and returns a Transcript.
 Policies are plain callables from a view of the current knowledge state to
 an action; an illegal output becomes a FOUL event that awards the game to
-the opponent instead of raising. Traveller actions: ("move", edge_key),
-("wait", until) on temporal models, ("resign",). A wait is a commitment; a
-policy wanting to re-decide every instant can wait one step at a time.
+the opponent instead of raising. A view is a ``View`` (position, clock,
+decided, spent, instance); the Traveller's in "li" is a ``LiView``, which
+adds the visited vertices, and Blocker's a ``BlockerView``, which adds the
+keys up for reveal and the budget left. Traveller actions: ("move",
+edge_key), ("wait", until) on temporal models, ("resign",). A wait is a
+commitment; a policy wanting to re-decide every instant can wait one step
+at a time.
 
 ``verify_traveller_strategy`` steps the same rules but branches over every
-legal count vector at every reveal, on an explicit stack, and either
-certifies that the Traveller policy wins within the deadline or replays a
-losing line through ``play``. It assumes the policy is a pure function of
-its view.
+legal count vector at every reveal, one generator per open reveal driven
+by ``knowledge.run``, and either certifies that the Traveller policy wins
+within the deadline or replays a losing line through ``play``. It assumes
+the policy is a pure function of its view.
 """
 from __future__ import annotations
 
@@ -40,9 +44,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .core import Instance, StaticEdge, StaticGraph, TemporalGraph
+from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import NoSafeMoveError, SizeLimitError
+from .knowledge import run
 from .litctp import exact_li
 from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from .utctp import decide_u
@@ -59,71 +64,39 @@ Policy = Callable
 
 
 @dataclass(frozen=True)
-class BlockerView:
-    """What Blocker sees when asked to fix statuses.
+class View:
+    """What a side knows when it is consulted.
 
-    ``undecided`` lists the edge keys whose statuses are being fixed right
-    now; anything the returned mapping leaves out is recorded as unblocked.
-    ``clock`` is accumulated cost in the static models.
+    ``decided`` maps each edge key settled so far to its blocked copies, and
+    ``spent`` is their sum. ``clock`` is accumulated cost in the static models.
     """
 
     position: object
     clock: object
     decided: Mapping
-    undecided: tuple
-    remaining: int
     spent: int
     inst: Instance
-    t1: int = 0
-    t2: object = None
 
 
 @dataclass(frozen=True)
-class LiView:
-    """Traveller knowledge in the locally-informed model.
+class LiView(View):
+    """The Traveller's view in ``li``: ``decided`` covers exactly the edges
+    incident to the ``visited`` vertices."""
 
-    ``decided`` maps edge keys to blocked-copy counts and covers exactly the
-    edges incident to ``visited`` vertices; ``budget_used`` is the sum of its
-    values.
+    visited: frozenset
+
+
+@dataclass(frozen=True)
+class BlockerView(View):
+    """What Blocker sees when asked to fix statuses.
+
+    ``undecided`` lists the edge keys whose statuses are being fixed right
+    now; anything the returned mapping leaves out is recorded as unblocked.
+    ``remaining`` is the budget left, ``inst.k - spent``.
     """
 
-    position: str
-    clock: int
-    decided: Mapping
-    visited: frozenset
-    budget_used: int
-    inst: Instance = None
-    t1: int = 0
-    t2: object = None
-
-
-@dataclass(frozen=True)
-class UView:
-    """Traveller knowledge in the per-instant reveal model."""
-
-    position: str
-    clock: int
-    decided: Mapping
-    spent: int
-    inst: Instance
-    t1: int = 0
-    t2: object = None
-
-
-@dataclass(frozen=True)
-class StaticView:
-    """Traveller knowledge in the static models; ``clock`` is accumulated cost."""
-
-    position: object
-    clock: int
-    decided: Mapping
-    spent: int
-    inst: Instance
-    deadline: object = None
-
-    @property
-    def cost(self) -> int:
-        return self.clock
+    undecided: tuple
+    remaining: int
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +290,6 @@ def _choices(scope, remaining: int):
     yield from rec(0, remaining, {})
 
 
-_MISS = object()
-
-
 class _Foul(Exception):
     """A Traveller action the rules forbid; the reason forfeits the game."""
 
@@ -368,15 +338,14 @@ class _Rules:
 
     The constructor checks the inputs: the Traveller wins on reaching t with
     clock <= ``deadline`` and loses once the clock passes ``horizon``. A
-    subclass defines ``scope``, ``view``, ``move``, ``wait`` and ``key``.
+    subclass defines ``scope``, ``move`` and ``wait``.
     """
 
     circling = False  # standing again where nothing was revealed since loses
 
     def __init__(self, inst: Instance, t1, t2, horizon):
         self.inst, self.g = inst, inst.graph
-        self.t1, self.t2 = t1, t2  # as policies see them
-        self.t2_record = t2  # as transcripts record it
+        self.t1, self.t2 = t1, t2  # as transcripts record them
         self.deadline = math.inf if t2 is None else t2
         self.horizon = horizon
 
@@ -411,6 +380,9 @@ class _Rules:
                 events.append({"type": "FOUL", "by": "traveller", "reason": str(f)})
                 return BLOCKER_WIN
 
+    def view(self, st: _State) -> View:
+        return View(st.pos, st.clock, dict(st.decided), st.spent, self.inst)
+
     def key(self, st: _State) -> tuple:
         return (st.pos, st.clock, _frozen(st.decided))
 
@@ -433,14 +405,10 @@ class _TemporalRules(_Rules):
     def __init__(self, inst, model, t1, t2):
         if not isinstance(inst.graph, TemporalGraph):
             raise ValueError(f"model {model!r} needs a temporal instance")
-        if t2 is None:
-            t2 = inst.deadline if inst.deadline is not None else math.inf
-        if t1 < 0 or t1 > t2:
-            raise ValueError(f"bad window [{t1}, {t2}]")
+        t1, t2 = window(inst, t1, t2)
         horizon = t2 if t2 != math.inf else max(
             (e.arrival for e in inst.graph.edges), default=t1)
-        super().__init__(inst, t1, t2, horizon)
-        self.t2_record = None if t2 == math.inf else t2
+        super().__init__(inst, t1, None if t2 == math.inf else t2, horizon)
 
     def move(self, st, key) -> dict:
         e = self.g.by_key.get(key)
@@ -468,9 +436,8 @@ class _LiRules(_TemporalRules):
         return super().key(st) + (st.visited,)
 
     def view(self, st):
-        return LiView(position=st.pos, clock=st.clock, decided=dict(st.decided),
-                      visited=st.visited, budget_used=st.spent,
-                      inst=self.inst, t1=self.t1, t2=self.t2)
+        return LiView(st.pos, st.clock, dict(st.decided), st.spent, self.inst,
+                      st.visited)
 
     def _departs(self, e, key, clock) -> None:
         if e.tau < clock:
@@ -486,10 +453,6 @@ class _URules(_TemporalRules):
     def scope(self, st):
         return _undecided((e for e in self.g.incident(st.pos) if e.tau == st.clock),
                           st.decided)
-
-    def view(self, st):
-        return UView(position=st.pos, clock=st.clock, decided=dict(st.decided),
-                     spent=st.spent, inst=self.inst, t1=self.t1, t2=self.t2)
 
     def _departs(self, e, key, clock) -> None:
         if e.tau != clock:
@@ -519,10 +482,6 @@ class _StaticRules(_Rules):
 
     def scope(self, st):
         return self._first_arrival(st, self.revealed(st.pos))
-
-    def view(self, st):
-        return StaticView(position=st.pos, clock=st.clock, decided=dict(st.decided),
-                          spent=st.spent, inst=self.inst, deadline=self.t2)
 
     def move(self, st, key) -> dict:
         e = {e.key: e for e in self.g.outgoing(st.pos)}.get(key)
@@ -575,8 +534,8 @@ def play(
             break
         remaining = inst.k - st.spent
         choice = blocker_policy(BlockerView(
-            st.pos, st.clock, dict(st.decided), tuple(e.key for e in stop),
-            remaining, st.spent, inst, rules.t1, rules.t2))
+            st.pos, st.clock, dict(st.decided), st.spent, inst,
+            tuple(e.key for e in stop), remaining))
         reason = _check_choice(stop, choice, remaining)
         if reason is not None:
             events.append({"type": "FOUL", "by": "blocker", "reason": reason})
@@ -585,7 +544,7 @@ def play(
         events.append({"type": "REVEAL", "at": st.pos, "clock": st.clock,
                        "statuses": st.reveal(stop, choice)})
     return Transcript(model, inst.s, inst.t, inst.k, tuple(events), stop,
-                      st.clock, st.spent, rules.t1, rules.t2_record)
+                      st.clock, st.spent, rules.t1, rules.t2)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +567,7 @@ def verify_traveller_strategy(
     model: str,
     deadline=None,
     t1: int = 0,
-    limit: int = 200_000,
-    unlimited: bool = False,
+    limit=200_000,
 ) -> VerifyResult:
     """Does the policy beat every Blocker line within the deadline?
 
@@ -617,10 +575,10 @@ def verify_traveller_strategy(
     included) and follows the policy's deterministic replies. On failure the
     losing Blocker script is replayed through ``play`` so the counterexample
     is an ordinary transcript. Raises SizeLimitError beyond ``limit``
-    explored reveal states unless ``unlimited``.
+    explored reveal states (``math.inf`` lifts the guard).
     """
     rules = _rules(inst, model, t1, deadline)
-    script, explored = _refute(rules, traveller_policy, limit, unlimited)
+    script, explored = _refute(rules, traveller_policy, limit)
     if script is None:
         return VerifyResult(True, None, explored)
     choices = []
@@ -633,52 +591,41 @@ def verify_traveller_strategy(
     return VerifyResult(False, tr, explored)
 
 
-def _refute(rules: _Rules, tp: Policy, limit: int, unlimited: bool) -> tuple:
+def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
     """Min-max over Blocker choices with the Traveller side fixed.
 
     Returns (script, explored). The script is None when the policy wins
     every line, else the losing choices in consult order as nested pairs
     (choice, rest) ending in (). Memoized on the knowledge state at each
-    reveal; sound because policies see nothing beyond their view. Runs on
-    an explicit stack of open reveals, so deep games need no recursion.
+    reveal; sound because policies see nothing beyond their view. Each open
+    reveal is one generator that ``knowledge.run`` drives, so deep games
+    need no recursion.
     """
     memo: dict = {}
-    stack: list = []  # open reveals: [key, state, scope, choices, choice tried]
     explored = 0
-    st = _State(rules.inst.s, rules.t1)
-    stop = rules.walk(st, tp, [])
-    while True:
+
+    def line(st: _State):
+        """The losing script from ``st`` on, or None when the policy wins."""
+        nonlocal explored
+        stop = rules.walk(st, tp, [])
         if not isinstance(stop, list):
-            result = None if stop == TRAVELLER_WIN else ()
-        else:
-            key = rules.key(st)
-            result = memo.get(key, _MISS)
-            if result is _MISS:
-                explored += 1
-                if not unlimited and explored > limit:
-                    raise SizeLimitError(
-                        f"verification explored more than {limit} reveal states",
-                        limit,
-                    )
-                choices = _choices(stop, rules.inst.k - st.spent)
-                stack.append([key, st, stop, choices, None])
-                result = None
-        # a losing line closes its reveal; a won one moves on to the next choice
-        while stack:
-            top = stack[-1]
-            key, state, scope, choices, choice = top
-            if result is None:
-                top[4] = choice = next(choices, None)
-                if choice is not None:
-                    st = state.after(scope, choice)
-                    stop = rules.walk(st, tp, [])
+            return None if stop == TRAVELLER_WIN else ()
+        key = rules.key(st)
+        if key not in memo:
+            explored += 1
+            if explored > limit:
+                raise SizeLimitError(
+                    f"verification explored more than {limit} reveal states", limit)
+            result = None
+            for choice in _choices(stop, rules.inst.k - st.spent):
+                sub = yield line(st.after(stop, choice))
+                if sub is not None:
+                    result = (choice, sub)
                     break
-            else:
-                result = (choice, result)
             memo[key] = result
-            stack.pop()
-        else:
-            return result, explored
+        return memo[key]
+
+    return run(line(_State(rules.inst.s, rules.t1))), explored
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ def cmd_solve_u(ns) -> int:
             line += f": guaranteed arrival {dec.guaranteed_arrival}"
         out.result(obj, [line])
         return 0 if dec.wins else 3
+    if ns.t1 != 0 or ns.t2 is not None:
+        raise ValueError(f"--t1/--t2 apply to --objective decide, not {ns.objective}")
     if ns.objective == "earliest":
         val = earliest_arrival(inst)
         out.result({"objective": "earliest", "value": val},

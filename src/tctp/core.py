@@ -12,6 +12,7 @@ through ``parse_instance`` / ``serialize_instance``.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,6 +244,17 @@ class Instance:
         if isinstance(self.graph, TemporalGraph):
             return "temporal"
         return "dag" if self.graph.directed else "static"
+
+
+def window(inst: Instance, t1, t2) -> tuple:
+    """The temporal game's window (t1, t2): t2 defaults to the instance
+    deadline, else unbounded. A window that starts before 0 or ends before
+    it starts is a ValueError."""
+    if t2 is None:
+        t2 = math.inf if inst.deadline is None else inst.deadline
+    if t1 < 0 or t1 > t2:
+        raise ValueError(f"bad window [{t1}, {t2}]")
+    return t1, t2
 
 
 def lifespan(g: TemporalGraph) -> int:

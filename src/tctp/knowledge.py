@@ -7,9 +7,10 @@ of ``rmask`` says the i-th graph edge is settled, bit i of ``bmask`` that no
 copy of it is left, and ``spent`` counts blocked copies -- apart from the
 masks, because a policy's view may block part of a copy group.
 
-``run`` drives a search written as generators: a step yields the generator
-of each sub-position it needs and is sent back its result, so deep games
-use an explicit stack instead of Python recursion.
+``run`` drives a search written as generators, here and in the arena's
+verifier: a step yields the generator of each sub-position it needs and is
+sent back its result, so deep games use an explicit stack instead of Python
+recursion.
 """
 from __future__ import annotations
 

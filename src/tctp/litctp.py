@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Union
 
-from .core import Instance, TemporalGraph, TimeEdge
+from .core import Instance, TemporalGraph, TimeEdge, window
 from .knowledge import EMPTY, Knowledge, run
 
 NEVER = -math.inf
@@ -116,8 +116,7 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
         raise ValueError("locally-informed solver needs a temporal instance")
     if inst.k != 1:
         raise ValueError(f"single-block solver got k={inst.k}")
-    if T is None:
-        T = inst.deadline if inst.deadline is not None else math.inf
+    _, T = window(inst, 0, T)
 
     base = latest_departure_labels(g, inst.t, T)
     cache = {
@@ -221,12 +220,8 @@ class LiGame:
         g = inst.graph
         if not isinstance(g, TemporalGraph):
             raise ValueError("locally-informed solver needs a temporal instance")
-        if t2 is None:
-            t2 = inst.deadline if inst.deadline is not None else math.inf
-        if t1 < 0 or t1 > t2:
-            raise ValueError(f"bad window [{t1}, {t2}]")
         self.inst = inst
-        self.t1, self.t2 = t1, t2
+        self.t1, self.t2 = window(inst, t1, t2)
         self.memo: dict = {}
         incident = {v: sorted(g.incident(v), key=lambda e: (e.tau, e.key))
                     for v in g.vertices}
@@ -235,7 +230,7 @@ class LiGame:
         # departures arriving inside the window: (tau, arrival, bit, head, key)
         self.departures = {
             v: [(e.tau, e.arrival, bit[e.key], e.other(v), e.key)
-                for e in es if e.arrival <= t2]
+                for e in es if e.arrival <= self.t2]
             for v, es in incident.items()
         }
 

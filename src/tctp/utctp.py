@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Instance, TemporalGraph, lifespan
+from .core import Instance, TemporalGraph, lifespan, window
 from .dagctp import UNREACHABLE, PiTable, pi_row
 from .errors import SizeLimitError
 
@@ -47,8 +47,7 @@ def decide_u(
     g = inst.graph
     if not isinstance(g, TemporalGraph):
         raise ValueError("uninformed solver needs a temporal instance")
-    if t2 is None:
-        t2 = inst.deadline if inst.deadline is not None else math.inf
+    t1, t2 = window(inst, t1, t2)
     table = _sweep(g, inst.s, inst.t, inst.k, t1, t2)
     cost = table.value((inst.s, t1), inst.k)
     wins = cost != UNREACHABLE
@@ -72,8 +71,6 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     for x in (s, t):
         if x not in g.index:
             raise ValueError(f"unknown vertex {x!r}")
-    if t1 < 0 or t1 > t2:
-        raise ValueError(f"bad window [{t1}, {t2}]")
     width = k + 1
     departs: dict = {}  # (v, tau) -> [(head node, d, capped copies)]
     at_time: dict = {t1: {s}}  # tau -> vertices with a node at tau

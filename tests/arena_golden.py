@@ -47,12 +47,11 @@ def wanderer(view):
     wait, legal or not, so fouls, waits and circling all come up."""
     g = view.inst.graph
     temporal = isinstance(g, TemporalGraph)
-    clock = view.clock if temporal else view.cost
     options = [("move", e.key) for e in g.incident(view.position)]
     if temporal or not options:
-        options.append(("wait", clock + 1))
+        options.append(("wait", view.clock + 1))
     blocked = sum(1 for c in view.decided.values() if c)
-    return options[(clock + len(view.decided) + 3 * blocked) % len(options)]
+    return options[(view.clock + len(view.decided) + 3 * blocked) % len(options)]
 
 
 def cases() -> list:

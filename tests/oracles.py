@@ -23,12 +23,15 @@ reads off a shared table or a pruned pass:
 * the Blocker's reveals as a filter over every mask of the blockable edges,
   in place of extending only the subsets that fit the budget;
 * the static game's value sweeps run until t is popped, in place of
-  stopping at the cheapest route end found.
+  stopping at the cheapest route end found;
+* the verifier's min-max on a hand-written stack of open reveals, in place
+  of one generator per open reveal driven by ``knowledge.run``.
 """
 import heapq
 import math
 from itertools import chain, repeat
 
+from tctp.arena import TRAVELLER_WIN, _choices, _State
 from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge
 from tctp.dagctp import (
     UNREACHABLE,
@@ -39,7 +42,7 @@ from tctp.dagctp import (
     topological_order,
     traveller_move,
 )
-from tctp.errors import NoSafeMoveError
+from tctp.errors import NoSafeMoveError, SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.staticctp import StaticGame
@@ -376,3 +379,49 @@ def unbounded_static_game(inst: Instance, discovery: str = "incident") -> Static
     """A ``StaticGame`` whose value sweeps value every portal and expand every
     settled vertex popped before t, however dear."""
     return _UnboundedStaticGame(inst, discovery)
+
+
+_MISS = object()
+
+
+def stacked_refute(rules, tp, limit) -> tuple:
+    """``arena._refute`` on an explicit stack of open reveals: (script,
+    explored), the same losing script and count, raising SizeLimitError
+    at the same reveal state."""
+    memo: dict = {}
+    stack: list = []  # open reveals: [key, state, scope, choices, choice tried]
+    explored = 0
+    st = _State(rules.inst.s, rules.t1)
+    stop = rules.walk(st, tp, [])
+    while True:
+        if not isinstance(stop, list):
+            result = None if stop == TRAVELLER_WIN else ()
+        else:
+            key = rules.key(st)
+            result = memo.get(key, _MISS)
+            if result is _MISS:
+                explored += 1
+                if explored > limit:
+                    raise SizeLimitError(
+                        f"verification explored more than {limit} reveal states",
+                        limit,
+                    )
+                choices = _choices(stop, rules.inst.k - st.spent)
+                stack.append([key, st, stop, choices, None])
+                result = None
+        # a losing line closes its reveal; a won one moves on to the next choice
+        while stack:
+            top = stack[-1]
+            key, state, scope, choices, choice = top
+            if result is None:
+                top[4] = choice = next(choices, None)
+                if choice is not None:
+                    st = state.after(scope, choice)
+                    stop = rules.walk(st, tp, [])
+                    break
+            else:
+                result = (choice, result)
+            memo[key] = result
+            stack.pop()
+        else:
+            return result, explored

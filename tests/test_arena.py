@@ -11,7 +11,10 @@ from generators import rand_dag, rand_static, rand_temporal
 from tctp.arena import (
     BLOCKER_WIN,
     TRAVELLER_WIN,
+    BlockerView,
+    LiView,
     Transcript,
+    View,
     builtin_policies,
     play,
     scripted_blocker,
@@ -250,6 +253,34 @@ def test_play_and_verify_reject_the_same_inputs():
                                       deadline=window.get("t2"))
 
 
+def test_each_side_sees_its_own_view_type():
+    """Only li's Traveller view carries ``visited``; Blocker sees its budget."""
+    sep = separating_instance(2)
+    edges = [StaticEdge("s", "a", 1), StaticEdge("a", "t", 1),
+             StaticEdge("s", "t", 3)]
+    static = Instance(StaticGraph.build(["s", "a", "t"], edges), "s", "t", 1)
+    dag = Instance(StaticGraph.build(["s", "a", "t"], edges, directed=True), "s", "t", 1)
+    for model, inst in (("li", sep), ("u", sep), ("static", static), ("dag", dag)):
+        tp, _ = builtin_policies(inst, model)
+        travellers, blockers = [], []
+
+        def traveller(view):
+            travellers.append(view)
+            return tp(view)
+
+        def blocker(view):
+            blockers.append(view)
+            return {view.undecided[-1]: 1} if view.remaining else {}
+
+        play(inst, traveller, blocker, model)
+        verify_traveller_strategy(inst, traveller, model)
+        assert {type(v) for v in travellers} == {LiView if model == "li" else View}
+        assert {hasattr(v, "visited") for v in travellers} == {model == "li"}
+        assert {type(v) for v in blockers} == {BlockerView}
+        assert {v.remaining - (inst.k - v.spent) for v in blockers} == {0}
+        assert max(v.spent for v in blockers) > 0, model
+
+
 def test_golden_corpus_replays_byte_identical():
     """Every recorded transcript and verifier result comes back byte for byte."""
     cases = json.loads(arena_golden.GOLDEN.read_text())
@@ -284,7 +315,7 @@ def test_verify_explored_budget():
     tpol = exact_li(inst).traveller_policy()
     with pytest.raises(SizeLimitError):
         verify_traveller_strategy(inst, tpol, "li", limit=1)
-    res = verify_traveller_strategy(inst, tpol, "li", limit=1, unlimited=True)
+    res = verify_traveller_strategy(inst, tpol, "li", limit=math.inf)
     assert res.ok and res.counterexample is None and res.explored == 13
     assert verify_traveller_strategy(inst, tpol, "li").ok
 

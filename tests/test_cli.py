@@ -147,6 +147,26 @@ def test_solve_u_objectives_on_a_forced_chain(tmp_path, sep_file):
     assert (code, out) == (3, "UNREACHABLE\n")
 
 
+def test_window_flags_outside_their_objective_exit_two(sep_file):
+    """--t1/--t2 only bound the decided window; the optimizers scan every one."""
+    for objective in ("earliest", "latest", "duration"):
+        for flags in (["--t2", "0"], ["--t1", "1"], ["--t1", "0", "--t2", "9"]):
+            code, out, err = _run(["solve-u", sep_file, "--objective", objective] + flags)
+            assert (code, out) == (2, ""), (objective, flags)
+            assert err == (f"tctp: --t1/--t2 apply to --objective decide, "
+                           f"not {objective}\n")
+        # the default --t1 0 is no flag at all
+        assert _run(["solve-u", sep_file, "--objective", objective, "--t1", "0"]) \
+            == _run(["solve-u", sep_file, "--objective", objective])
+
+
+def test_negative_deadline_exits_two_on_both_li_paths(tmp_path):
+    path = _write(tmp_path, "sep1.ctp", separating_instance(1))
+    for extra in ([], ["--exact"]):
+        code, out, err = _run(["solve-li", path, "--deadline", "-1"] + extra)
+        assert (code, out, err) == (2, "", "tctp: bad window [0, -1]\n"), extra
+
+
 def test_solve_static_value_and_deadline(tmp_path):
     g = StaticGraph.build(["u0", "u1", "u2"],
                           [StaticEdge("u0", "u1", 1, copies=2),

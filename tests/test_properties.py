@@ -9,6 +9,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arena_golden import greedy_static, greedy_temporal, wanderer
 from oracles import (
     expansion_pi_table,
     expansion_read_policies,
@@ -21,9 +22,11 @@ from oracles import (
     scan_earliest_arrival,
     scan_latest_departure,
     scan_shortest_duration,
+    stacked_refute,
     summed_edges,
     unbounded_static_game,
 )
+from tctp import arena
 from tctp.arena import builtin_policies, play, verify_traveller_strategy
 from tctp.core import (
     Instance,
@@ -35,6 +38,7 @@ from tctp.core import (
     serialize_instance,
 )
 from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
+from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge
 from tctp.litctp import LiGame, solve_k1
@@ -424,3 +428,66 @@ def test_knowledge_state_reuse_matches_a_fresh_fold(case):
                     b |= know.bit[e.key]
                 spent += decided[e.key]
         assert know.state(decided) == (r, b, spent)
+
+
+@st.composite
+def arena_games(draw):
+    """(model, instance, t1, t2): a game from n0 to the last vertex along a
+    path of one- or two-copy edges plus random extra edges; a window for li
+    and u, a deadline or none for static and dag."""
+    model = draw(st.sampled_from(arena.MODELS))
+    n = draw(st.integers(3, 5))
+    names = [f"n{i}" for i in range(n)]
+    path = [(i, i + 1, i, draw(st.integers(1, 2))) for i in range(n - 1)]
+    extra = draw(st.lists(st.tuples(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] < p[1]), st.integers(0, 4), st.integers(1, 3)),
+        max_size=7))
+    records = path + [(a, b, x, c) for (a, b), x, c in extra]
+    k = draw(st.integers(0, 2))
+    if model in ("li", "u"):
+        edges = [TimeEdge(names[a], names[b], tau, 1, c) for a, b, tau, c in records]
+        graph = TemporalGraph.build(names, edges)
+        t1 = draw(st.integers(0, 1))
+        t2 = draw(st.none() | st.integers(t1, 8))
+    else:
+        edges = [StaticEdge(names[a], names[b], w, c) for a, b, w, c in records]
+        graph = StaticGraph.build(names, edges, directed=model == "dag" or draw(
+            st.booleans()))
+        t1, t2 = 0, draw(st.none() | st.integers(0, 10))
+    return model, Instance(graph, names[0], names[-1], k), t1, t2
+
+
+def _refuted(refute, rules, policy, limit):
+    """(script and explored, or the SizeLimitError message; policy consults)."""
+    asked = []
+
+    def counted(view):
+        asked.append(None)
+        return policy(view)
+
+    try:
+        got = refute(rules, counted, limit)
+    except SizeLimitError as exc:
+        got = str(exc)
+    return got, len(asked)
+
+
+@SETTINGS
+@given(arena_games(), st.integers(0, 10**6))
+def test_generator_verifier_matches_the_stacked_reference(case, cut):
+    """Same script, count and guard trip as the explicit-stack reference, for
+    the builtin, greedy and wanderer Travellers."""
+    model, inst, t1, t2 = case
+    rules = arena._rules(inst, model, t1, t2)
+    greedy = greedy_temporal if model in ("li", "u") else greedy_static
+    for policy in (builtin_policies(inst, model, t1, t2)[0], greedy, wanderer):
+        want = _refuted(stacked_refute, rules, policy, math.inf)
+        assert _refuted(arena._refute, rules, policy, math.inf) == want
+        explored = want[0][1]
+        if explored:
+            # the guard trips at the same reveal state, after the same consults
+            limit = cut % explored
+            tripped = _refuted(stacked_refute, rules, policy, limit)
+            assert tripped[0] == f"verification explored more than {limit} reveal states"
+            assert _refuted(arena._refute, rules, policy, limit) == tripped
