@@ -4,7 +4,7 @@ The four information models differ only in what a reveal exposes and when,
 so each is one rules object that the referee and the verifier both step.
 It defines, once: the inputs it accepts and the bound it plays to; the
 reveal scope at a state; the legal moves and waits and where they lead; and
-the knowledge the verifier may merge states on.
+the view each side sees.
 
   "li"      (``_LiRules``) temporal graph; all edges incident to a vertex are
             decided at the Traveller's first arrival there. Any later
@@ -383,9 +383,6 @@ class _Rules:
     def view(self, st: _State) -> View:
         return View(st.pos, st.clock, dict(st.decided), st.spent, self.inst)
 
-    def key(self, st: _State) -> tuple:
-        return (st.pos, st.clock, _frozen(st.decided))
-
     def _first_arrival(self, st: _State, edges) -> list:
         """The undecided edges on the first arrival at st.pos, marking it visited."""
         if st.pos in st.visited:
@@ -427,13 +424,10 @@ class _TemporalRules(_Rules):
 
 
 class _LiRules(_TemporalRules):
-    """``li``: the view and the merge key carry the visited set."""
+    """``li``: the Traveller's view carries the visited set."""
 
     def scope(self, st):
         return self._first_arrival(st, self.g.incident(st.pos))
-
-    def key(self, st):
-        return super().key(st) + (st.visited,)
 
     def view(self, st):
         return LiView(st.pos, st.clock, dict(st.decided), st.spent, self.inst,
@@ -596,12 +590,9 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
 
     Returns (script, explored). The script is None when the policy wins
     every line, else the losing choices in consult order as nested pairs
-    (choice, rest) ending in (). Memoized on the knowledge state at each
-    reveal; sound because policies see nothing beyond their view. Each open
-    reveal is one generator that ``knowledge.run`` drives, so deep games
-    need no recursion.
+    (choice, rest) ending in (). Each open reveal is one generator that
+    ``knowledge.run`` drives, so deep games need no recursion.
     """
-    memo: dict = {}
     explored = 0
 
     def line(st: _State):
@@ -610,20 +601,15 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
         stop = rules.walk(st, tp, [])
         if not isinstance(stop, list):
             return None if stop == TRAVELLER_WIN else ()
-        key = rules.key(st)
-        if key not in memo:
-            explored += 1
-            if explored > limit:
-                raise SizeLimitError(
-                    f"verification explored more than {limit} reveal states", limit)
-            result = None
-            for choice in _choices(stop, rules.inst.k - st.spent):
-                sub = yield line(st.after(stop, choice))
-                if sub is not None:
-                    result = (choice, sub)
-                    break
-            memo[key] = result
-        return memo[key]
+        explored += 1
+        if explored > limit:
+            raise SizeLimitError(
+                f"verification explored more than {limit} reveal states", limit)
+        for choice in _choices(stop, rules.inst.k - st.spent):
+            sub = yield line(st.after(stop, choice))
+            if sub is not None:
+                return (choice, sub)
+        return None
 
     return run(line(_State(rules.inst.s, rules.t1))), explored
 

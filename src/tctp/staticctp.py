@@ -29,6 +29,11 @@ class StaticGame:
     mode used to cross-check the layered-graph table on directed acyclic
     inputs.  Accumulated cost is not part of the state: costs are additive, so
     the cost-to-go from a knowledge state is a single number.
+
+    One search, ``_win`` (is the cost-to-go within a slack?), with one table,
+    ``_bands``, answers decisions and, by bisection over the slack, values
+    (MTD(f)'s null-window probes over a table of bounds); the play helpers
+    read portal and reveal values from ``value``.
     """
 
     def __init__(self, inst: Instance, discovery: str = "incident",
@@ -49,8 +54,8 @@ class StaticGame:
                 for e in g.outgoing(v)]
             for v in g.vertices
         }
-        # cost-to-go memo, keyed (pos, state) for settled and unsettled pos
-        self._values: dict = {}
+        # no finite cost-to-go exceeds this; see ``value``
+        self.cap = (len(g.vertices) + 1) * sum(e.weight for e in g.edges)
         # threshold bands: (pos, state) -> [largest losing slack, smallest
         # winning slack]; sound because winning is monotone in slack
         self._bands: dict = {}
@@ -63,34 +68,30 @@ class StaticGame:
         """Blocker reveals at v as child states, cheapest spend first."""
         return self.know.choices(v, state)
 
-    # -- value engine ------------------------------------------------------
+    # -- values ------------------------------------------------------------
 
     def entry_value(self):
-        if self.inst.s == self.inst.t:
-            return 0
-        return run(self._value(self.inst.s, EMPTY))
+        return self.value(self.inst.s, EMPTY)
 
-    def _value(self, pos, state):
-        """Cost-to-go at pos; while pos is unsettled the blocker moves first.
-        Moves between settled vertices are deterministic: one sweep suffices."""
-        if pos == self.inst.t:
-            return 0
-        key = (pos, state)
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        self.know.count()
-        if self.know.settled(pos, state):
-            ends, _ = yield from self._sweep(pos, state)
-            value = min((cost for cost, _, _ in ends), default=UNREACHABLE)
-        else:
-            value = None
-            for choice in self.reveal_choices(pos, state):
-                sub = yield self._value(pos, choice)
-                if value is None or sub > value:
-                    value = sub
-        self._values[key] = value
-        return value
+    def value(self, pos, state):
+        """Cost-to-go at pos, UNREACHABLE when the blocker can cut every
+        route: the least slack ``_win`` accepts, by bisection with the bands
+        kept between probes. Slack ``h[pos] - 1`` always loses. A finite value
+        is at most ``cap = (|V| + 1) * W``, W the sum of the edge weights:
+        each reveal settles its vertex, so there are at most |V|, and before
+        each one and after the last the walk is a cheapest path over settled
+        vertices, a simple path costing at most W. Weights are non-negative
+        ints, so the bisection is exact."""
+        lo, hi = self.h.get(pos, UNREACHABLE) - 1, self.cap
+        if not run(self._win(pos, state, hi)):
+            return UNREACHABLE
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if run(self._win(pos, state, mid)):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def _sweep(self, pos, state):
         """Dijkstra from the settled pos over settled vertices; unsettled ones
@@ -120,7 +121,7 @@ class StaticGame:
             if d + h.get(v, UNREACHABLE) > best:
                 continue
             if not settled(v, state):
-                ends.append((d + (yield self._value(v, state)), i, v))
+                ends.append((d + self.value(v, state), i, v))
                 best = min(best, ends[-1][0])
                 continue
             for bit, w, weight, key in self.moves[v]:
@@ -133,12 +134,13 @@ class StaticGame:
                     heapq.heappush(heap, (nd, idx[w], w))
         return ends, prev
 
-    # -- threshold engine --------------------------------------------------
+    # -- threshold search --------------------------------------------------
 
     @cached_property
     def h(self) -> dict:
         """Everything-open distance to t: a lower bound on any cost-to-go,
-        which prunes the value sweeps as well as the threshold search."""
+        which prunes the threshold search and the play sweeps and starts
+        the value bisection."""
         g = self.g
         rev: dict = {v: [] for v in g.vertices}
         for e in g.edges:
@@ -160,8 +162,6 @@ class StaticGame:
         return dist
 
     def decide(self, slack) -> bool:
-        if self.inst.s == self.inst.t:
-            return slack >= 0
         return run(self._win(self.inst.s, EMPTY, slack))
 
     def _win(self, pos, state, slack):
@@ -222,7 +222,9 @@ class StaticGame:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, idx[w], w))
         for d, v in portals:
-            if (yield self._win(v, state, slack - d)):
+            # from cap up every finite value fits, so the slack stays there
+            # and a later probe at cap reads the portal's band
+            if (yield self._win(v, state, slack if slack >= self.cap else slack - d)):
                 return True
         return False
 
@@ -233,7 +235,7 @@ class StaticGame:
         state = self.know.state(decided)
         if pos == self.inst.t or not self.know.settled(pos, state):
             return None
-        ends, prev = run(self._sweep(pos, state))
+        ends, prev = self._sweep(pos, state)
         live = [end for end in ends if end[0] != UNREACHABLE]
         if not live:
             return None
@@ -250,7 +252,7 @@ class StaticGame:
             return {}
         best, best_val = None, None
         for choice in self.reveal_choices(pos, state):
-            val = run(self._value(pos, choice))
+            val = self.value(pos, choice)
             if best is None or val > best_val:
                 best, best_val = choice, val
         return self.know.statuses(pos, state, best)
@@ -266,9 +268,9 @@ def decide_static(inst: Instance, T=None, discovery: str = "incident",
                   state_limit: int = 10 ** 7) -> bool:
     """True iff the guaranteed cost is at most T (default: inst.deadline).
 
-    Decided by a slack-threaded search with everything-open distances as an
-    exact pruning bound, equivalent to exact_static_value(inst) <= T but
-    typically far cheaper on instances with a tight bound.
+    One probe of the threshold search, with everything-open distances as an
+    exact pruning bound; exact_static_value finds the value by bisection
+    over probes of this same search.
     """
     if T is None:
         T = inst.deadline

@@ -22,8 +22,9 @@ reads off a shared table or a pruned pass:
 * edge merging by summing copies per key into freshly built edges;
 * the Blocker's reveals as a filter over every mask of the blockable edges,
   in place of extending only the subsets that fit the budget;
-* the static game's value sweeps run until t is popped, in place of
-  stopping at the cheapest route end found;
+* the static game's values from a memo of cost-to-go over sweeps run
+  until t is popped, in place of bisection over the threshold search and
+  play sweeps that stop at the cheapest route end found;
 * the verifier's min-max on a hand-written stack of open reveals, in place
   of one generator per open reveal driven by ``knowledge.run``.
 """
@@ -44,6 +45,7 @@ from tctp.dagctp import (
 )
 from tctp.errors import NoSafeMoveError, SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
+from tctp.knowledge import run
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u
@@ -347,7 +349,40 @@ def mask_choices(know, v, state) -> list:
 
 
 class _UnboundedStaticGame(StaticGame):
+    def __init__(self, inst: Instance, discovery: str):
+        super().__init__(inst, discovery)
+        # cost-to-go memo, keyed (pos, state) for settled and unsettled pos
+        self._values: dict = {}
+
+    def value(self, pos, state):
+        return run(self._value(pos, state))
+
+    def _value(self, pos, state):
+        """Cost-to-go at pos; while pos is unsettled the blocker moves first.
+        Moves between settled vertices are deterministic: one sweep suffices."""
+        if pos == self.inst.t:
+            return 0
+        key = (pos, state)
+        hit = self._values.get(key)
+        if hit is not None:
+            return hit
+        self.know.count()
+        if self.know.settled(pos, state):
+            ends, _ = yield from self._ends(pos, state)
+            value = min((cost for cost, _, _ in ends), default=UNREACHABLE)
+        else:
+            value = None
+            for choice in self.reveal_choices(pos, state):
+                sub = yield self._value(pos, choice)
+                if value is None or sub > value:
+                    value = sub
+        self._values[key] = value
+        return value
+
     def _sweep(self, pos, state):
+        return run(self._ends(pos, state))
+
+    def _ends(self, pos, state):
         t, idx, settled = self.inst.t, self.g.index, self.know.settled
         blocked = state[1]
         dist = {pos: 0}
@@ -376,20 +411,17 @@ class _UnboundedStaticGame(StaticGame):
 
 
 def unbounded_static_game(inst: Instance, discovery: str = "incident") -> StaticGame:
-    """A ``StaticGame`` whose value sweeps value every portal and expand every
-    settled vertex popped before t, however dear."""
+    """A ``StaticGame`` that finds values by a memo of cost-to-go over its own
+    sweeps, each of which values every portal and expands every settled
+    vertex popped before t, however dear."""
     return _UnboundedStaticGame(inst, discovery)
-
-
-_MISS = object()
 
 
 def stacked_refute(rules, tp, limit) -> tuple:
     """``arena._refute`` on an explicit stack of open reveals: (script,
     explored), the same losing script and count, raising SizeLimitError
     at the same reveal state."""
-    memo: dict = {}
-    stack: list = []  # open reveals: [key, state, scope, choices, choice tried]
+    stack: list = []  # open reveals: [state, scope, choices, choice tried]
     explored = 0
     st = _State(rules.inst.s, rules.t1)
     stop = rules.walk(st, tp, [])
@@ -397,31 +429,26 @@ def stacked_refute(rules, tp, limit) -> tuple:
         if not isinstance(stop, list):
             result = None if stop == TRAVELLER_WIN else ()
         else:
-            key = rules.key(st)
-            result = memo.get(key, _MISS)
-            if result is _MISS:
-                explored += 1
-                if explored > limit:
-                    raise SizeLimitError(
-                        f"verification explored more than {limit} reveal states",
-                        limit,
-                    )
-                choices = _choices(stop, rules.inst.k - st.spent)
-                stack.append([key, st, stop, choices, None])
-                result = None
+            explored += 1
+            if explored > limit:
+                raise SizeLimitError(
+                    f"verification explored more than {limit} reveal states",
+                    limit,
+                )
+            stack.append([st, stop, _choices(stop, rules.inst.k - st.spent), None])
+            result = None
         # a losing line closes its reveal; a won one moves on to the next choice
         while stack:
             top = stack[-1]
-            key, state, scope, choices, choice = top
+            state, scope, choices, choice = top
             if result is None:
-                top[4] = choice = next(choices, None)
+                top[3] = choice = next(choices, None)
                 if choice is not None:
                     st = state.after(scope, choice)
                     stop = rules.walk(st, tp, [])
                     break
             else:
                 result = (choice, result)
-            memo[key] = result
             stack.pop()
         else:
             return result, explored

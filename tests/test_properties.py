@@ -6,7 +6,7 @@ Each fast path answers from one shared table or a pruned pass; the oracles in
 import dataclasses
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
@@ -37,7 +37,7 @@ from tctp.core import (
     parse_instance,
     serialize_instance,
 )
-from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
+from tctp.dagctp import UNREACHABLE, BlockGroups, brute_dag_game, compute_pi
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge
@@ -300,8 +300,9 @@ def test_parse_inverts_serialize(inst):
 
 @st.composite
 def blocking_games(draw):
-    """A static or dag instance with zero weights, copies past the budget and
-    dead ends, s and t anywhere, with or without a deadline."""
+    """A static or dag instance with zero weights, copies past the budget,
+    dead ends and vertices that cannot reach t, s and t anywhere, with or
+    without a deadline."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 6))
     names = [f"u{i}" for i in range(n)]
@@ -324,15 +325,25 @@ def _decided(know, state) -> dict:
             for key, bit in know.bit.items() if r & bit}
 
 
+# the walker tries one branch, finds its bridge blocked and walks back:
+# value 30, past the sum of the weights, 20
+_DETOUR = Instance(StaticGraph.build("sabt", [
+    StaticEdge("s", "a", 10), StaticEdge("a", "t", 0),
+    StaticEdge("s", "b", 10), StaticEdge("b", "t", 0)]), "s", "t", 1)
+
+
 @SETTINGS
 @given(blocking_games())
+@example(_DETOUR)
 def test_bounded_static_sweeps_match_the_unbounded_reference(inst):
     for discovery in ("incident", "out"):
         got, want = StaticGame(inst, discovery), unbounded_static_game(inst, discovery)
         assert got.entry_value() == want.entry_value()
         assert got.best_reveal(inst.s, {}) == want.best_reveal(inst.s, {})
-        # the move and the reveal at every position the full search valued
-        for pos, state in list(want._values):
+        # the value, move and reveal at every position the reference valued
+        for (pos, state), value in list(want._values.items()):
+            assert value == UNREACHABLE or value <= got.cap
+            assert got.value(pos, state) == value
             decided = _decided(want.know, state)
             assert got.know.state(decided) == state
             assert got.plan_move(pos, decided) == want.plan_move(pos, decided)

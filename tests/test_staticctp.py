@@ -6,9 +6,11 @@ import random
 import pytest
 
 from generators import rand_dag
+from tctp.arena import TRAVELLER_WIN, builtin_policies, play
 from tctp.core import Instance, StaticEdge, StaticGraph
 from tctp.dagctp import UNREACHABLE, compute_pi
 from tctp.errors import SizeLimitError
+from tctp.gadgets import CnfFormula, gen_static_np
 from tctp.knowledge import EMPTY
 from tctp.samples import separating_instance
 from tctp.staticctp import (
@@ -237,6 +239,16 @@ def test_canonical_play_realizes_the_value():
             assert steps <= 60, "canonical play must not cycle"
         assert cost == value
     assert checked > 15
+
+
+def test_two_clause_gadget_is_valued_within_a_small_state_limit():
+    """Bisection over the threshold search's bands values the two-clause
+    sat4 gadget in a few thousand knowledge states, and the builtin pair
+    realizes that value."""
+    inst, _ = gen_static_np(CnfFormula.build(1, [(-1, -1, -1), (-1, -1, -1)]))
+    assert StaticGame(inst, state_limit=50_000).entry_value() == 195
+    tr = play(inst, *builtin_policies(inst, "static"), "static")
+    assert (tr.outcome, tr.final_time) == (TRAVELLER_WIN, 195)
 
 
 def test_policy_wrappers_delegate():
