@@ -31,7 +31,7 @@ class StaticGame:
     the cost-to-go from a knowledge state is a single number.
 
     One search, ``_win`` (is the cost-to-go within a slack?), with one table,
-    ``_bands``, answers decisions and, by bisection over the slack, values
+    ``_bands``, answers decisions and, by probes over the slack, values
     (MTD(f)'s null-window probes over a table of bounds); the play helpers
     read portal and reveal values from ``value``.
     """
@@ -54,10 +54,11 @@ class StaticGame:
                 for e in g.outgoing(v)]
             for v in g.vertices
         }
-        # no finite cost-to-go exceeds this; see ``value``
-        self.cap = (len(g.vertices) + 1) * sum(e.weight for e in g.edges)
+        # ways into t, (bit, tail): the sweeps reach t only over one of them
+        self.into_t = [(bit, v) for v in g.vertices
+                       for bit, w, _, _ in self.moves[v] if w == inst.t]
         # threshold bands: (pos, state) -> [largest losing slack, smallest
-        # winning slack]; sound because winning is monotone in slack
+        # winning slack or None]; sound because winning is monotone in slack
         self._bands: dict = {}
 
     @property
@@ -75,16 +76,18 @@ class StaticGame:
 
     def value(self, pos, state):
         """Cost-to-go at pos, UNREACHABLE when the blocker can cut every
-        route: the least slack ``_win`` accepts, by bisection with the bands
-        kept between probes. Slack ``h[pos] - 1`` always loses. A finite value
-        is at most ``cap = (|V| + 1) * W``, W the sum of the edge weights:
-        each reveal settles its vertex, so there are at most |V|, and before
-        each one and after the last the walk is a cheapest path over settled
-        vertices, a simple path costing at most W. Weights are non-negative
-        ints, so the bisection is exact."""
-        lo, hi = self.h.get(pos, UNREACHABLE) - 1, self.cap
-        if not run(self._win(pos, state, hi)):
+        route. A probe of ``_win`` at slack inf tells which; a finite value
+        is then the least slack ``_win`` accepts. Slack ``h[pos] - 1`` always
+        loses; the search steps up from there, doubling the step until a
+        probe wins, and bisects the last step, keeping the bands between
+        probes, so every probe stays near the value. Weights are
+        non-negative ints, so the search is exact."""
+        if not run(self._win(pos, state, math.inf)):
             return UNREACHABLE
+        lo, step = self.h[pos] - 1, 1
+        while not run(self._win(pos, state, lo + step)):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if run(self._win(pos, state, mid)):
@@ -140,7 +143,7 @@ class StaticGame:
     def h(self) -> dict:
         """Everything-open distance to t: a lower bound on any cost-to-go,
         which prunes the threshold search and the play sweeps and starts
-        the value bisection."""
+        the value search."""
         g = self.g
         rev: dict = {v: [] for v in g.vertices}
         for e in g.edges:
@@ -168,16 +171,16 @@ class StaticGame:
         """True iff the cost-to-go at pos is at most slack."""
         if pos == self.inst.t:
             return slack >= 0
-        if slack < 0 or self.h.get(pos, UNREACHABLE) > slack:
+        if slack < 0 or pos not in self.h or self.h[pos] > slack:
             return False
         key = (pos, state)
         band = self._bands.get(key)
         if band is None:
             self.know.count()
-            band = self._bands[key] = [-math.inf, math.inf]
+            band = self._bands[key] = [-math.inf, None]
         if slack <= band[0]:
             return False
-        if slack >= band[1]:
+        if band[1] is not None and slack >= band[1]:
             return True
         if not self.know.settled(pos, state):
             result = True
@@ -199,6 +202,11 @@ class StaticGame:
         portal whose reveal the walker wins with the slack left there."""
         t, h, idx, settled = self.inst.t, self.h, self.g.index, self.know.settled
         blocked = state[1]
+        # while no settled vertex has an open way into t, the sweep cannot
+        # reach t, so each portal is searched as soon as it is popped: the
+        # same portals in the same order as after a full sweep
+        eager = not any(settled(u, state) and not blocked & bit
+                        for bit, u in self.into_t)
         dist = {pos: 0}
         heap = [(0, idx[pos], pos)]
         portals = []
@@ -209,7 +217,10 @@ class StaticGame:
             if v == t:
                 return True
             if not settled(v, state):
-                portals.append((d, v))
+                if not eager:
+                    portals.append((d, v))
+                elif (yield self._win(v, state, slack - d)):
+                    return True
                 continue
             for bit, w, weight, _key in self.moves[v]:
                 if blocked & bit:
@@ -222,9 +233,7 @@ class StaticGame:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, idx[w], w))
         for d, v in portals:
-            # from cap up every finite value fits, so the slack stays there
-            # and a later probe at cap reads the portal's band
-            if (yield self._win(v, state, slack if slack >= self.cap else slack - d)):
+            if (yield self._win(v, state, slack - d)):
                 return True
         return False
 
@@ -269,8 +278,8 @@ def decide_static(inst: Instance, T=None, discovery: str = "incident",
     """True iff the guaranteed cost is at most T (default: inst.deadline).
 
     One probe of the threshold search, with everything-open distances as an
-    exact pruning bound; exact_static_value finds the value by bisection
-    over probes of this same search.
+    exact pruning bound; exact_static_value finds the value by probes of
+    this same search.
     """
     if T is None:
         T = inst.deadline

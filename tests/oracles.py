@@ -23,7 +23,7 @@ reads off a shared table or a pruned pass:
 * the Blocker's reveals as a filter over every mask of the blockable edges,
   in place of extending only the subsets that fit the budget;
 * the static game's values from a memo of cost-to-go over sweeps run
-  until t is popped, in place of bisection over the threshold search and
+  until t is popped, in place of probes of the threshold search and
   play sweeps that stop at the cheapest route end found;
 * the verifier's min-max on a hand-written stack of open reveals, in place
   of one generator per open reveal driven by ``knowledge.run``.

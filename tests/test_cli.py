@@ -386,6 +386,17 @@ def test_play_and_verify_handle_a_deep_chain(tmp_path):
         code, out, err = _run(argv)
         assert code in (0, 3) and "Traceback" not in err, argv
 
+    # a finite value down the undirected path: the value search must not
+    # re-sweep the settled prefix at every state
+    open_file = _write(tmp_path, "open_path.ctp",
+                       Instance(StaticGraph.build(names, hops), "v0", "v1200", 0))
+    code, out, err = _run(["solve-static", open_file])
+    head, played = out.split("\n", 1)
+    assert (code, head, err) == (0, "value 1200", "")
+    assert _run(["play", open_file, "--model", "static"]) == (0, played, "")
+    tr = Transcript.from_json_lines(played)
+    assert (tr.outcome, len(tr.moves())) == (TRAVELLER_WIN, 1200)
+
 
 def test_global_flags_do_not_carry_into_the_next_dispatch(sep_file):
     plain = _run(["solve-li", "--exact", sep_file])

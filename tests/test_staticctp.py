@@ -242,7 +242,7 @@ def test_canonical_play_realizes_the_value():
 
 
 def test_two_clause_gadget_is_valued_within_a_small_state_limit():
-    """Bisection over the threshold search's bands values the two-clause
+    """Probes of the threshold search, sharing its bands, value the two-clause
     sat4 gadget in a few thousand knowledge states, and the builtin pair
     realizes that value."""
     inst, _ = gen_static_np(CnfFormula.build(1, [(-1, -1, -1), (-1, -1, -1)]))
