@@ -23,13 +23,10 @@ from .core import (
     StaticEdge,
     StaticGraph,
     TemporalGraph,
-    TemporalWalk,
     TimeEdge,
-    WalkStep,
     lifespan,
     parse_instance,
     serialize_instance,
-    validate_walk,
 )
 from .dagctp import (
     UNREACHABLE,
@@ -45,7 +42,7 @@ from .errors import (
     NoSafeMoveError,
     SizeLimitError,
 )
-from .expansion import ExpandedDag, build_expansion, project_walk
+from .expansion import ExpandedDag, build_expansion
 from .gadgets import (
     CnfFormula,
     QbfFormula,
@@ -93,13 +90,11 @@ __all__ = [
     "StaticGraph",
     "TRAVELLER_WIN",
     "TemporalGraph",
-    "TemporalWalk",
     "TimeEdge",
     "Transcript",
     "UDecision",
     "UNREACHABLE",
     "VerifyResult",
-    "WalkStep",
     "brute_dag_game",
     "brute_u_game",
     "build_expansion",
@@ -121,7 +116,6 @@ __all__ = [
     "parse_dimacs",
     "parse_instance",
     "play",
-    "project_walk",
     "scripted_blocker",
     "separating_instance",
     "serialize_instance",
@@ -129,7 +123,6 @@ __all__ = [
     "solve_k1",
     "transcript_blocker_policy",
     "transcript_traveller_policy",
-    "validate_walk",
     "verify_traveller_strategy",
     "__version__",
 ]

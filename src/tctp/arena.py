@@ -143,18 +143,28 @@ class Transcript:
 
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        """Parse ``rows`` output. A row that is not an object, or that lacks
+        or misshapes a field the replay reads, is a ValueError."""
+        try:
+            rows = [_tupled(json.loads(line)) for line in text.splitlines() if line.strip()]
+        except RecursionError:
+            raise ValueError("transcript JSON nested too deeply") from None
         if len(rows) < 2:
             raise ValueError("transcript needs a header and a footer line")
         head, foot = rows[0], rows[-1]
-        events = tuple(_tupled_event(ev) for ev in rows[1:-1])
-        t2 = head.get("t2")
-        return cls(
-            model=head["model"], s=head["s"], t=head["t"], k=head["k"],
-            events=events, outcome=foot["outcome"],
-            final_time=foot["final_time"], budget_spent=foot["budget_spent"],
-            t1=head.get("t1", 0), t2=t2,
-        )
+        try:
+            tr = cls(
+                model=head["model"], s=head["s"], t=head["t"], k=head["k"],
+                events=tuple(rows[1:-1]), outcome=foot["outcome"],
+                final_time=foot["final_time"], budget_spent=foot["budget_spent"],
+                t1=head.get("t1", 0), t2=head.get("t2"),
+            )
+            transcript_traveller_policy(tr)  # every read the replay makes, once
+        except KeyError as exc:
+            raise ValueError(f"transcript row lacks {exc}") from None
+        except (IndexError, TypeError, ValueError):
+            raise ValueError("transcript has a field of the wrong shape") from None
+        return tr
 
 
 def _jsonable(ev: dict) -> dict:
@@ -166,13 +176,17 @@ def _jsonable(ev: dict) -> dict:
     return out
 
 
-def _tupled_event(ev: dict) -> dict:
-    out = dict(ev)
-    if "key" in out:
-        out["key"] = tuple(out["key"])
-    if "statuses" in out:
-        out["statuses"] = tuple((tuple(k), c) for k, c in out["statuses"])
-    return out
+def _tupled(row) -> dict:
+    """A parsed row with every JSON array in it made a tuple, so that it hashes."""
+    if not isinstance(row, dict):
+        raise ValueError("transcript rows must be JSON objects")
+    return {name: _tupled_value(value) for name, value in row.items()}
+
+
+def _tupled_value(value):
+    if isinstance(value, dict):
+        raise ValueError("transcript fields hold numbers, strings and arrays only")
+    return tuple(map(_tupled_value, value)) if isinstance(value, list) else value
 
 
 def _script_points(tr: Transcript):

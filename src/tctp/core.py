@@ -25,8 +25,23 @@ from .errors import InstanceFormatError
 VertexId = Union[str, tuple]
 
 
+class _Edge:
+    """Endpoint helpers shared by both edge kinds; it adds no field, so
+    equality, hashing and field order stay the subclasses' own."""
+
+    def touches(self, x) -> bool:
+        return x == self.u or x == self.v
+
+    def other(self, x):
+        if x == self.u:
+            return self.v
+        if x == self.v:
+            return self.u
+        raise ValueError(f"{x!r} is not an endpoint of {self.u}-{self.v}")
+
+
 @dataclass(frozen=True)
-class TimeEdge:
+class TimeEdge(_Edge):
     """One undirected time edge; `copies` identical parallel copies."""
 
     u: str
@@ -57,19 +72,9 @@ class TimeEdge:
     def arrival(self) -> int:
         return self.tau + self.d
 
-    def touches(self, x) -> bool:
-        return x == self.u or x == self.v
-
-    def other(self, x):
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise ValueError(f"{x!r} is not an endpoint of {self.u}-{self.v}")
-
 
 @dataclass(frozen=True)
-class StaticEdge:
+class StaticEdge(_Edge):
     """Weighted edge of a static graph; directed graphs read it as u -> v."""
 
     u: VertexId
@@ -88,16 +93,6 @@ class StaticEdge:
     @property
     def key(self) -> tuple:
         return (self.u, self.v, self.weight)
-
-    def touches(self, x) -> bool:
-        return x == self.u or x == self.v
-
-    def other(self, x):
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise ValueError(f"{x!r} is not an endpoint of {self.u}-{self.v}")
 
 
 def _merge(keyed, make):
@@ -120,8 +115,28 @@ def _merge(keyed, make):
     )
 
 
+class _Graph:
+    """Lookups shared by both graph kinds over their vertices and edges;
+    field-less like _Edge."""
+
+    @cached_property
+    def _incident(self) -> dict:
+        table = {v: [] for v in self.vertices}
+        for e in self.edges:
+            table[e.u].append(e)
+            table[e.v].append(e)
+        return {v: tuple(es) for v, es in table.items()}
+
+    def incident(self, v) -> tuple:
+        return self._incident[v]
+
+    @cached_property
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+
 @dataclass(frozen=True)
-class TemporalGraph:
+class TemporalGraph(_Graph):
     vertices: tuple[str, ...]
     edges: tuple[TimeEdge, ...]
 
@@ -141,17 +156,6 @@ class TemporalGraph:
         return cls(vs, merged)
 
     @cached_property
-    def _incident(self) -> dict:
-        table: dict[str, list[TimeEdge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.u].append(e)
-            table[e.v].append(e)
-        return {v: tuple(es) for v, es in table.items()}
-
-    def incident(self, v: str) -> tuple[TimeEdge, ...]:
-        return self._incident[v]
-
-    @cached_property
     def by_key(self) -> dict:
         return {e.key: e for e in self.edges}
 
@@ -160,13 +164,9 @@ class TemporalGraph:
         """Edges by decreasing tau, ties by key: the label-pass order."""
         return tuple(sorted(self.edges, key=lambda e: (-e.tau, e.key)))
 
-    @cached_property
-    def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
-
 
 @dataclass(frozen=True)
-class StaticGraph:
+class StaticGraph(_Graph):
     vertices: tuple
     edges: tuple[StaticEdge, ...]
     directed: bool = False
@@ -188,17 +188,6 @@ class StaticGraph:
         return cls(vs, merged, directed)
 
     @cached_property
-    def _incident(self) -> dict:
-        table = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.u].append(e)
-            table[e.v].append(e)
-        return {v: tuple(es) for v, es in table.items()}
-
-    def incident(self, v) -> tuple[StaticEdge, ...]:
-        return self._incident[v]
-
-    @cached_property
     def _outgoing(self) -> dict:
         table = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -210,10 +199,6 @@ class StaticGraph:
     def outgoing(self, v) -> tuple[StaticEdge, ...]:
         """Edges usable to leave v (all incident ones when undirected)."""
         return self._outgoing[v]
-
-    @cached_property
-    def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
 
 
 Graph = Union[TemporalGraph, StaticGraph]
@@ -260,77 +245,6 @@ def window(inst: Instance, t1, t2) -> tuple:
 def lifespan(g: TemporalGraph) -> int:
     """Largest appearance time over all time edges (0 for an edgeless graph)."""
     return max((e.tau for e in g.edges), default=0)
-
-
-@dataclass(frozen=True)
-class WalkStep:
-    edge: TimeEdge
-    depart: int
-
-
-@dataclass(frozen=True)
-class TemporalWalk:
-    start: str
-    steps: tuple[WalkStep, ...] = ()
-
-    @property
-    def end(self) -> str:
-        cur = self.start
-        for step in self.steps:
-            cur = step.edge.other(cur)
-        return cur
-
-    @property
-    def arrival_time(self) -> int | None:
-        """Arrival time of the last step (None for the empty walk)."""
-        if not self.steps:
-            return None
-        last = self.steps[-1]
-        return last.depart + last.edge.d
-
-    def vertices(self) -> tuple[str, ...]:
-        out = [self.start]
-        for step in self.steps:
-            out.append(step.edge.other(out[-1]))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class WalkCheck:
-    ok: bool
-    violation_index: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_walk(g: TemporalGraph, walk: TemporalWalk) -> WalkCheck:
-    """Check a walk against g; on failure reports the first offending step.
-
-    A step is valid when its edge exists in g with the same (tau, d), departs
-    at the edge's appearance time, leaves the vertex the walk is currently at,
-    and does not depart before the previous step has arrived.
-    """
-    if walk.start not in g.index:
-        return WalkCheck(False, None, f"unknown start vertex {walk.start!r}")
-    here = walk.start
-    prev_arrival = None
-    for i, step in enumerate(walk.steps):
-        e = step.edge
-        if e.key not in g.by_key:
-            return WalkCheck(False, i, f"edge {e.key} not in graph")
-        if step.depart != e.tau:
-            return WalkCheck(False, i, f"departure {step.depart} != appearance {e.tau}")
-        if prev_arrival is not None and step.depart < prev_arrival:
-            return WalkCheck(
-                False, i, f"departs at {step.depart} before arrival at {prev_arrival}"
-            )
-        if not e.touches(here):
-            return WalkCheck(False, i, f"edge {e.key} does not leave {here!r}")
-        here = e.other(here)
-        prev_arrival = step.depart + e.d
-    return WalkCheck(True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
-from .core import StaticEdge, StaticGraph, TemporalGraph, TemporalWalk, TimeEdge, WalkStep
+from .core import StaticEdge, StaticGraph, TemporalGraph
 
 Node = tuple  # (vertex name, time); the synthetic target is ("@target", 0)
 WAIT = "wait"
@@ -34,16 +33,9 @@ class ExpandedDag:
     graph: StaticGraph
     source: Node
     target: Node
-    s: str
-    t: str
     k: int
-    t1: int
     t2: Union[int, float]
     origins: dict
-
-    @cached_property
-    def arc_by_pair(self) -> dict:
-        return {(e.u, e.v): e for e in self.graph.edges}
 
     def non_target_nodes(self) -> tuple:
         return tuple(v for v in self.graph.vertices if v != self.target)
@@ -110,32 +102,8 @@ def build_expansion(
         graph=graph,
         source=(s, t1),
         target=TARGET,
-        s=s,
-        t=t,
         k=k,
-        t1=t1,
         t2=t2,
         origins=origins,
     )
 
-
-def project_walk(xd: ExpandedDag, path: Sequence[Node]) -> TemporalWalk:
-    """Turn a node path of the expansion into the temporal walk it encodes.
-
-    Wait arcs become waiting (no step); sink arcs are dropped. The path must
-    follow arcs of the expansion.
-    """
-    if not path:
-        raise ValueError("empty path")
-    if path[0] == xd.target:
-        raise ValueError("path may not start at the synthetic target")
-    steps: list[WalkStep] = []
-    for a, b in zip(path, path[1:]):
-        arc = xd.arc_by_pair.get((a, b))
-        if arc is None:
-            raise ValueError(f"no arc {a} -> {b} in the expansion")
-        origin = xd.origins[arc.key]
-        if isinstance(origin, TimeEdge):
-            steps.append(WalkStep(edge=origin, depart=origin.tau))
-    start = path[0][0]
-    return TemporalWalk(start=start, steps=tuple(steps))

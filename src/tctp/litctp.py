@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
 
-from .core import Instance, TemporalGraph, TimeEdge, window
+from .core import Instance, TemporalGraph, window
 from .knowledge import EMPTY, Knowledge, run
 
 NEVER = -math.inf
@@ -61,16 +61,6 @@ def _sole_witnesses(g: TemporalGraph, t, base: Mapping) -> list:
     return sorted(
         ws[0].key for ws in witnesses.values() if len(ws) == 1 and ws[0].copies == 1
     )
-
-
-def compute_mu(g: TemporalGraph, t, T, v, e: Union[TimeEdge, tuple]):
-    """Latest departure from v reaching t by T when one copy of e is blocked."""
-    key = e.key if isinstance(e, TimeEdge) else tuple(e)
-    if key not in g.by_key:
-        raise ValueError(f"edge {key} not in graph")
-    if v not in (key[0], key[1]):
-        raise ValueError(f"edge {key} is not incident to {v!r}")
-    return latest_departure_labels(g, t, T, skip_one=key)[v]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ reads off a shared table or a pruned pass:
   until t is popped, in place of probes of the threshold search and
   play sweeps that stop at the cheapest route end found;
 * the verifier's min-max on a hand-written stack of open reveals, in place
-  of one generator per open reveal driven by ``knowledge.run``.
+  of one generator per open reveal driven by ``knowledge.run``;
+* the temporal walk rule as a check of each step on its own, in place of
+  the referee's rules object that let the moves through.
 """
 import heapq
 import math
@@ -49,6 +51,20 @@ from tctp.knowledge import run
 from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
 from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u
+
+
+def chained(g, start, steps) -> bool:
+    """Whether the (edge, depart) steps form a temporal walk of g from start:
+    each edge of g leaves the current vertex at its own tau, no earlier than
+    the previous edge arrives."""
+    here, arrived = start, None
+    for e, depart in steps:
+        if e.key not in g.by_key or depart != e.tau or not e.touches(here):
+            return False
+        if arrived is not None and depart < arrived:
+            return False
+        here, arrived = e.other(here), depart + e.d
+    return True
 
 
 def scan_earliest_arrival(inst: Instance):

@@ -324,6 +324,111 @@ def test_every_command_keeps_the_exit_contract(tmp_path_factory, case):
         assert "Traceback" not in err, args
 
 
+def test_malformed_transcripts_exit_two(tmp_path, sep_file):
+    """A transcript row that is not an object, or lacks a field the replay
+    reads, is an input error and not a traceback."""
+    head = '{"k": 2, "model": "li", "s": "s", "t": "t", "t1": 0, "t2": null}'
+    foot = '{"budget_spent": 0, "final_time": 4, "outcome": "TRAVELLER_WIN"}'
+    for i, (text, why) in enumerate((("{}\n{}\n", "row lacks 'model'"),
+                                     ("[1]\n[2]\n", "rows must be JSON objects"),
+                                     (f'{head}\n{{"type": "MOVE"}}\n{foot}\n',
+                                      "row lacks 'key'"))):
+        path = tmp_path / f"bad{i}.jsonl"
+        path.write_text(text)
+        for cmd in ("play", "verify"):
+            code, out, err = _run([cmd, sep_file, "--model", "li", "--traveller",
+                                   "transcript", "--transcript", str(path)])
+            assert (code, out, err) == (2, "", f"tctp: transcript {why}\n"), (cmd, text)
+
+
+# the bytes the mutations insert: instance, DIMACS and JSON punctuation first
+_FUZZ_BYTES = st.sampled_from(b' \n"#-.0123456789:,[]{}acekpqstv') | st.integers(0, 255)
+
+
+@st.composite
+def _mutated(draw, base: bytes) -> bytes:
+    """base with a few bytes inserted, deleted or replaced."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            data.insert(at, draw(_FUZZ_BYTES))
+        elif at < len(data):
+            if op == "delete":
+                del data[at]
+            else:
+                data[at] = draw(_FUZZ_BYTES)
+    return bytes(data)
+
+
+def _fuzzed(base: bytes):
+    return st.binary(max_size=120) | _mutated(base)
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=6)
+
+
+@st.composite
+def _transcript_bytes(draw, base: str) -> bytes:
+    """A transcript of base's rows with its bytes mutated, or with one field
+    of one row dropped or set to an arbitrary JSON value, or arbitrary bytes."""
+    how = draw(st.sampled_from(("bytes", "field", "arbitrary")))
+    if how == "bytes":
+        return draw(_mutated(base.encode()))
+    if how == "arbitrary":
+        return draw(st.binary(max_size=120))
+    rows = [json.loads(line) for line in base.splitlines()]
+    row = draw(st.sampled_from(rows))
+    name = draw(st.sampled_from(sorted(row)))
+    if draw(st.booleans()):
+        del row[name]
+    else:
+        row[name] = draw(_JSON)
+    return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+
+_CNF = b"p cnf 2 2\n1 2 2 0\n1 -2 -2 0\n"
+_SEP = separating_instance(2)
+_TRIPLE = Instance(StaticGraph.build(["s", "t"], [StaticEdge("s", "t", w) for w in (1, 2)]),
+                   "s", "t", 1)
+_REPLAYS = [(inst, model, arena.play(inst, *arena.builtin_policies(inst, model), model)
+             .to_json_lines()) for inst, model in ((_SEP, "li"), (_TRIPLE, "static"))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model_instances().flatmap(lambda case: st.tuples(
+           st.just(case[1]), _fuzzed(serialize_instance(*case).encode()))),
+       _fuzzed(_CNF), st.sampled_from(range(len(_REPLAYS))).flatmap(
+           lambda i: st.tuples(st.just(i), _transcript_bytes(_REPLAYS[i][2]))))
+def test_fuzzed_inputs_keep_the_exit_contract(tmp_path_factory, instance, cnf, replay):
+    """Mutated or arbitrary instance, DIMACS and transcript bytes: every
+    command returns a contract exit code, raises nothing and prints no
+    traceback."""
+    root = tmp_path_factory.mktemp("fuzz")
+    fmt, data = instance
+    path = root / f"inst.{fmt}"
+    path.write_bytes(data)
+    runs = [args[:1] + [str(path)] + args[1:] for args in CONTRACT_ARGS
+            if args[0] != "gen"]
+    (root / "formula.cnf").write_bytes(cnf)
+    runs += [["gen", kind, str(root / "formula.cnf")] for kind in ("qbf", "sat4", "sat2")]
+    i, text = replay
+    inst, model = _REPLAYS[i][:2]
+    (root / "replayed.ctp").write_text(serialize_instance(inst))
+    (root / "tr.jsonl").write_bytes(text)
+    runs += [[cmd, str(root / "replayed.ctp"), "--model", model, "--traveller",
+              "transcript", "--transcript", str(root / "tr.jsonl")]
+             for cmd in ("play", "verify")]
+    for argv in runs:
+        code, out, err = _run(argv + ["--limit", "2000"])
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in out + err, argv
+
+
 def test_bad_json_values_are_shown_short(tmp_path):
     """A deeply nested or long bad value is cut short in the diagnostic."""
     for i, bad in enumerate(["[" * 500 + "]" * 500, '{"x": "' + "x" * 5000 + '"}',

@@ -1,4 +1,4 @@
-"""Data model, walk validation, and instance format round trips."""
+"""Edge and graph types, instance validation, and instance format round trips."""
 import json
 import random
 
@@ -10,13 +10,10 @@ from tctp.core import (
     StaticEdge,
     StaticGraph,
     TemporalGraph,
-    TemporalWalk,
     TimeEdge,
-    WalkStep,
     lifespan,
     parse_instance,
     serialize_instance,
-    validate_walk,
 )
 from tctp.errors import InstanceFormatError
 from tctp.samples import separating_instance
@@ -109,76 +106,6 @@ def test_model_tags():
     assert Instance(sg, "a", "b", 0).model == "static"
     dg = StaticGraph.build(["a", "b"], [StaticEdge("a", "b", 1)], directed=True)
     assert Instance(dg, "a", "b", 0).model == "dag"
-
-
-# ---------------------------------------------------------------------------
-# walks
-
-
-def test_empty_walk_is_valid():
-    g = separating_instance(2).graph
-    w = TemporalWalk("s")
-    assert validate_walk(g, w)
-    assert w.end == "s" and w.arrival_time is None and w.vertices() == ("s",)
-
-
-def test_walk_through_separating_instance():
-    g = separating_instance(2).graph
-    e1 = g.by_key[("s", "v0", 0, 1)]
-    e2 = g.by_key[("v0", "v1", 1, 1)]
-    w = TemporalWalk("s", (WalkStep(e1, 0), WalkStep(e2, 1)))
-    assert validate_walk(g, w)
-    assert w.end == "v1" and w.arrival_time == 2
-    assert w.vertices() == ("s", "v0", "v1")
-
-
-def test_walk_rejects_backward_time():
-    g = separating_instance(2).graph
-    late = g.by_key[("v0", "v2", 2, 1)]
-    early = g.by_key[("v0", "v1", 1, 1)]
-    w = TemporalWalk("v2", (WalkStep(late, 2), WalkStep(early, 1)))
-    check = validate_walk(g, w)
-    assert not check
-    assert check.violation_index == 1
-    assert "before arrival" in check.reason
-
-
-def test_walk_rejects_wrong_departure_and_detached_edge():
-    g = separating_instance(2).graph
-    e = g.by_key[("s", "v0", 0, 1)]
-    assert not validate_walk(g, TemporalWalk("s", (WalkStep(e, 1),)))
-    assert not validate_walk(g, TemporalWalk("v1", (WalkStep(e, 0),)))
-    assert not validate_walk(g, TemporalWalk("nope", ()))
-    foreign = TimeEdge("s", "v0", 9, 1)
-    assert not validate_walk(g, TemporalWalk("s", (WalkStep(foreign, 9),)))
-
-
-def _chained(g, start, steps):
-    """Test-local re-statement of the walk rules, used as the oracle."""
-    here, arrived = start, None
-    for e, depart in steps:
-        if e.key not in g.by_key or depart != e.tau or not e.touches(here):
-            return False
-        if arrived is not None and depart < arrived:
-            return False
-        here, arrived = e.other(here), depart + e.d
-    return True
-
-
-def test_validate_walk_agrees_with_step_rules():
-    # every step sequence up to length 3, valid and invalid alike
-    rng = random.Random(404)
-    for _ in range(6):
-        inst = rand_temporal(rng, max_n=4, max_keys=5, max_tau=4)
-        g = inst.graph
-        seqs = [()]
-        for _ in range(3):
-            seqs += [s + (e,) for s in seqs[-len(seqs):] for e in g.edges]
-        for start in g.vertices:
-            for seq in seqs:
-                steps = tuple((e, e.tau) for e in seq)
-                w = TemporalWalk(start, tuple(WalkStep(e, d) for e, d in steps))
-                assert bool(validate_walk(g, w)) == _chained(g, start, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
-"""Time expansion: inventory, values, and walk correspondence."""
+"""Time expansion: node and arc inventory, windows, values, and the
+correspondence between source-to-target paths and temporal walks."""
 import math
 import random
 
 import pytest
 
 from generators import enumerate_walks, rand_temporal
-from tctp.core import TemporalGraph, TemporalWalk, TimeEdge, WalkStep, validate_walk
+from tctp.core import TemporalGraph, TimeEdge
 from tctp.dagctp import compute_pi
-from tctp.expansion import SINK, TARGET, WAIT, build_expansion, project_walk
+from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.samples import separating_instance
 
 
 def _fig():
     inst = separating_instance(2)
     return build_expansion(inst.graph, "s", "t", 2, 0, 3)
+
+
+def _pairs(xd):
+    return {(arc.u, arc.v): arc for arc in xd.graph.edges}
 
 
 def test_window_node_inventory():
@@ -40,7 +45,7 @@ def test_arc_inventory():
         origin = xd.origins[arc.key]
         kinds["edge" if isinstance(origin, TimeEdge) else origin] += 1
     assert kinds == {"edge": 8, WAIT: 8, SINK: 2}
-    arc = xd.arc_by_pair[(("v0", 2), ("v2", 3))]
+    arc = _pairs(xd)[(("v0", 2), ("v2", 3))]
     assert arc.weight == 1 and arc.copies == 1
 
 
@@ -67,10 +72,10 @@ def test_wait_and_sink_arcs_cannot_be_blocked():
 def test_window_excludes_late_arrivals():
     inst = separating_instance(2)
     tight = build_expansion(inst.graph, "s", "t", 2, 0, 3)
-    assert (("t", 3), TARGET) in tight.arc_by_pair
-    assert (("v2", 3), ("t", 4)) not in tight.arc_by_pair
+    assert (("t", 3), TARGET) in _pairs(tight)
+    assert (("v2", 3), ("t", 4)) not in _pairs(tight)
     wide = build_expansion(inst.graph, "s", "t", 2, 0, None)
-    assert (("v2", 3), ("t", 4)) in wide.arc_by_pair
+    assert (("v2", 3), ("t", 4)) in _pairs(wide)
     assert wide.t2 == math.inf
 
 
@@ -81,39 +86,21 @@ def test_values_on_the_expansion():
     assert table.value(xd.source, 2) == math.inf
 
 
-def test_project_walk_drops_waits_and_sinks():
-    inst = separating_instance(2)
-    xd = build_expansion(inst.graph, "s", "t", 2, 0, None)
-    path = [("s", 0), ("v0", 1), ("v0", 2), ("v2", 3), ("t", 4), TARGET]
-    w = project_walk(xd, path)
-    assert w.vertices() == ("s", "v0", "v2", "t")
-    assert w.arrival_time == 4
-    assert validate_walk(inst.graph, w)
+def _projected_paths(xd):
+    """The temporal walk of each source-to-target path, as (edge, depart)
+    steps: edge arcs become steps, wait and sink arcs add none."""
+    out = set()
 
-
-def test_project_walk_rejects_non_paths():
-    xd = _fig()
-    with pytest.raises(ValueError, match="no arc"):
-        project_walk(xd, [("s", 0), ("v1", 1)])
-    with pytest.raises(ValueError, match="empty"):
-        project_walk(xd, [])
-    with pytest.raises(ValueError, match="synthetic target"):
-        project_walk(xd, [TARGET])
-
-
-def _paths_to_target(xd):
-    out = []
-
-    def go(node, acc):
+    def go(node, steps):
         if node == xd.target:
-            out.append(tuple(acc))
+            out.add(tuple(steps))
             return
         for arc in xd.graph.outgoing(node):
-            acc.append(arc.v)
-            go(arc.v, acc)
-            acc.pop()
+            origin = xd.origins[arc.key]
+            step = [(origin, origin.tau)] if isinstance(origin, TimeEdge) else []
+            go(arc.v, steps + step)
 
-    go(xd.source, [xd.source])
+    go(xd.source, [])
     return out
 
 
@@ -127,21 +114,15 @@ def test_expansion_paths_project_onto_exactly_the_feasible_walks():
         g, s, t = inst.graph, inst.s, inst.t
         for t1, t2 in ((0, math.inf), (1, 4), (0, 3)):
             xd = build_expansion(g, s, t, inst.k, t1, t2)
-            projected = {project_walk(xd, p) for p in _paths_to_target(xd)}
-            direct = set()
-            for verts, steps in enumerate_walks(g, s, t1):
-                if verts[-1] != t:
-                    continue
-                w = TemporalWalk(s, tuple(WalkStep(e, d) for e, d in steps))
-                if w.arrival_time is None or w.arrival_time <= t2:
-                    direct.add(w)
-            assert projected == direct
+            direct = {steps for verts, steps in enumerate_walks(g, s, t1)
+                      if verts[-1] == t and (not steps or steps[-1][0].arrival <= t2)}
+            assert _projected_paths(xd) == direct
 
 
 def test_source_equal_target_still_reaches():
     g = TemporalGraph.build(["a", "b"], [TimeEdge("a", "b", 1, 1)])
     xd = build_expansion(g, "a", "a", 1)
-    assert (("a", 0), TARGET) in xd.arc_by_pair
+    assert (("a", 0), TARGET) in _pairs(xd)
     table = compute_pi(xd.graph, xd.target, 1)
     assert table.value(xd.source, 1) == 0
 

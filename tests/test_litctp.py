@@ -11,7 +11,6 @@ from tctp import litctp
 from tctp.errors import SizeLimitError
 from tctp.litctp import (
     NEVER,
-    compute_mu,
     exact_li,
     k1_traveller_policy,
     latest_departure_labels,
@@ -98,13 +97,10 @@ def test_labels_unknown_target():
 def test_mu_on_chain_and_bridge():
     robust = _chain(2)
     e = robust.by_key[("a", "s", 0, 1)]
-    assert compute_mu(robust, "t", math.inf, "s", e) == 0
+    assert latest_departure_labels(robust, "t", math.inf, skip_one=e.key)["s"] == 0
     brittle = _chain(1)
-    assert compute_mu(brittle, "t", math.inf, "s", ("a", "s", 0, 1)) == NEVER
-    with pytest.raises(ValueError, match="not in graph"):
-        compute_mu(robust, "t", math.inf, "s", ("a", "s", 9, 9))
-    with pytest.raises(ValueError, match="not incident"):
-        compute_mu(robust, "t", math.inf, "t", e)
+    assert latest_departure_labels(
+        brittle, "t", math.inf, skip_one=("a", "s", 0, 1))["s"] == NEVER
 
 
 def test_solve_k1_chain_and_bridge():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
 from oracles import (
+    chained,
     expansion_pi_table,
     expansion_read_policies,
     groups_can_bind,
@@ -27,7 +28,7 @@ from oracles import (
     unbounded_static_game,
 )
 from tctp import arena
-from tctp.arena import builtin_policies, play, verify_traveller_strategy
+from tctp.arena import TRAVELLER_WIN, builtin_policies, play, verify_traveller_strategy
 from tctp.core import (
     Instance,
     StaticEdge,
@@ -83,6 +84,28 @@ def test_sole_witness_k1_matches_per_edge_reruns(inst):
     assert res.table.pi1 == want.pi1
     assert res.table.order == want.order
     assert res.table == want
+
+
+@SETTINGS
+@given(temporal_instances())
+def test_temporal_transcripts_are_walks(inst):
+    """The moves the referee lets through under both temporal models form a
+    walk from s, for the builtin, greedy and (fouling) wanderer Travellers;
+    a win ends that walk at t by the window's end."""
+    g = inst.graph
+    for model in ("li", "u"):
+        traveller, blocker = builtin_policies(inst, model)
+        for policy in (traveller, greedy_temporal, wanderer):
+            tr = play(inst, policy, blocker, model)
+            steps = [(g.by_key[ev["key"]], ev["depart"]) for ev in tr.moves()]
+            assert chained(g, inst.s, steps), (model, policy)
+            if tr.outcome == TRAVELLER_WIN:
+                end = inst.s
+                for e, _ in steps:
+                    end = e.other(end)
+                assert end == inst.t, (model, policy)
+                assert not steps or steps[-1][0].arrival <= (
+                    math.inf if tr.t2 is None else tr.t2), (model, policy)
 
 
 @st.composite
