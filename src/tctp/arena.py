@@ -34,20 +34,21 @@ at a time.
 ``verify_traveller_strategy`` steps the same rules but branches over every
 legal count vector at every reveal, one generator per open reveal driven
 by ``knowledge.run``, and either certifies that the Traveller policy wins
-within the deadline or replays a losing line through ``play``. It assumes
-the policy is a pure function of its view.
+within the deadline or replays a losing line through ``play``. It undoes
+each reveal on one state, so it assumes the policy is a pure function of
+its view and keeps none past the branch it was made in.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import AbstractSet, Callable, Mapping, Optional
 
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import NoSafeMoveError, SizeLimitError
-from .knowledge import run
+from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from .utctp import decide_u
@@ -67,8 +68,9 @@ Policy = Callable
 class View:
     """What a side knows when it is consulted.
 
-    ``decided`` maps each edge key settled so far to its blocked copies, and
-    ``spent`` is their sum. ``clock`` is accumulated cost in the static models.
+    ``decided``, a read-only snapshot, maps each edge key settled so far to
+    its blocked copies in the order settled, and ``spent`` is their sum.
+    ``clock`` is accumulated cost in the static models.
     """
 
     position: object
@@ -81,9 +83,9 @@ class View:
 @dataclass(frozen=True)
 class LiView(View):
     """The Traveller's view in ``li``: ``decided`` covers exactly the edges
-    incident to the ``visited`` vertices."""
+    incident to the ``visited`` vertices, a read-only set view."""
 
-    visited: frozenset
+    visited: AbstractSet
 
 
 @dataclass(frozen=True)
@@ -189,30 +191,56 @@ def _tupled_value(value):
     return tuple(map(_tupled_value, value)) if isinstance(value, list) else value
 
 
-def _script_points(tr: Transcript):
-    """Walk a transcript reconstructing the knowledge state at each consult.
-
-    Yields (side, position, clock, frozen decided, payload); payload is the
-    action for the traveller side, the statuses mapping for the blocker side.
-    """
+def _script_points(tr: Transcript, line: list):
+    """Walk a transcript, appending its (key, count) statuses to ``line``,
+    and yield (side, position, clock, n, payload) at each consult, the first
+    n statuses being what was decided; payload is the action for the
+    traveller side, the statuses mapping for the blocker side."""
     pos, clock = tr.s, tr.t1
-    decided: dict = {}
     for ev in tr.events:
         kind = ev["type"]
         if kind == "REVEAL":
-            yield ("blocker", pos, clock, _frozen(decided), dict(ev["statuses"]))
-            for key, c in ev["statuses"]:
-                decided[key] = c
+            yield ("blocker", pos, clock, len(line), dict(ev["statuses"]))
+            line += [(key, c) for key, c in ev["statuses"]]
         elif kind == "MOVE":
-            yield ("traveller", pos, clock, _frozen(decided), ("move", ev["key"]))
+            yield ("traveller", pos, clock, len(line), ("move", ev["key"]))
             u, v = ev["key"][0], ev["key"][1]
             pos = v if pos == u else u
             clock = ev["arrive"]
         elif kind == "WAIT":
-            yield ("traveller", pos, clock, _frozen(decided), ("wait", ev["until"]))
+            yield ("traveller", pos, clock, len(line), ("wait", ev["until"]))
             clock = ev["until"]
         elif kind == "RESIGN" and ev.get("by", "traveller") == "traveller":
-            yield ("traveller", pos, clock, _frozen(decided), ("resign",))
+            yield ("traveller", pos, clock, len(line), ("resign",))
+
+
+def _replay(tr: Transcript, side: str, default) -> Policy:
+    """Pure replay of ``side``'s recorded payload in each knowledge state,
+    ``default`` off the recorded line. A snapshot that repeats the recorded
+    statuses in order (checked past the one matched last) is on the line;
+    any other mapping, or all if a key is settled twice, is compared whole.
+    """
+    line: list = []
+    consults: dict = {}  # (position, clock) -> [(n, payload)] in consult order
+    for who, p, c, n, payload in _script_points(tr, line):
+        if who == side:
+            consults.setdefault((p, c), []).append((n, payload))
+    distinct = len(dict(line)) == len(line)
+    matched = None  # the last snapshot found on the line
+
+    def policy(view):
+        nonlocal matched
+        decided, m = view.decided, len(view.decided)
+        if distinct and isinstance(decided, Snapshot) and m <= len(line):
+            n = matched.n if matched is not None and decided.extends(matched) else 0
+            if decided.ledger.entries[n:m] == line[n:m]:
+                matched = decided
+        for n, payload in reversed(consults.get((view.position, view.clock), [])):
+            if n == m if matched is decided else dict(line[:n]) == decided:
+                return payload
+        return default
+
+    return policy
 
 
 def transcript_traveller_policy(tr: Transcript) -> Policy:
@@ -221,26 +249,12 @@ def transcript_traveller_policy(tr: Transcript) -> Policy:
     Off the recorded line (for example against a Blocker that deviates) the
     policy resigns.
     """
-    script = {(p, c, d): payload for side, p, c, d, payload in _script_points(tr)
-              if side == "traveller"}
-
-    def policy(view):
-        key = (view.position, view.clock, _frozen(view.decided))
-        return script.get(key, ("resign",))
-
-    return policy
+    return _replay(tr, "traveller", ("resign",))
 
 
 def transcript_blocker_policy(tr: Transcript) -> Policy:
     """Pure replay of the recorded reveals; blocks nothing off-script."""
-    script = {(p, c, d): payload for side, p, c, d, payload in _script_points(tr)
-              if side == "blocker"}
-
-    def policy(view):
-        key = (view.position, view.clock, _frozen(view.decided))
-        return script.get(key, {})
-
-    return policy
+    return _replay(tr, "blocker", {})
 
 
 def scripted_blocker(choices) -> Policy:
@@ -255,10 +269,6 @@ def scripted_blocker(choices) -> Policy:
 
 # ---------------------------------------------------------------------------
 # the rules table
-
-
-def _frozen(decided: Mapping) -> tuple:
-    return tuple(sorted(decided.items()))
 
 
 def _undecided(edges, decided) -> list:
@@ -319,32 +329,37 @@ def _take_action(act) -> tuple:
 
 
 class _State:
-    """Where a game stands; the verifier copies it at each reveal it branches on.
+    """Where a game stands; the verifier undoes a reveal with ``mark`` and ``undo``.
 
-    ``visited`` holds the vertices whose first-arrival reveal is done;
-    ``seen`` the positions stood on since the last reveal.
+    ``decided`` and ``visited`` are ledgers: the blocked copies of each
+    settled edge key, and the vertices whose first-arrival reveal is done.
+    ``seen`` holds the positions stood on since the last reveal.
     """
 
     __slots__ = ("pos", "clock", "spent", "decided", "visited", "seen")
 
-    def __init__(self, pos, clock, spent=0, decided=None, visited=frozenset()):
-        self.pos, self.clock, self.spent = pos, clock, spent
-        self.decided = {} if decided is None else decided
-        self.visited = visited
-        self.seen: set = set()
+    def __init__(self, pos, clock):
+        self.pos, self.clock, self.spent, self.seen = pos, clock, 0, set()
+        self.decided, self.visited = Ledger(), Ledger()
 
     def reveal(self, scope, choice) -> tuple:
         """Record a legal choice (zeros for unmentioned keys); returns the statuses."""
-        statuses = tuple((e.key, int(choice.get(e.key, 0))) for e in scope)
-        self.decided.update(statuses)
+        n = len(self.decided.entries)
+        for e in scope:
+            self.decided.add(e.key, int(choice.get(e.key, 0)))
+        statuses = tuple(self.decided.entries[n:])
         self.spent += sum(c for _, c in statuses)
-        self.seen.clear()
+        self.seen = set()
         return statuses
 
-    def after(self, scope, choice) -> "_State":
-        st = _State(self.pos, self.clock, self.spent, dict(self.decided), self.visited)
-        st.reveal(scope, choice)
-        return st
+    def mark(self) -> tuple:
+        return (self.pos, self.clock, self.spent, self.seen,
+                len(self.decided.entries), len(self.visited.entries))
+
+    def undo(self, mark: tuple) -> None:
+        self.pos, self.clock, self.spent, self.seen, n, m = mark
+        self.decided.truncate(n)
+        self.visited.truncate(m)
 
 
 class _Rules:
@@ -395,18 +410,18 @@ class _Rules:
                 return BLOCKER_WIN
 
     def view(self, st: _State) -> View:
-        return View(st.pos, st.clock, dict(st.decided), st.spent, self.inst)
+        return View(st.pos, st.clock, st.decided.snapshot(), st.spent, self.inst)
 
     def _first_arrival(self, st: _State, edges) -> list:
         """The undecided edges on the first arrival at st.pos, marking it visited."""
-        if st.pos in st.visited:
+        if st.pos in st.visited.index:
             return []
-        st.visited = st.visited | {st.pos}
-        return _undecided(edges, st.decided)
+        st.visited.add(st.pos)
+        return _undecided(edges, st.decided.index)
 
     @staticmethod
     def _surviving(st: _State, e, key) -> None:
-        if e.copies - st.decided.get(e.key, 0) < 1:
+        if e.copies - st.decided.snapshot().get(e.key, 0) < 1:
             raise _Foul(f"no surviving copy of {key!r}")
 
 
@@ -422,8 +437,8 @@ class _TemporalRules(_Rules):
         super().__init__(inst, t1, None if t2 == math.inf else t2, horizon)
 
     def move(self, st, key) -> dict:
-        e = self.g.by_key.get(key)
-        if e is None or not e.touches(st.pos):
+        e = next((e for e in self.g.incident(st.pos) if e.key == key), None)
+        if e is None:
             raise _Foul(f"no edge {key!r} at {st.pos!r}")
         self._departs(e, key, st.clock)
         self._surviving(st, e, key)
@@ -444,8 +459,8 @@ class _LiRules(_TemporalRules):
         return self._first_arrival(st, self.g.incident(st.pos))
 
     def view(self, st):
-        return LiView(st.pos, st.clock, dict(st.decided), st.spent, self.inst,
-                      st.visited)
+        return LiView(st.pos, st.clock, st.decided.snapshot(), st.spent, self.inst,
+                      st.visited.snapshot().keys())
 
     def _departs(self, e, key, clock) -> None:
         if e.tau < clock:
@@ -460,7 +475,7 @@ class _URules(_TemporalRules):
 
     def scope(self, st):
         return _undecided((e for e in self.g.incident(st.pos) if e.tau == st.clock),
-                          st.decided)
+                          st.decided.index)
 
     def _departs(self, e, key, clock) -> None:
         if e.tau != clock:
@@ -468,7 +483,7 @@ class _URules(_TemporalRules):
 
     def _wake(self, st, until) -> int:
         return min((e.tau for e in self.g.incident(st.pos)
-                    if st.clock < e.tau <= until and e.key not in st.decided),
+                    if st.clock < e.tau <= until and e.key not in st.decided.index),
                    default=until)
 
 
@@ -492,7 +507,7 @@ class _StaticRules(_Rules):
         return self._first_arrival(st, self.revealed(st.pos))
 
     def move(self, st, key) -> dict:
-        e = {e.key: e for e in self.g.outgoing(st.pos)}.get(key)
+        e = next((e for e in self.g.outgoing(st.pos) if e.key == key), None)
         if e is None:
             raise _Foul(f"no edge {key!r} usable from {st.pos!r}")
         self._surviving(st, e, key)
@@ -542,7 +557,7 @@ def play(
             break
         remaining = inst.k - st.spent
         choice = blocker_policy(BlockerView(
-            st.pos, st.clock, dict(st.decided), st.spent, inst,
+            st.pos, st.clock, st.decided.snapshot(), st.spent, inst,
             tuple(e.key for e in stop), remaining))
         reason = _check_choice(stop, choice, remaining)
         if reason is not None:
@@ -605,11 +620,13 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
     Returns (script, explored). The script is None when the policy wins
     every line, else the losing choices in consult order as nested pairs
     (choice, rest) ending in (). Each open reveal is one generator that
-    ``knowledge.run`` drives, so deep games need no recursion.
+    ``knowledge.run`` drives, so deep games need no recursion; all share
+    ``st`` and undo their reveals.
     """
     explored = 0
+    st = _State(rules.inst.s, rules.t1)
 
-    def line(st: _State):
+    def line():
         """The losing script from ``st`` on, or None when the policy wins."""
         nonlocal explored
         stop = rules.walk(st, tp, [])
@@ -619,13 +636,16 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
         if explored > limit:
             raise SizeLimitError(
                 f"verification explored more than {limit} reveal states", limit)
+        mark = st.mark()
         for choice in _choices(stop, rules.inst.k - st.spent):
-            sub = yield line(st.after(stop, choice))
+            st.reveal(stop, choice)
+            sub = yield line()
+            st.undo(mark)
             if sub is not None:
                 return (choice, sub)
         return None
 
-    return run(line(_State(rules.inst.s, rules.t1))), explored
+    return run(line()), explored
 
 
 # ---------------------------------------------------------------------------

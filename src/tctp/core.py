@@ -156,10 +156,6 @@ class TemporalGraph(_Graph):
         return cls(vs, merged)
 
     @cached_property
-    def by_key(self) -> dict:
-        return {e.key: e for e in self.edges}
-
-    @cached_property
     def latest_first(self) -> tuple[TimeEdge, ...]:
         """Edges by decreasing tau, ties by key: the label-pass order."""
         return tuple(sorted(self.edges, key=lambda e: (-e.tau, e.key)))

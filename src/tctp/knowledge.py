@@ -10,7 +10,9 @@ masks, because a policy's view may block part of a copy group.
 ``run`` drives a search written as generators, here and in the arena's
 verifier: a step yields the generator of each sub-position it needs and is
 sent back its result, so deep games use an explicit stack instead of Python
-recursion.
+recursion. A game's settled edges are one ``Ledger`` that the arena adds to
+and undoes; policies see O(1) snapshots of it, and ``Knowledge.state`` folds
+only what a snapshot adds to one it folded before.
 """
 from __future__ import annotations
 
@@ -37,9 +39,62 @@ def run(step):
     return value
 
 
+class Ledger:
+    """Distinct keys with a value each, in the order added; ``truncate(n)``
+    undoes the adds after the first n. Each entry is a fresh (key, value)
+    pair, so identity tells that an entry, and all before it, are still there."""
+
+    __slots__ = ("entries", "index")
+
+    def __init__(self):
+        self.entries: list = []
+        self.index: dict = {}  # key -> its position in entries
+
+    def add(self, key, value=None) -> None:
+        self.index[key] = len(self.entries)
+        self.entries.append((key, value))
+
+    def truncate(self, n: int) -> None:
+        for key, _ in self.entries[n:]:
+            del self.index[key]
+        del self.entries[n:]
+
+    def snapshot(self) -> "Snapshot":
+        return Snapshot(self, len(self.entries))
+
+
+class Snapshot(Mapping):
+    """Read-only mapping over a ledger's first n entries. Later adds leave it
+    unchanged; it is void once the ledger is truncated below n."""
+
+    __slots__ = ("ledger", "n", "last")
+
+    def __init__(self, ledger: Ledger, n: int):
+        self.ledger, self.n, self.last = ledger, n, ledger.entries[n - 1] if n else None
+
+    def __getitem__(self, key):
+        i = self.ledger.index.get(key, self.n)
+        if i < self.n:
+            return self.ledger.entries[i][1]
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (key for key, _ in self.ledger.entries[:self.n])
+
+    def extends(self, other: "Snapshot") -> bool:
+        """Whether this snapshot still begins with the entries of ``other``."""
+        return other.ledger is self.ledger and other.n <= self.n and (
+            not other.n or self.ledger.entries[other.n - 1] is other.last)
+
+
 class Knowledge:
     """Edge bits, reveal scopes and state counter of one game; ``scopes``
     lists each vertex's scope in the game's local order."""
+
+    GAP = 64  # ledger entries between the folded states kept below the last
 
     def __init__(self, edges, scopes: Mapping, k: int, state_limit: int):
         self.bit = {e.key: 1 << i for i, e in enumerate(edges)}
@@ -51,7 +106,8 @@ class Knowledge:
         self.state_limit = state_limit
         self.states = 0
         self._spends: dict = {}
-        self._last = ([], [], EMPTY)
+        # (snapshot, its state): the last one folded, and one per GAP entries below
+        self._folded: list = []
 
     def count(self) -> None:
         """Book one more knowledge state; past the limit, raise."""
@@ -61,22 +117,26 @@ class Knowledge:
                 f"knowledge-state count exceeded {self.state_limit}", self.state_limit)
 
     def state(self, decided: Mapping) -> tuple:
-        """The state of a ``{edge key: blocked copies}`` mapping. Policies
-        see one growing mapping after another, so the last one's state is
-        extended by the new tail when its keys and counts (compared as two
-        lists, with no per-entry tuple) are a prefix of this one's."""
-        keys, counts = list(decided), list(decided.values())
-        seen_keys, seen_counts, (r, b, spent) = self._last
-        n = len(seen_keys)
-        if keys[:n] != seen_keys or counts[:n] != seen_counts:
-            n, (r, b, spent) = 0, EMPTY
-        for key, c in zip(keys[n:], counts[n:]):
+        """The state of a ``{edge key: blocked copies}`` mapping. A snapshot
+        is folded on from the last snapshot folded here that it extends; any
+        other mapping is folded whole."""
+        snap = isinstance(decided, Snapshot)
+        folded = self._folded if snap else []
+        while folded and not decided.extends(folded[-1][0]):
+            folded.pop()
+        done, (r, b, spent) = folded[-1] if folded else (None, EMPTY)
+        start = done.n if folded else 0
+        pairs = decided.ledger.entries[start:decided.n] if snap else decided.items()
+        for key, c in pairs:
             bit = self.bit[key]
             r |= bit
             if c >= self.copies[key]:
                 b |= bit
             spent += c
-        self._last = keys, counts, (r, b, spent)
+        if snap:
+            if folded and done.n // self.GAP == decided.n // self.GAP:
+                folded.pop()
+            folded.append((decided, (r, b, spent)))
         return r, b, spent
 
     def settled(self, v, state) -> bool:

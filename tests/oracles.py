@@ -25,8 +25,9 @@ reads off a shared table or a pruned pass:
 * the static game's values from a memo of cost-to-go over sweeps run
   until t is popped, in place of probes of the threshold search and
   play sweeps that stop at the cheapest route end found;
-* the verifier's min-max on a hand-written stack of open reveals, in place
-  of one generator per open reveal driven by ``knowledge.run``;
+* the verifier's min-max on a hand-written stack of open reveals, each
+  holding its own copy of the game state, in place of one generator per
+  open reveal driven by ``knowledge.run`` over one state with undo;
 * the temporal walk rule as a check of each step on its own, in place of
   the referee's rules object that let the moves through.
 """
@@ -59,7 +60,7 @@ def chained(g, start, steps) -> bool:
     the previous edge arrives."""
     here, arrived = start, None
     for e, depart in steps:
-        if e.key not in g.by_key or depart != e.tau or not e.touches(here):
+        if e not in g.edges or depart != e.tau or not e.touches(here):
             return False
         if arrived is not None and depart < arrived:
             return False
@@ -433,6 +434,18 @@ def unbounded_static_game(inst: Instance, discovery: str = "incident") -> Static
     return _UnboundedStaticGame(inst, discovery)
 
 
+def _after(st: _State, scope, choice) -> _State:
+    """A copy of ``st`` with the reveal made."""
+    new = _State(st.pos, st.clock)
+    new.spent = st.spent
+    for key, c in st.decided.entries:
+        new.decided.add(key, c)
+    for v, _ in st.visited.entries:
+        new.visited.add(v)
+    new.reveal(scope, choice)
+    return new
+
+
 def stacked_refute(rules, tp, limit) -> tuple:
     """``arena._refute`` on an explicit stack of open reveals: (script,
     explored), the same losing script and count, raising SizeLimitError
@@ -460,7 +473,7 @@ def stacked_refute(rules, tp, limit) -> tuple:
             if result is None:
                 top[3] = choice = next(choices, None)
                 if choice is not None:
-                    st = state.after(scope, choice)
+                    st = _after(state, scope, choice)
                     stop = rules.walk(st, tp, [])
                     break
             else:

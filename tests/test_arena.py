@@ -113,6 +113,28 @@ def test_replay_policies_reproduce_the_transcript():
     assert transcript_traveller_policy(tr)(off) == ("resign",)
     assert transcript_blocker_policy(tr)(off) == {}
 
+    # the same knowledge settled in another order is still on the script
+    replay = transcript_traveller_policy(tr)
+    for view, action in _consults(inst, tr):
+        turned = SimpleNamespace(position=view.position, clock=view.clock,
+                                 decided=dict(reversed(list(view.decided.items()))))
+        assert replay(turned) == action
+    # a sibling reveal settles the same keys with another count: off the line
+    other = play(inst, transcript_traveller_policy(tr), scripted_blocker([{}, {}]), "li")
+    assert other.events[-1] == {"type": "RESIGN", "by": "traveller"}
+
+
+def _consults(inst, tr) -> list:
+    """(view, action) at each Traveller consult of a replay of ``tr``."""
+    replay, seen = transcript_traveller_policy(tr), []
+
+    def traveller(view):
+        seen.append((view, replay(view)))
+        return seen[-1][1]
+
+    play(inst, traveller, transcript_blocker_policy(tr), tr.model)
+    return seen
+
 
 def test_wait_is_clamped_to_the_next_reveal():
     inst = _single_edge_instance()
@@ -253,14 +275,22 @@ def test_play_and_verify_reject_the_same_inputs():
                                       deadline=window.get("t2"))
 
 
-def test_each_side_sees_its_own_view_type():
-    """Only li's Traveller view carries ``visited``; Blocker sees its budget."""
+def _one_game_per_model() -> tuple:
     sep = separating_instance(2)
     edges = [StaticEdge("s", "a", 1), StaticEdge("a", "t", 1),
              StaticEdge("s", "t", 3)]
     static = Instance(StaticGraph.build(["s", "a", "t"], edges), "s", "t", 1)
     dag = Instance(StaticGraph.build(["s", "a", "t"], edges, directed=True), "s", "t", 1)
-    for model, inst in (("li", sep), ("u", sep), ("static", static), ("dag", dag)):
+    return ("li", sep), ("u", sep), ("static", static), ("dag", dag)
+
+
+def _last_blocked(view):
+    return {view.undecided[-1]: 1} if view.remaining else {}
+
+
+def test_each_side_sees_its_own_view_type():
+    """Only li's Traveller view carries ``visited``; Blocker sees its budget."""
+    for model, inst in _one_game_per_model():
         tp, _ = builtin_policies(inst, model)
         travellers, blockers = [], []
 
@@ -270,7 +300,7 @@ def test_each_side_sees_its_own_view_type():
 
         def blocker(view):
             blockers.append(view)
-            return {view.undecided[-1]: 1} if view.remaining else {}
+            return _last_blocked(view)
 
         play(inst, traveller, blocker, model)
         verify_traveller_strategy(inst, traveller, model)
@@ -279,6 +309,38 @@ def test_each_side_sees_its_own_view_type():
         assert {type(v) for v in blockers} == {BlockerView}
         assert {v.remaining - (inst.k - v.spent) for v in blockers} == {0}
         assert max(v.spent for v in blockers) > 0, model
+
+
+def test_stored_views_keep_what_was_known_when_consulted():
+    """``decided`` and ``visited`` are snapshots: a view kept after its
+    consult still holds what was settled and visited at that consult."""
+    for model, inst in _one_game_per_model():
+        tp, _ = builtin_policies(inst, model)
+        kept = []
+
+        def keeping(policy):
+            def consult(view):
+                kept.append((view, dict(view.decided),
+                             frozenset(getattr(view, "visited", ()))))
+                return policy(view)
+            return consult
+
+        play(inst, keeping(tp), keeping(_last_blocked), model)
+        assert len({len(copy) for _, copy, _ in kept}) > 1, model
+        for view, decided, visited in kept:
+            assert view.decided == decided and dict(view.decided) == decided, model
+            if isinstance(view, LiView):
+                assert view.visited == visited and frozenset(view.visited) == visited
+
+
+def test_an_unhashable_move_key_is_a_foul():
+    _, static = _one_game_per_model()[2]
+    for inst, model, key in ((separating_instance(2), "li", ["s", "v0", 0, 1]),
+                             (static, "static", ["s", "a", 1])):
+        tr = play(inst, lambda v: ("move", key), _no_block, model)
+        assert tr.outcome == BLOCKER_WIN
+        assert tr.events[-1]["type"] == "FOUL" and "no edge" in tr.events[-1]["reason"]
+        assert not verify_traveller_strategy(inst, lambda v: ("move", key), model)
 
 
 def test_golden_corpus_replays_byte_identical():

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -454,6 +455,25 @@ def test_malformed_headers_and_deep_json_exit_two(tmp_path):
     assert (code, out, err) == (2, "", "tctp: JSON nested too deeply\n")
 
 
+def test_verify_stops_a_deep_chain_at_the_limit_in_little_memory(tmp_path):
+    """The verifier undoes each reveal on one state instead of copying what
+    was decided per branch, so 5,000 reveal states down a 3,000-edge chain
+    stay far below the depth squared."""
+    names = [f"c{i:04d}" for i in range(3001)]
+    chain = TemporalGraph.build(names, [TimeEdge(u, v, i, 1, copies=4) for i, (u, v)
+                                        in enumerate(zip(names, names[1:]))])
+    path = _write(tmp_path, "chain.ctp", Instance(chain, names[0], names[-1], 3))
+    tracemalloc.start()
+    try:
+        code, out, err = _run(["verify", path, "--model", "u", "--limit", "5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (
+        4, "", "tctp: state limit: verification explored more than 5000 reveal states\n")
+    assert peak < 64 * 2 ** 20
+
+
 def test_play_and_verify_handle_a_deep_chain(tmp_path):
     names = [f"v{i}" for i in range(1201)]
     chain = list(zip(names, names[1:]))
@@ -490,6 +510,11 @@ def test_play_and_verify_handle_a_deep_chain(tmp_path):
                  ["solve-static", dag_file]):
         code, out, err = _run(argv)
         assert code in (0, 3) and "Traceback" not in err, argv
+    # the replay matches each view on the recorded line by what it adds
+    played = _run(["play", li_file, "--model", "li"])[1]
+    (tmp_path / "chain_li.tr").write_text(played)
+    assert _run(["play", li_file, "--model", "li", "--traveller", "transcript",
+                 "--transcript", str(tmp_path / "chain_li.tr")]) == (0, played, "")
 
     # a finite value down the undirected path: the value search must not
     # re-sweep the settled prefix at every state

@@ -96,7 +96,7 @@ def test_labels_unknown_target():
 
 def test_mu_on_chain_and_bridge():
     robust = _chain(2)
-    e = robust.by_key[("a", "s", 0, 1)]
+    e = {e.key: e for e in robust.edges}[("a", "s", 0, 1)]
     assert latest_departure_labels(robust, "t", math.inf, skip_one=e.key)["s"] == 0
     brittle = _chain(1)
     assert latest_departure_labels(

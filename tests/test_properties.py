@@ -41,7 +41,7 @@ from tctp.core import (
 from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
-from tctp.knowledge import EMPTY, Knowledge
+from tctp.knowledge import EMPTY, Knowledge, Ledger
 from tctp.litctp import LiGame, solve_k1
 from tctp.staticctp import StaticGame, static_blocker_policy, static_traveller_policy
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
@@ -93,11 +93,12 @@ def test_temporal_transcripts_are_walks(inst):
     walk from s, for the builtin, greedy and (fouling) wanderer Travellers;
     a win ends that walk at t by the window's end."""
     g = inst.graph
+    by_key = {e.key: e for e in g.edges}
     for model in ("li", "u"):
         traveller, blocker = builtin_policies(inst, model)
         for policy in (traveller, greedy_temporal, wanderer):
             tr = play(inst, policy, blocker, model)
-            steps = [(g.by_key[ev["key"]], ev["depart"]) for ev in tr.moves()]
+            steps = [(by_key[ev["key"]], ev["depart"]) for ev in tr.moves()]
             assert chained(g, inst.s, steps), (model, policy)
             if tr.outcome == TRAVELLER_WIN:
                 end = inst.s
@@ -418,8 +419,10 @@ def test_a_degree_20_hub_has_one_reveal_per_spoke_and_none():
 
 @st.composite
 def mapping_sequences(draw):
-    """(edges, mappings): each ``{edge key: blocked copies}`` mapping grows,
-    cuts or reorders the one before it, or changes one of its counts."""
+    """(edges, steps, gap): each step lists (edge key, blocked copies) pairs
+    that grow, cut or reorder the pairs before them, or change one count,
+    and says how to pass them: as a dict, as a snapshot of the ledger, or
+    as a snapshot of a new ledger. ``gap`` spaces the state checkpoints."""
     m = draw(st.integers(1, 8))
     edges = [StaticEdge("a", f"b{i}", 1, copies=c)
              for i, c in enumerate(draw(st.lists(st.integers(1, 3), min_size=m,
@@ -443,23 +446,42 @@ def mapping_sequences(draw):
             items = items[:draw(st.integers(0, len(items)))]
         elif op == "reorder":
             items = list(draw(st.permutations(items)))
-        out.append(dict(items))
-    return edges, out
+        out.append((items, draw(st.sampled_from(("dict", "snapshot", "new ledger")))))
+    return edges, out, draw(st.integers(1, 3))
 
 
 @SETTINGS
 @given(mapping_sequences())
 def test_knowledge_state_reuse_matches_a_fresh_fold(case):
-    edges, mappings = case
+    """A snapshot is taken of the ledger after it is cut back to the longest
+    prefix it shares with the step and the rest is added, so a changed count
+    re-adds the same keys with other counts in place of the ones folded."""
+    edges, steps, gap = case
     know = Knowledge(edges, {}, 3, 1)
-    for decided in mappings:
+    know.GAP = gap
+    ledger = Ledger()
+    for items, how in steps:
+        decided = want = dict(items)
+        if how != "dict":
+            if how == "new ledger":
+                ledger = Ledger()
+            keep = 0
+            for old, new in zip(ledger.entries, items):
+                if old != new:
+                    break
+                keep += 1
+            ledger.truncate(keep)
+            for key, c in items[keep:]:
+                ledger.add(key, c)
+            decided = ledger.snapshot()
+        assert decided == want
         r = b = spent = 0
         for e in edges:
-            if e.key in decided:
+            if e.key in want:
                 r |= know.bit[e.key]
-                if decided[e.key] >= e.copies:
+                if want[e.key] >= e.copies:
                     b |= know.bit[e.key]
-                spent += decided[e.key]
+                spent += want[e.key]
         assert know.state(decided) == (r, b, spent)
 
 
