@@ -54,7 +54,7 @@ from .gadgets import (
     gen_static_np,
     parse_dimacs,
 )
-from .litctp import NEVER, K1Result, LiResult, exact_li, solve_k1
+from .litctp import NEVER, K1Result, LiGame, exact_li, solve_k1
 from .samples import separating_instance
 from .staticctp import StaticGame, decide_static, exact_static_value
 from .utctp import (
@@ -77,7 +77,7 @@ __all__ = [
     "Instance",
     "InstanceFormatError",
     "K1Result",
-    "LiResult",
+    "LiGame",
     "MODELS",
     "NEVER",
     "NoSafeMoveError",

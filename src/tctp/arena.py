@@ -136,7 +136,7 @@ class Transcript:
         """Yield the JSON-ready header, one row per event, and the footer."""
         yield {"model": self.model, "s": self.s, "t": self.t, "k": self.k,
                "t1": self.t1, "t2": self.t2}
-        yield from map(_jsonable, self.events)
+        yield from self.events
         yield {"outcome": self.outcome, "final_time": self.final_time,
                "budget_spent": self.budget_spent}
 
@@ -167,15 +167,6 @@ class Transcript:
         except (IndexError, TypeError, ValueError):
             raise ValueError("transcript has a field of the wrong shape") from None
         return tr
-
-
-def _jsonable(ev: dict) -> dict:
-    out = dict(ev)
-    if "key" in out:
-        out["key"] = list(out["key"])
-    if "statuses" in out:
-        out["statuses"] = [[list(k), c] for k, c in out["statuses"]]
-    return out
 
 
 def _tupled(row) -> dict:

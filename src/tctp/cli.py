@@ -278,16 +278,14 @@ def cmd_solve_li(ns) -> int:
         return 0 if res.wins else 3
     res = solve_k1(inst, ns.deadline)
     obj["wins"] = res.wins
-    table = {v: ("never" if res.table.pi1[v] == NEVER
-                 else "inf" if res.table.pi1[v] == math.inf
-                 else res.table.pi1[v])
-             for v in inst.graph.vertices}
-    obj["pi1"] = table
+    pi1 = {}
+    for v in inst.graph.vertices:
+        x = res.pi1[v]
+        pi1[v] = "never" if x == NEVER else "inf" if x == math.inf else x
+    obj["pi1"] = pi1
     lines = ["Traveller wins" if res.wins else "Blocker wins",
              "vertex\tlatest_safe"]
-    for v in inst.graph.vertices:
-        val = res.table.pi1[v]
-        lines.append(f"{v}\t" + ("never" if val == NEVER else str(val)))
+    lines += [f"{v}\t{x}" for v, x in pi1.items()]
     out.result(obj, lines)
     return 0 if res.wins else 3
 

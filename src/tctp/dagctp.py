@@ -230,13 +230,15 @@ def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> d
     return blocked
 
 
+_STATES_PER_VERTEX = 20
+
+
 def brute_dag_game(
     g: StaticGraph,
     s,
     t,
     budget: int,
     groups: Optional[BlockGroups] = None,
-    per_vertex_limit: int | None = 20,
     unlimited: bool = False,
 ):
     """Exact game value by exhaustive search over reveal histories.
@@ -276,12 +278,12 @@ def brute_dag_game(
         key = (v, decided)
         if key in memo:
             return memo[key]
-        if not unlimited and per_vertex_limit is not None:
+        if not unlimited:
             n = states_per_vertex.get(v, 0) + 1
-            if n > per_vertex_limit:
+            if n > _STATES_PER_VERTEX:
                 raise SizeLimitError(
-                    f"more than {per_vertex_limit} information states at {v!r}",
-                    per_vertex_limit,
+                    f"more than {_STATES_PER_VERTEX} information states at {v!r}",
+                    _STATES_PER_VERTEX,
                 )
             states_per_vertex[v] = n
         dmap = dict(decided)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from .core import Instance, TemporalGraph, window
@@ -41,7 +41,6 @@ def latest_departure_labels(
             labels[e.u] = e.tau
         if e.tau + e.d <= labels[e.u] and e.tau > labels[e.v]:
             labels[e.v] = e.tau
-    labels[t] = deadline
     return labels
 
 
@@ -63,28 +62,17 @@ def _sole_witnesses(g: TemporalGraph, t, base: Mapping) -> list:
     )
 
 
-@dataclass(frozen=True)
-class Pi1Table:
+@dataclass
+class K1Result:
     """Output of the single-block solver.
 
     pi1[v] is the latest time Traveller may stand at v and still win against
-    one blocked copy; nu1 and mu are the auxiliary quantities (best settled
-    through-edge departure, and per-(vertex, incident edge) fallbacks) it was
-    assembled from. order records the settling sequence.
+    one blocked copy; deadline is the window end the labels were taken to.
     """
 
-    pi1: Mapping[object, float]
-    nu1: Mapping[object, float]
-    mu: Mapping[tuple, float]
-    lam1: Mapping[object, float]
-    deadline: float
-    order: tuple
-
-
-@dataclass
-class K1Result:
     wins: bool
-    table: Pi1Table
+    pi1: Mapping[object, float]
+    deadline: float
     instance: Instance
 
     def __bool__(self) -> bool:
@@ -96,9 +84,9 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
 
     pi1 combines two guarantees: lam1(v), the worst case over which single
     incident edge turns out blocked (each answered by plain latest-departure
-    routing on the graph missing that copy), and nu1(v), the best departure
+    routing on the graph missing that copy), and nu(v), the best departure
     over edges into already-settled vertices u arriving by pi1(u). Vertices
-    settle in order of decreasing pi1 = min(lam1, nu1). Traveller wins iff
+    settle in order of decreasing pi1 = min(lam1, nu). Traveller wins iff
     standing at s at time 0 is safe, i.e. pi1(s) >= 0.
     """
     g = inst.graph
@@ -113,25 +101,18 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
         key: latest_departure_labels(g, inst.t, T, skip_one=key)
         for key in _sole_witnesses(g, inst.t, base)
     }
-    mu: Dict[tuple, float] = {}
-    lam1: Dict[object, float] = {}
-    for v in g.vertices:
-        if v == inst.t:
-            continue
-        vals = []
-        for e in g.incident(v):
-            m = cache[e.key][v] if e.key in cache else base[v]
-            mu[(v, e.key)] = m
-            vals.append(m)
-        lam1[v] = min(vals) if vals else math.inf
+    lam1 = {
+        v: min((cache[e.key][v] if e.key in cache else base[v]
+                for e in g.incident(v)), default=math.inf)
+        for v in g.vertices if v != inst.t
+    }
 
     pi1: Dict[object, float] = {inst.t: T}
-    nu: Dict[object, float] = {v: NEVER for v in g.vertices if v != inst.t}
+    nu: Dict[object, float] = dict.fromkeys(lam1, NEVER)
     for e in g.incident(inst.t):
         other = e.other(inst.t)
         if e.tau + e.d <= T and e.tau > nu[other]:
             nu[other] = e.tau
-    order = [inst.t]
     # max-heap on (value, then smallest name); values only rise, so a
     # vertex's current entry pops before its stale ones
     heap = [(-min(lam1[v], nu[v]), v) for v in nu]
@@ -142,14 +123,12 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
             continue
         best_val = -neg
         pi1[best_v] = best_val
-        order.append(best_v)
         for e in g.incident(best_v):
             other = e.other(best_v)
             if other not in pi1 and e.tau + e.d <= best_val and e.tau > nu[other]:
                 nu[other] = e.tau
                 heapq.heappush(heap, (-min(lam1[other], nu[other]), other))
-    table = Pi1Table(pi1, nu, mu, lam1, T, tuple(order))
-    return K1Result(pi1[inst.s] >= 0, table, inst)
+    return K1Result(pi1[inst.s] >= 0, pi1, T, inst)
 
 
 def k1_traveller_policy(result: K1Result):
@@ -161,36 +140,24 @@ def k1_traveller_policy(result: K1Result):
     """
     inst = result.instance
     g = inst.graph
-    table = result.table
     plain_cache: dict = {}
 
     def labels_after(key):
         if key not in plain_cache:
             plain_cache[key] = latest_departure_labels(
-                g, inst.t, table.deadline, skip_one=key
+                g, inst.t, result.deadline, skip_one=key
             )
         return plain_cache[key]
 
     def policy(view):
         pos, clock = view.position, view.clock
         blocked = [k for k, c in view.decided.items() if c > 0]
-        if blocked:
-            labels = labels_after(blocked[0])
-            target_of = labels
-        else:
-            target_of = table.pi1
-        best = None
+        target_of = labels_after(blocked[0]) if blocked else result.pi1
         for e in sorted(g.incident(pos), key=lambda e: (e.tau + e.d, e.key)):
-            if e.copies - view.decided.get(e.key, 0) < 1:
-                continue
-            if e.tau < clock:
-                continue
-            if e.tau + e.d <= target_of[e.other(pos)]:
-                best = e
-                break
-        if best is None:
-            return ("resign",)
-        return ("move", best.key)
+            if (e.copies - view.decided.get(e.key, 0) >= 1 and e.tau >= clock
+                    and e.tau + e.d <= target_of[e.other(pos)]):
+                return ("move", e.key)
+        return ("resign",)
 
     return policy
 
@@ -203,8 +170,10 @@ class LiGame:
     are knowledge too. On arrival at an unvisited vertex, Blocker settles
     the rest of its incident edges, choosing among ``reveal_choices``.
     Clocks are snapped to the next feasible departure so positions between
-    events collapse.
+    events collapse. ``exact_li`` sets ``wins``, the answer from s at t1.
     """
+
+    wins: bool
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
         g = inst.graph
@@ -261,54 +230,45 @@ class LiGame:
         """All undominated reveals at v, nothing-blocked first, then by cost."""
         return self.know.choices(v, state)
 
-
-@dataclass
-class LiResult:
-    wins: bool
-    game: LiGame = field(repr=False)
-
     def __bool__(self) -> bool:
         return self.wins
 
     @property
     def states(self) -> int:
-        return self.game.know.states
+        return self.know.states
 
     def traveller_policy(self):
-        game = self.game
-
         def policy(view):
-            r, blocked, spent = game.know.state(view.decided)
-            state = (r | game.know.scope[view.position], blocked, spent)
-            for _tau, arrival, _bit, head, key in game._options(
+            r, blocked, spent = self.know.state(view.decided)
+            state = (r | self.know.scope[view.position], blocked, spent)
+            for _tau, arrival, _bit, head, key in self._options(
                     view.position, view.clock, blocked):
-                if run(game._reveal_wins(head, arrival, state)):
+                if run(self._reveal_wins(head, arrival, state)):
                     return ("move", key)
             return ("resign",)
 
         return policy
 
     def blocker_policy(self):
-        game = self.game
-
         def policy(view):
-            state = game.know.state(view.decided)
-            for choice in game.reveal_choices(view.position, state):
-                if not run(game._wins(view.position, view.clock, choice)):
-                    statuses = game.know.statuses(view.position, state, choice)
+            state = self.know.state(view.decided)
+            for choice in self.reveal_choices(view.position, state):
+                if not run(self._wins(view.position, view.clock, choice)):
+                    statuses = self.know.statuses(view.position, state, choice)
                     return {k: c for k, c in statuses.items() if c > 0}
             return {}
 
         return policy
 
 
-def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = 10**7) -> LiResult:
+def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = 10**7) -> LiGame:
     """Exact decision of the locally-informed game for any budget.
 
     Traveller departs no sooner than t1 and must reach t by t2 (t2 defaults
-    to the instance deadline, else unbounded). Returns a result exposing
-    playable strategies for both sides.
+    to the instance deadline, else unbounded). Returns the searched game,
+    whose ``wins`` holds the answer and whose policies play it out for
+    both sides.
     """
     game = LiGame(inst, t1, t2, state_limit)
-    wins = run(game._reveal_wins(inst.s, game.t1, EMPTY))
-    return LiResult(wins, game)
+    game.wins = run(game._reveal_wins(inst.s, game.t1, EMPTY))
+    return game

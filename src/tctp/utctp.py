@@ -68,9 +68,6 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     ``compute_pi`` on ``build_expansion`` with the same arguments, less the
     expansion's target node, which is entered only from nodes of t.
     """
-    for x in (s, t):
-        if x not in g.index:
-            raise ValueError(f"unknown vertex {x!r}")
     width = k + 1
     departs: dict = {}  # (v, tau) -> [(head node, d, capped copies)]
     at_time: dict = {t1: {s}}  # tau -> vertices with a node at tau
@@ -183,10 +180,7 @@ def brute_u_game(
     g = inst.graph
     if not isinstance(g, TemporalGraph):
         raise ValueError("uninformed solver needs a temporal instance")
-    if t2 is None:
-        t2 = inst.deadline if inst.deadline is not None else math.inf
-    if t1 < 0 or t1 > t2:
-        raise ValueError(f"bad window [{t1}, {t2}]")
+    t1, t2 = window(inst, t1, t2)
     if not override and (
         len(g.vertices) > 6 or lifespan(g) > 6 or inst.k > 2
     ):
@@ -194,9 +188,9 @@ def brute_u_game(
             "instance too large for the brute-force oracle (override to force)"
         )
 
-    window = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
+    live = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
     incident: dict = {v: [] for v in g.vertices}
-    for e in window:
+    for e in live:
         incident[e.u].append(e)
         incident[e.v].append(e)
 

@@ -49,7 +49,7 @@ from tctp.dagctp import (
 from tctp.errors import NoSafeMoveError, SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.knowledge import run
-from tctp.litctp import NEVER, Pi1Table, latest_departure_labels
+from tctp.litctp import NEVER, latest_departure_labels
 from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u
 
@@ -104,8 +104,9 @@ def scan_shortest_duration(inst: Instance):
     return (best[1], best[2]) if best else None
 
 
-def per_edge_k1_table(inst: Instance, T=None) -> Pi1Table:
-    """The single-block table with a label rerun for every single-copy edge."""
+def per_edge_k1_table(inst: Instance, T=None) -> dict:
+    """The single-block pi1 table with a label rerun for every single-copy
+    edge."""
     g = inst.graph
     if T is None:
         T = inst.deadline if inst.deadline is not None else math.inf
@@ -115,15 +116,11 @@ def per_edge_k1_table(inst: Instance, T=None) -> Pi1Table:
         for e in g.edges
         if e.copies == 1
     }
-    mu, lam1 = {}, {}
+    lam1 = {}
     for v in g.vertices:
         if v == inst.t:
             continue
-        vals = []
-        for e in g.incident(v):
-            m = cache[e.key][v] if e.copies == 1 else base[v]
-            mu[(v, e.key)] = m
-            vals.append(m)
+        vals = [cache[e.key][v] if e.copies == 1 else base[v] for e in g.incident(v)]
         lam1[v] = min(vals) if vals else math.inf
 
     pi1 = {inst.t: T}
@@ -132,7 +129,6 @@ def per_edge_k1_table(inst: Instance, T=None) -> Pi1Table:
         other = e.other(inst.t)
         if e.tau + e.d <= T and e.tau > nu[other]:
             nu[other] = e.tau
-    order = [inst.t]
     unsettled = set(nu)
     while unsettled:
         best_v, best_val = None, None
@@ -142,12 +138,11 @@ def per_edge_k1_table(inst: Instance, T=None) -> Pi1Table:
                 best_v, best_val = v, val
         unsettled.discard(best_v)
         pi1[best_v] = best_val
-        order.append(best_v)
         for e in g.incident(best_v):
             other = e.other(best_v)
             if other in unsettled and e.tau + e.d <= best_val and e.tau > nu[other]:
                 nu[other] = e.tau
-    return Pi1Table(pi1, nu, mu, lam1, T, tuple(order))
+    return pi1
 
 
 def groups_can_bind(g, groups: BlockGroups) -> bool:

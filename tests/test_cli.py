@@ -85,6 +85,20 @@ def test_solve_li_k1_prints_the_safety_table(tmp_path):
     assert obj["pi1"] == {"s": 0, "t": "inf", "v0": 1, "v1": 1, "v2": 3}
 
 
+def test_solve_li_k1_prints_never_for_a_hopeless_source(tmp_path):
+    # one single-copy edge: Blocker blocks it, so no vertex but t is safe
+    g = TemporalGraph.build(["s", "a", "t"], [TimeEdge("s", "t", 0, 1)])
+    path = _write(tmp_path, "bridge.ctp", Instance(g, "s", "t", 1))
+    code, out, _ = _run(["solve-li", path])
+    assert code == 3
+    assert out == "Blocker wins\nvertex\tlatest_safe\na\tnever\ns\tnever\nt\tinf\n"
+
+    code, out, _ = _run(["solve-li", path, "--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"k": 1, "deadline": None, "wins": False,
+                               "pi1": {"a": "never", "s": "never", "t": "inf"}}
+
+
 def test_dag_solve_value_and_table(tmp_path, triple_file):
     code, out, _ = _run(["dag-solve", triple_file])
     assert (code, out) == (0, "pi_2(s) = 5\n")

@@ -106,10 +106,10 @@ def test_mu_on_chain_and_bridge():
 def test_solve_k1_chain_and_bridge():
     win = solve_k1(Instance(_chain(2), "s", "t", 1))
     assert win and win.wins
-    assert win.table.pi1 == {"s": 0, "a": 1, "t": math.inf}
+    assert win.pi1 == {"s": 0, "a": 1, "t": math.inf}
     lose = solve_k1(Instance(_chain(1), "s", "t", 1))
     assert not lose.wins
-    assert lose.table.pi1["s"] == NEVER
+    assert lose.pi1["s"] == NEVER
 
 
 def test_solve_k1_rejects_other_budgets():
@@ -178,10 +178,10 @@ def test_separating_instance_splits_the_models():
 def test_fork_wins_whichever_way_the_reveal_goes():
     res = exact_li(separating_instance(2))
     decided = {("s", "v0", 0, 1): 0, ("v0", "v1", 1, 1): 0, ("v0", "v2", 2, 1): 0}
-    assert res.game.traveller_wins("v0", 1, dict(decided))
+    assert res.traveller_wins("v0", 1, dict(decided))
     blocked = dict(decided)
     blocked[("v0", "v2", 2, 1)] = 1
-    assert res.game.traveller_wins("v0", 1, blocked)
+    assert res.traveller_wins("v0", 1, blocked)
 
 
 def _naive_li(inst, t1=0, t2=None):

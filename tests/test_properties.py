@@ -80,10 +80,9 @@ def test_one_table_optimizers_match_window_scans(inst):
 def test_sole_witness_k1_matches_per_edge_reruns(inst):
     res = solve_k1(inst)
     want = per_edge_k1_table(inst)
-    assert res.wins == (want.pi1[inst.s] >= 0)
-    assert res.table.pi1 == want.pi1
-    assert res.table.order == want.order
-    assert res.table == want
+    assert res.wins == (want[inst.s] >= 0)
+    # same values, settled in the same order
+    assert list(res.pi1.items()) == list(want.items())
 
 
 @SETTINGS
