@@ -14,7 +14,6 @@ from .arena import (
     builtin_policies,
     play,
     scripted_blocker,
-    transcript_blocker_policy,
     transcript_traveller_policy,
     verify_traveller_strategy,
 )
@@ -39,7 +38,6 @@ from .dagctp import (
 from .errors import (
     CyclicGraphError,
     InstanceFormatError,
-    NoSafeMoveError,
     SizeLimitError,
 )
 from .expansion import ExpandedDag, build_expansion
@@ -80,7 +78,6 @@ __all__ = [
     "LiGame",
     "MODELS",
     "NEVER",
-    "NoSafeMoveError",
     "PiTable",
     "QbfFormula",
     "SatResult",
@@ -121,7 +118,6 @@ __all__ = [
     "serialize_instance",
     "shortest_duration",
     "solve_k1",
-    "transcript_blocker_policy",
     "transcript_traveller_policy",
     "verify_traveller_strategy",
     "__version__",

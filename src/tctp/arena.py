@@ -47,10 +47,10 @@ from typing import AbstractSet, Callable, Mapping, Optional
 
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
-from .errors import NoSafeMoveError, SizeLimitError
+from .errors import SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
-from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
+from .staticctp import StaticGame
 from .utctp import decide_u
 
 TRAVELLER_WIN = "TRAVELLER_WIN"
@@ -182,40 +182,34 @@ def _tupled_value(value):
     return tuple(map(_tupled_value, value)) if isinstance(value, list) else value
 
 
-def _script_points(tr: Transcript, line: list):
-    """Walk a transcript, appending its (key, count) statuses to ``line``,
-    and yield (side, position, clock, n, payload) at each consult, the first
-    n statuses being what was decided; payload is the action for the
-    traveller side, the statuses mapping for the blocker side."""
+def transcript_traveller_policy(tr: Transcript) -> Policy:
+    """Pure replay: repeat the transcript's action in each knowledge state.
+
+    Off the recorded line (for example against a Blocker that deviates) the
+    policy resigns. A snapshot that repeats the recorded statuses in order
+    (checked past the one matched last) is on the line; any other mapping,
+    or all if a key is settled twice, is compared whole.
+    """
+    line: list = []  # the recorded (key, count) statuses in order
+    consults: dict = {}  # (position, clock) -> [(n, action)], n statuses decided
     pos, clock = tr.s, tr.t1
     for ev in tr.events:
-        kind = ev["type"]
+        kind, at = ev["type"], (pos, clock)
         if kind == "REVEAL":
-            yield ("blocker", pos, clock, len(line), dict(ev["statuses"]))
             line += [(key, c) for key, c in ev["statuses"]]
-        elif kind == "MOVE":
-            yield ("traveller", pos, clock, len(line), ("move", ev["key"]))
+            continue
+        if kind == "MOVE":
+            action = ("move", ev["key"])
             u, v = ev["key"][0], ev["key"][1]
-            pos = v if pos == u else u
-            clock = ev["arrive"]
+            pos, clock = (v if pos == u else u), ev["arrive"]
         elif kind == "WAIT":
-            yield ("traveller", pos, clock, len(line), ("wait", ev["until"]))
+            action = ("wait", ev["until"])
             clock = ev["until"]
         elif kind == "RESIGN" and ev.get("by", "traveller") == "traveller":
-            yield ("traveller", pos, clock, len(line), ("resign",))
-
-
-def _replay(tr: Transcript, side: str, default) -> Policy:
-    """Pure replay of ``side``'s recorded payload in each knowledge state,
-    ``default`` off the recorded line. A snapshot that repeats the recorded
-    statuses in order (checked past the one matched last) is on the line;
-    any other mapping, or all if a key is settled twice, is compared whole.
-    """
-    line: list = []
-    consults: dict = {}  # (position, clock) -> [(n, payload)] in consult order
-    for who, p, c, n, payload in _script_points(tr, line):
-        if who == side:
-            consults.setdefault((p, c), []).append((n, payload))
+            action = ("resign",)
+        else:
+            continue
+        consults.setdefault(at, []).append((len(line), action))
     distinct = len(dict(line)) == len(line)
     matched = None  # the last snapshot found on the line
 
@@ -226,36 +220,18 @@ def _replay(tr: Transcript, side: str, default) -> Policy:
             n = matched.n if matched is not None and decided.extends(matched) else 0
             if decided.ledger.entries[n:m] == line[n:m]:
                 matched = decided
-        for n, payload in reversed(consults.get((view.position, view.clock), [])):
+        for n, action in reversed(consults.get((view.position, view.clock), [])):
             if n == m if matched is decided else dict(line[:n]) == decided:
-                return payload
-        return default
+                return action
+        return ("resign",)
 
     return policy
-
-
-def transcript_traveller_policy(tr: Transcript) -> Policy:
-    """Pure replay: repeat the transcript's action in each knowledge state.
-
-    Off the recorded line (for example against a Blocker that deviates) the
-    policy resigns.
-    """
-    return _replay(tr, "traveller", ("resign",))
-
-
-def transcript_blocker_policy(tr: Transcript) -> Policy:
-    """Pure replay of the recorded reveals; blocks nothing off-script."""
-    return _replay(tr, "blocker", {})
 
 
 def scripted_blocker(choices) -> Policy:
     """Blocker that plays a fixed list of reveal choices, then all-zeros."""
     cursor = iter(list(choices))
-
-    def policy(view):
-        return next(cursor, {})
-
-    return policy
+    return lambda view: next(cursor, {})
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +467,8 @@ class _StaticRules(_Rules):
         if t1 != 0:
             raise ValueError("static models start at cost 0; t1 must be 0")
         deadline = t2 if t2 is not None else inst.deadline
+        if deadline is not None and deadline < 0:
+            raise ValueError("deadline must be >= 0")
         super().__init__(inst, 0, deadline, math.inf if deadline is None else deadline)
         self.revealed = inst.graph.outgoing if model == "dag" else inst.graph.incident
 
@@ -647,35 +625,29 @@ def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
     """Both sides of the blocked-arc game, guided by a budget table.
 
     ``node_of`` maps a view to its table node. ``out_arcs`` maps a node to
-    its out-arcs as (arc, key of the edge whose status the arc follows or
-    None when nothing can block it, the Traveller action that takes it).
+    a dict from each out-arc to (key of the edge whose status the arc
+    follows or None when nothing can block it, the Traveller action that
+    takes it).
     """
 
     def traveller(view):
         node = node_of(view)
         if node not in table.values:
             return ("resign",)
-        arcs, newly, action = [], {}, {}
-        for arc, key, act in out_arcs(node):
-            arcs.append(arc)
-            action[arc.key] = act
-            c = 0 if key is None else view.decided.get(key, 0)
-            if c:
-                newly[arc.key] = c
-        try:
-            arc = traveller_move(arcs, table, view.spent - sum(newly.values()), newly)
-        except NoSafeMoveError:
-            return ("resign",)
-        return action[arc.key]
+        out = out_arcs(node)
+        arc = traveller_move(out, table, table.budget - view.spent,
+                             {arc.key: view.decided.get(key, 0)
+                              for arc, (key, _) in out.items()})
+        return ("resign",) if arc is None else out[arc][1]
 
     def blocker(view):
         node = node_of(view)
         if node not in table.values:
             return {}
         out = out_arcs(node)
-        follows = {arc.key: key for arc, key, _ in out}
+        follows = {arc.key: key for arc, (key, _) in out.items()}
         scope = set(view.undecided)
-        mv = blocker_move([arc for arc, _, _ in out], table, view.remaining)
+        mv = blocker_move(out, table, view.remaining)
         return {follows[ak]: c for ak, c in mv.items() if follows[ak] in scope}
 
     return traveller, blocker
@@ -692,15 +664,14 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     nodes = sorted(dec.table.values)
     later = {a: b for a, b in zip(nodes, nodes[1:]) if a[0] == b[0]}
 
-    def out_arcs(node) -> list:
+    def out_arcs(node) -> dict:
         v, tau = node
-        out = [(StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies),
-                e.key, ("move", e.key))
-               for e in inst.graph.incident(v) if e.tau == tau and e.arrival <= dec.t2]
+        out = {StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies):
+               (e.key, ("move", e.key))
+               for e in inst.graph.incident(v) if e.tau == tau and e.arrival <= dec.t2}
         nxt = later.get(node)
         if nxt is not None:
-            out.append((StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1),
-                        None, ("wait", nxt[1])))
+            out[StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1)] = (None, ("wait", nxt[1]))
         return out
 
     return _table_pair(dec.table, lambda view: (view.position, view.clock), out_arcs)
@@ -712,22 +683,22 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
     if table is None:
         table = compute_pi(g, inst.t, inst.k)
     return _table_pair(table, lambda view: view.position,
-                       lambda v: [(e, e.key, ("move", e.key)) for e in g.outgoing(v)])
+                       lambda v: {e: (e.key, ("move", e.key)) for e in g.outgoing(v)})
 
 
-def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None) -> tuple:
+def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None,
+                     state_limit: int = 10**7) -> tuple:
     """(traveller, blocker) pair backed by the matching solver.
 
     The model's input checks run first, so an instance of the wrong kind is
     a ValueError here, as in ``play`` and ``verify_traveller_strategy``.
+    ``state_limit`` bounds the exact searches of ``li`` and ``static``.
     """
     _rules(inst, model, t1, t2)
-    if model == "li":
-        res = exact_li(inst, t1, t2)
-        return res.traveller_policy(), res.blocker_policy()
     if model == "u":
         return expansion_policies(inst, t1, t2)
-    if model == "static":
-        game = StaticGame(inst, discovery="incident")
-        return static_traveller_policy(game), static_blocker_policy(game)
-    return table_policies(inst)  # dag
+    if model == "dag":
+        return table_policies(inst)
+    game = (exact_li(inst, t1, t2, state_limit) if model == "li"
+            else StaticGame(inst, "incident", state_limit))
+    return game.traveller_policy(), game.blocker_policy()

@@ -16,6 +16,7 @@ import math
 import sys
 
 from .arena import (
+    MODELS,
     TRAVELLER_WIN,
     Transcript,
     builtin_policies,
@@ -29,7 +30,7 @@ from .errors import InstanceFormatError, SizeLimitError
 from .expansion import build_expansion
 from .gadgets import QbfFormula, gen_li_np, gen_li_pspace, gen_static_np, parse_dimacs
 from .litctp import NEVER, exact_li, solve_k1
-from .staticctp import StaticGame, static_blocker_policy, static_traveller_policy
+from .staticctp import StaticGame
 from .utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("play", parents=[common],
                         help="referee one playout and print its transcript")
     p.add_argument("instance")
-    p.add_argument("--model", choices=("li", "u", "static", "dag"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--traveller", choices=("builtin", "transcript"), default="builtin")
     p.add_argument("--blocker", choices=("builtin", "exhaustive"), default="builtin")
     p.add_argument("--transcript", default=None, metavar="FILE",
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", parents=[common],
                         help="check a traveller policy against every blocker line")
     p.add_argument("instance")
-    p.add_argument("--model", choices=("li", "u", "static", "dag"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--traveller", choices=("builtin", "transcript"), default="builtin")
     p.add_argument("--transcript", default=None, metavar="FILE")
     p.add_argument("--deadline", type=int, default=None)
@@ -294,6 +295,8 @@ def cmd_solve_static(ns) -> int:
     inst = _load(ns.instance)
     if not isinstance(inst.graph, StaticGraph):
         raise ValueError("solve-static needs a weighted-graph instance")
+    if ns.deadline is not None and ns.deadline < 0:
+        raise ValueError("deadline must be >= 0")
     discovery = "out" if inst.graph.directed else "incident"
     game = StaticGame(inst, discovery=discovery, state_limit=_limit(ns, 10**7))
     val = game.entry_value()
@@ -303,7 +306,7 @@ def cmd_solve_static(ns) -> int:
     lines = ["value " + ("UNREACHABLE" if val == UNREACHABLE else str(val))]
     out = _Out(ns)
     if val != UNREACHABLE:
-        tr = play(inst, static_traveller_policy(game), static_blocker_policy(game),
+        tr = play(inst, game.traveller_policy(), game.blocker_policy(),
                   "dag" if inst.graph.directed else "static")
         if out.prints == "json":
             obj["transcript"] = _transcript_obj(tr)
@@ -335,7 +338,8 @@ def cmd_gen(ns) -> int:
 def _builtin(ns, inst: Instance):
     """The (traveller, blocker) builtin pair, built on first use only."""
     return functools.cache(
-        lambda: builtin_policies(inst, ns.model, ns.t1, getattr(ns, "t2", None)))
+        lambda: builtin_policies(inst, ns.model, ns.t1, getattr(ns, "t2", None),
+                                 _limit(ns, 10**7)))
 
 
 def _pick_traveller(ns, builtin):

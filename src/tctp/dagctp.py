@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import StaticEdge, StaticGraph
-from .errors import CyclicGraphError, NoSafeMoveError, SizeLimitError
+from .errors import CyclicGraphError, SizeLimitError
 
 UNREACHABLE = math.inf
 
@@ -174,31 +174,23 @@ def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:
 def traveller_move(
     out: Iterable[StaticEdge],
     table: PiTable,
-    blocked_before: int,
-    newly_blocked: Mapping[tuple, int],
-) -> StaticEdge:
-    """Pick the surviving arc of out minimizing cost-from-head plus weight.
+    remaining: int,
+    blocked: Mapping[tuple, int],
+) -> Optional[StaticEdge]:
+    """The surviving arc of out minimizing cost-from-head plus weight.
 
-    out holds the out-arcs of Traveller's vertex; blocked_before counts
-    copies seen blocked at earlier vertices; newly_blocked maps arc key ->
-    copies just revealed blocked at this one. The relevant budget index is
-    what Blocker has left after both.
+    out holds the out-arcs of Traveller's vertex, blocked maps arc key ->
+    copies revealed blocked there, and remaining is the budget Blocker has
+    left. None when no surviving arc keeps a finite guarantee.
     """
-    m2 = sum(newly_blocked.values())
-    i = table.budget - blocked_before - m2
-    if i < 0:
-        raise ValueError("observed blocks exceed the blocker budget")
-    best = None
-    best_key = None
+    best, best_arc = UNREACHABLE, None
     for e in sorted(out, key=lambda a: a.key):
-        if e.copies - newly_blocked.get(e.key, 0) < 1:
+        if e.copies - blocked.get(e.key, 0) < 1:
             continue
-        cand = table.value(e.v, i) + e.weight
-        if best_key is None or cand < best:
-            best, best_key = cand, e
-    if best_key is None or best == UNREACHABLE:
-        raise NoSafeMoveError("no surviving arc keeps a finite guarantee")
-    return best_key
+        cand = table.value(e.v, remaining) + e.weight
+        if cand < best:
+            best, best_arc = cand, e
+    return best_arc
 
 
 def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> dict:
@@ -211,22 +203,19 @@ def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> d
     if not 0 <= remaining <= table.budget:
         raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
     out = sorted(out, key=lambda a: a.key)
-    best_m, best_val = 0, None
-    per_m: dict[int, list] = {}
+    best_val, best = None, []
     for m in range(remaining + 1):
-        cands = []
-        for idx, e in enumerate(out):
-            val = table.value(e.v, remaining - m) + e.weight
-            for copy in range(min(e.copies, remaining + 1)):
-                cands.append((val, idx, copy, e))
-        cands.sort(key=lambda c: c[:3])
-        per_m[m] = cands
+        # (value, arc index, copy): blocking m copies leaves the (m+1)-th
+        cands = sorted((table.value(e.v, remaining - m) + e.weight, idx, copy)
+                       for idx, e in enumerate(out)
+                       for copy in range(min(e.copies, remaining + 1)))
         val = cands[m][0] if m < len(cands) else UNREACHABLE
         if best_val is None or val > best_val:
-            best_m, best_val = m, val
+            best_val, best = val, cands[:m]
     blocked: dict = {}
-    for val, idx, copy, e in per_m[best_m][:best_m]:
-        blocked[e.key] = blocked.get(e.key, 0) + 1
+    for _, idx, _ in best:
+        key = out[idx].key
+        blocked[key] = blocked.get(key, 0) + 1
     return blocked
 
 

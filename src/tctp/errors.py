@@ -22,9 +22,5 @@ class SizeLimitError(RuntimeError):
         super().__init__(message)
 
 
-class NoSafeMoveError(RuntimeError):
-    """The guided traveller has no move with a finite guarantee."""
-
-
 class CyclicGraphError(ValueError):
     """A directed graph required to be acyclic contains a cycle."""

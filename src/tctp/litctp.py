@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Dict, Mapping, Optional
 
 from .core import Instance, TemporalGraph, window
@@ -140,14 +141,8 @@ def k1_traveller_policy(result: K1Result):
     """
     inst = result.instance
     g = inst.graph
-    plain_cache: dict = {}
-
-    def labels_after(key):
-        if key not in plain_cache:
-            plain_cache[key] = latest_departure_labels(
-                g, inst.t, result.deadline, skip_one=key
-            )
-        return plain_cache[key]
+    labels_after = cache(lambda key: latest_departure_labels(
+        g, inst.t, result.deadline, skip_one=key))
 
     def policy(view):
         pos, clock = view.position, view.clock
@@ -170,10 +165,8 @@ class LiGame:
     are knowledge too. On arrival at an unvisited vertex, Blocker settles
     the rest of its incident edges, choosing among ``reveal_choices``.
     Clocks are snapped to the next feasible departure so positions between
-    events collapse. ``exact_li`` sets ``wins``, the answer from s at t1.
+    events collapse.
     """
-
-    wins: bool
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
         g = inst.graph
@@ -230,6 +223,11 @@ class LiGame:
         """All undominated reveals at v, nothing-blocked first, then by cost."""
         return self.know.choices(v, state)
 
+    @cached_property
+    def wins(self) -> bool:
+        """The answer from s at t1, searched at first read."""
+        return run(self._reveal_wins(self.inst.s, self.t1, EMPTY))
+
     def __bool__(self) -> bool:
         return self.wins
 
@@ -270,5 +268,5 @@ def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = 10**7) -> LiGame:
     both sides.
     """
     game = LiGame(inst, t1, t2, state_limit)
-    game.wins = run(game._reveal_wins(inst.s, game.t1, EMPTY))
+    game.wins  # searched here, so ``states`` counts the search
     return game

@@ -266,6 +266,19 @@ class StaticGame:
                 best, best_val = choice, val
         return self.know.statuses(pos, state, best)
 
+    def traveller_policy(self):
+        """Follow a cheapest guaranteed route, replanned every step."""
+
+        def policy(view):
+            key = self.plan_move(view.position, view.decided)
+            return ("resign",) if key is None else ("move", key)
+
+        return policy
+
+    def blocker_policy(self):
+        """Play the canonical worst reveal."""
+        return lambda view: self.best_reveal(view.position, view.decided)
+
 
 def exact_static_value(inst: Instance, discovery: str = "incident",
                        state_limit: int = 10 ** 7):
@@ -286,20 +299,3 @@ def decide_static(inst: Instance, T=None, discovery: str = "incident",
     if T is None:
         raise ValueError("no cost bound: pass T or set a deadline")
     return StaticGame(inst, discovery, state_limit).decide(T)
-
-
-def static_traveller_policy(game: StaticGame):
-    """Policy following a cheapest guaranteed route, replanned every step."""
-
-    def policy(view):
-        key = game.plan_move(view.position, view.decided)
-        return ("resign",) if key is None else ("move", key)
-
-    return policy
-
-
-def static_blocker_policy(game: StaticGame):
-    def policy(view):
-        return game.best_reveal(view.position, view.decided)
-
-    return policy

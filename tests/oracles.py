@@ -46,7 +46,7 @@ from tctp.dagctp import (
     topological_order,
     traveller_move,
 )
-from tctp.errors import NoSafeMoveError, SizeLimitError
+from tctp.errors import SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.knowledge import run
 from tctp.litctp import NEVER, latest_departure_labels
@@ -235,11 +235,9 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
         node = (view.position, view.clock)
         if node not in g.index:
             return ("resign",)
-        newly = newly_at(node, view.decided)
-        try:
-            arc = traveller_move(g.outgoing(node), table,
-                                 view.spent - sum(newly.values()), newly)
-        except NoSafeMoveError:
+        arc = traveller_move(g.outgoing(node), table, table.budget - view.spent,
+                             newly_at(node, view.decided))
+        if arc is None:
             return ("resign",)
         origin = xd.origins[arc.key]
         if isinstance(origin, TimeEdge):
@@ -273,10 +271,9 @@ def outgoing_read_policies(inst: Instance, table=None) -> tuple:
             c = view.decided.get(e.key, 0)
             if c:
                 newly[e.key] = c
-        before = view.spent - sum(newly.values())
-        try:
-            arc = traveller_move(g.outgoing(view.position), table, before, newly)
-        except NoSafeMoveError:
+        arc = traveller_move(g.outgoing(view.position), table,
+                             table.budget - view.spent, newly)
+        if arc is None:
             return ("resign",)
         return ("move", arc.key)
 

@@ -19,7 +19,6 @@ from tctp.arena import (
     play,
     scripted_blocker,
     table_policies,
-    transcript_blocker_policy,
     transcript_traveller_policy,
     verify_traveller_strategy,
 )
@@ -105,13 +104,11 @@ def test_replay_policies_reproduce_the_transcript():
     tpol = exact_li(inst).traveller_policy()
     tr = play(inst, tpol, scripted_blocker([{}, {("v0", "v2", 2, 1): 1}]), "li")
 
-    again = play(inst, transcript_traveller_policy(tr),
-                 transcript_blocker_policy(tr), "li")
+    again = play(inst, transcript_traveller_policy(tr), _recorded_blocker(tr), "li")
     assert again.to_json_lines() == tr.to_json_lines()
 
     off = SimpleNamespace(position="nowhere", clock=99, decided={})
     assert transcript_traveller_policy(tr)(off) == ("resign",)
-    assert transcript_blocker_policy(tr)(off) == {}
 
     # the same knowledge settled in another order is still on the script
     replay = transcript_traveller_policy(tr)
@@ -124,6 +121,12 @@ def test_replay_policies_reproduce_the_transcript():
     assert other.events[-1] == {"type": "RESIGN", "by": "traveller"}
 
 
+def _recorded_blocker(tr):
+    """Blocker replaying the transcript's REVEAL statuses in order."""
+    return scripted_blocker(dict(e["statuses"]) for e in tr.events
+                            if e["type"] == "REVEAL")
+
+
 def _consults(inst, tr) -> list:
     """(view, action) at each Traveller consult of a replay of ``tr``."""
     replay, seen = transcript_traveller_policy(tr), []
@@ -132,7 +135,7 @@ def _consults(inst, tr) -> list:
         seen.append((view, replay(view)))
         return seen[-1][1]
 
-    play(inst, traveller, transcript_blocker_policy(tr), tr.model)
+    play(inst, traveller, _recorded_blocker(tr), tr.model)
     return seen
 
 

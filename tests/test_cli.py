@@ -182,6 +182,33 @@ def test_negative_deadline_exits_two_on_both_li_paths(tmp_path):
         assert (code, out, err) == (2, "", "tctp: bad window [0, -1]\n"), extra
 
 
+def test_negative_deadline_exits_two_on_the_static_paths(tmp_path, triple_file):
+    g = StaticGraph.build(["s", "t"], [StaticEdge("s", "t", 1)])
+    static = _write(tmp_path, "st.ctp", Instance(g, "s", "t", 0))
+    for argv in (["solve-static", static, "--deadline", "-1"],
+                 ["solve-static", triple_file, "--deadline", "-1"],
+                 ["play", static, "--model", "static", "--t2", "-1"],
+                 ["play", triple_file, "--model", "dag", "--t2", "-1"],
+                 ["verify", static, "--model", "static", "--deadline", "-1"],
+                 ["verify", triple_file, "--model", "dag", "--deadline", "-1"]):
+        assert _run(argv) == (2, "", "tctp: deadline must be >= 0\n"), argv
+
+
+def test_limit_bounds_the_builtin_searches(tmp_path):
+    cnf = tmp_path / "true.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 2 0\n1 -2 -2 0\n")
+    files = {}
+    for kind, model in (("qbf", "li"), ("sat4", "static")):
+        files[model] = str(tmp_path / f"{kind}.ctp")
+        assert _run(["gen", kind, str(cnf), "-o", files[model]])[0] == 0
+    for model, path in files.items():
+        for cmd in ("play", "verify"):
+            code, out, err = _run([cmd, path, "--model", model, "--limit", "5"])
+            assert (code, out, err) == (
+                4, "", "tctp: state limit: knowledge-state count exceeded 5\n"), (cmd, model)
+        assert _run(["play", path, "--model", model])[0] == 0
+
+
 def test_solve_static_value_and_deadline(tmp_path):
     g = StaticGraph.build(["u0", "u1", "u2"],
                           [StaticEdge("u0", "u1", 1, copies=2),

@@ -15,7 +15,7 @@ from tctp.dagctp import (
     topological_order,
     traveller_move,
 )
-from tctp.errors import CyclicGraphError, NoSafeMoveError, SizeLimitError
+from tctp.errors import CyclicGraphError, SizeLimitError
 
 
 def _triple():
@@ -69,18 +69,30 @@ def test_traveller_move_picks_cheapest_survivor():
     g = _triple()
     table = compute_pi(g, "t", 2)
     out = g.outgoing("s")
-    assert traveller_move(out, table, 0, {}).weight == 1
-    assert traveller_move(out, table, 0, {("s", "t", 1): 1}).weight == 2
+    assert traveller_move(out, table, 2, {}).weight == 1
     assert traveller_move(out, table, 1, {("s", "t", 1): 1}).weight == 2
+    assert traveller_move(out, table, 0, {("s", "t", 1): 1}).weight == 2
 
 
 def test_traveller_move_errors():
     g = StaticGraph.build(["s", "t"], [StaticEdge("s", "t", 1)], directed=True)
     table = compute_pi(g, "t", 1)
-    with pytest.raises(NoSafeMoveError):
-        traveller_move(g.outgoing("s"), table, 0, {("s", "t", 1): 1})
-    with pytest.raises(ValueError, match="exceed"):
-        traveller_move(g.outgoing("s"), table, 1, {("s", "t", 1): 1})
+    # every arc blocked: no move
+    assert traveller_move(g.outgoing("s"), table, 0, {("s", "t", 1): 1}) is None
+    for remaining in (-1, 2):
+        with pytest.raises(ValueError, match="budget index"):
+            traveller_move(g.outgoing("s"), table, remaining, {})
+
+
+def test_traveller_move_has_no_move_into_a_dead_end():
+    # s->a survives, but nothing leads on from a; s->t is blocked
+    g = StaticGraph.build(["s", "a", "t"],
+                          [StaticEdge("s", "a", 1), StaticEdge("s", "t", 3)],
+                          directed=True)
+    table = compute_pi(g, "t", 1)
+    assert table.value("a", 0) == UNREACHABLE
+    assert traveller_move(g.outgoing("s"), table, 0, {("s", "t", 3): 1}) is None
+    assert traveller_move(g.outgoing("s"), table, 1, {}).key == ("s", "t", 3)
 
 
 def test_blocker_move_spends_where_it_hurts():
@@ -109,8 +121,8 @@ def test_optimal_playout_realizes_the_table_value():
         pos, spent, cost = inst.s, 0, 0
         while pos != inst.t:
             newly = blocker_move(g.outgoing(pos), table, k - spent)
-            arc = traveller_move(g.outgoing(pos), table, spent, newly)
             spent += sum(newly.values())
+            arc = traveller_move(g.outgoing(pos), table, k - spent, newly)
             cost += arc.weight
             pos = arc.v
         assert cost == want

@@ -11,6 +11,7 @@ from tctp import litctp
 from tctp.errors import SizeLimitError
 from tctp.litctp import (
     NEVER,
+    LiGame,
     exact_li,
     k1_traveller_policy,
     latest_departure_labels,
@@ -244,6 +245,17 @@ def test_windowed_search_matches_naive_minimax():
         inst = rand_temporal(rng, max_n=5, max_keys=6)
         for t1, t2 in ((1, math.inf), (0, 3)):
             assert exact_li(inst, t1, t2).wins == _naive_li(inst, t1, t2)
+
+
+def test_a_game_built_directly_searches_on_first_read():
+    rng = random.Random(779)
+    cases = [separating_instance(1), separating_instance(2)]
+    cases += [rand_temporal(rng, max_n=5, max_keys=6) for _ in range(20)]
+    for inst in cases:
+        game, searched = LiGame(inst), exact_li(inst)
+        assert game.states == 0
+        assert game.wins == searched.wins == bool(game)
+        assert game.states == searched.states
 
 
 def test_state_limit_guard():

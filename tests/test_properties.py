@@ -43,7 +43,7 @@ from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge, Ledger
 from tctp.litctp import LiGame, solve_k1
-from tctp.staticctp import StaticGame, static_blocker_policy, static_traveller_policy
+from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 # derandomized so that every run of the suite checks the same examples
@@ -374,7 +374,7 @@ def test_bounded_static_sweeps_match_the_unbounded_reference(inst):
     discovery, model = ("out", "dag") if inst.graph.directed else ("incident", "static")
     plays = []
     for game in (StaticGame(inst, discovery), unbounded_static_game(inst, discovery)):
-        tr = play(inst, static_traveller_policy(game), static_blocker_policy(game), model)
+        tr = play(inst, game.traveller_policy(), game.blocker_policy(), model)
         plays.append(_bytes(tr))
     assert plays[0] == plays[1]
 

@@ -17,8 +17,6 @@ from tctp.staticctp import (
     StaticGame,
     decide_static,
     exact_static_value,
-    static_blocker_policy,
-    static_traveller_policy,
 )
 
 INF = math.inf
@@ -260,11 +258,11 @@ def test_policy_wrappers_delegate():
         decided = {}
         clock = 0
 
-    reveal = static_blocker_policy(game)(View())
+    reveal = game.blocker_policy()(View())
     assert set(reveal.values()) <= {0, 1, 2}
     decided = dict(reveal)
     View.decided = decided
-    verb, key = static_traveller_policy(game)(View())
+    verb, key = game.traveller_policy()(View())
     assert verb == "move"
     assert key in {e.key for e in inst.graph.incident("u0")}
 
