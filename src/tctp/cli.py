@@ -335,11 +335,11 @@ def cmd_gen(ns) -> int:
     return 0
 
 
-def _builtin(ns, inst: Instance):
-    """The (traveller, blocker) builtin pair, built on first use only."""
+def _builtin(ns, inst: Instance, t2):
+    """The (traveller, blocker) builtin pair for the window [t1, t2] the
+    command plays or checks, built on first use only."""
     return functools.cache(
-        lambda: builtin_policies(inst, ns.model, ns.t1, getattr(ns, "t2", None),
-                                 _limit(ns, 10**7)))
+        lambda: builtin_policies(inst, ns.model, ns.t1, t2, _limit(ns, 10**7)))
 
 
 def _pick_traveller(ns, builtin):
@@ -353,7 +353,7 @@ def _pick_traveller(ns, builtin):
 
 def cmd_play(ns) -> int:
     inst = _load(ns.instance)
-    builtin = _builtin(ns, inst)
+    builtin = _builtin(ns, inst, ns.t2)
     tp = _pick_traveller(ns, builtin)
     tr = None
     if ns.blocker == "exhaustive":
@@ -369,7 +369,7 @@ def cmd_play(ns) -> int:
 
 def cmd_verify(ns) -> int:
     inst = _load(ns.instance)
-    tp = _pick_traveller(ns, _builtin(ns, inst))
+    tp = _pick_traveller(ns, _builtin(ns, inst, ns.deadline))
     res = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.deadline,
                                     t1=ns.t1, limit=_limit(ns, 200_000))
     out = _Out(ns)

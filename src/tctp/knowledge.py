@@ -91,16 +91,18 @@ class Snapshot(Mapping):
 
 
 class Knowledge:
-    """Edge bits, reveal scopes and state counter of one game; ``scopes``
-    lists each vertex's scope in the game's local order."""
+    """Edge bits, reveal scopes and state counter of one game. ``edges`` are
+    its (key, copies) pairs, edge i on bit i; ``scopes`` lists the edge
+    numbers of each vertex's scope in the game's local order."""
 
     GAP = 64  # ledger entries between the folded states kept below the last
 
     def __init__(self, edges, scopes: Mapping, k: int, state_limit: int):
-        self.bit = {e.key: 1 << i for i, e in enumerate(edges)}
-        self.copies = {e.key: e.copies for e in edges}
-        self.local = {v: tuple((self.bit[e.key], e.copies, e.key) for e in es)
-                      for v, es in scopes.items()}
+        # (bit, copies, key) of edge i
+        self.entries = [(1 << i, c, key) for i, (key, c) in enumerate(edges)]
+        self.bit = {key: bit for bit, _, key in self.entries}
+        self.copies = dict(edges)
+        self.local = {v: tuple(self.entries[i] for i in es) for v, es in scopes.items()}
         self.scope = {v: sum(bit for bit, _, _ in loc) for v, loc in self.local.items()}
         self.k = k
         self.state_limit = state_limit

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Dict, Mapping, Optional
@@ -166,6 +167,16 @@ class LiGame:
     the rest of its incident edges, choosing among ``reveal_choices``.
     Clocks are snapped to the next feasible departure so positions between
     events collapse.
+
+    An edge that departs before the clock, or arrives after t2, is dead: no
+    walk from here can use it. Edge bits are numbered in (tau, key) order,
+    so the edges departing before a time are the low bits. A reveal treats
+    the dead edges as settled, so Blocker never spends budget on one, and
+    the memo keys a position on its bits from the first feasible departure
+    up, so positions that differ only in dead edges share one entry.
+    Dropping the dead reveals keeps the Blocker policy's moves: a losing
+    reveal that blocks a dead edge has a cheaper twin without it that comes
+    first and loses too.
     """
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
@@ -175,16 +186,31 @@ class LiGame:
         self.inst = inst
         self.t1, self.t2 = window(inst, t1, t2)
         self.memo: dict = {}
-        incident = {v: sorted(g.incident(v), key=lambda e: (e.tau, e.key))
-                    for v in g.vertices}
-        self.know = Knowledge(g.edges, incident, inst.k, state_limit)
-        bit = self.know.bit
-        # departures arriving inside the window: (tau, arrival, bit, head, key)
-        self.departures = {
-            v: [(e.tau, e.arrival, bit[e.key], e.other(v), e.key)
-                for e in es if e.arrival <= self.t2]
-            for v, es in incident.items()
-        }
+        # edge i of the game is the i-th in (tau, key) order; each attribute
+        # is read once, as ``key`` builds a new tuple at every read
+        order = sorted((e.tau, e.key, e.d, e.copies, e.u, e.v) for e in g.edges)
+        taus = [x[0] for x in order]
+        # time -> how many edges depart before it: the dead prefix of the bits
+        times = {*taus, *(tau + d for tau, _, d, *_ in order), self.t1}
+        past = {x: bisect_left(taus, x) for x in times}
+        self.past_t1 = past[self.t1]
+        scopes: dict = {v: [] for v in g.vertices}
+        for i, (_, _, _, _, u, v) in enumerate(order):
+            scopes[u].append(i)
+            scopes[v].append(i)
+        self.know = Knowledge([(key, c) for _, key, _, c, _, _ in order], scopes,
+                              inst.k, state_limit)
+        # departures arriving inside the window, in (tau, key) order:
+        # (tau, arrival, bit, head, key, edges departing before tau, and before arrival)
+        self.departures: dict = {v: [] for v in g.vertices}
+        self.late = 0  # the edges arriving after t2
+        for (tau, key, d, _, u, v), (bit, _, _) in zip(order, self.know.entries):
+            if tau + d > self.t2:
+                self.late |= bit
+                continue
+            before = (past[tau], past[tau + d])
+            self.departures[u].append((tau, tau + d, bit, v, key, *before))
+            self.departures[v].append((tau, tau + d, bit, u, key, *before))
 
     def _options(self, pos, clock, blocked: int) -> list:
         return [x for x in self.departures[pos] if x[0] >= clock and not blocked & x[2]]
@@ -199,21 +225,26 @@ class LiGame:
         options = self._options(pos, clock, state[1])
         if not options:
             return False
-        key = (pos, options[0][0], state)
+        r, b, spent = state
+        n = options[0][5]  # edges departing before the first feasible departure
+        key = (pos, options[0][0], r >> n, b >> n, spent)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         self.know.count()
         win = False
-        for _tau, arrival, _bit, head, _key in options:
-            if (yield self._reveal_wins(head, arrival, state)):
+        for _tau, arrival, _bit, head, _key, _n, past in options:
+            if (yield self._reveal_wins(head, arrival, past, state)):
                 win = True
                 break
         self.memo[key] = win
         return win
 
-    def _reveal_wins(self, v, arrive, state):
-        """Blocker to settle v's undecided incident edges."""
+    def _reveal_wins(self, v, arrive, past: int, state):
+        """Blocker to settle v's undecided live incident edges, on arrival
+        when ``past`` edges depart earlier."""
+        r, b, spent = state
+        state = (r | (1 << past) - 1 | self.late, b, spent)
         for choice in self.reveal_choices(v, state):
             if not (yield self._wins(v, arrive, choice)):
                 return False
@@ -226,7 +257,7 @@ class LiGame:
     @cached_property
     def wins(self) -> bool:
         """The answer from s at t1, searched at first read."""
-        return run(self._reveal_wins(self.inst.s, self.t1, EMPTY))
+        return run(self._reveal_wins(self.inst.s, self.t1, self.past_t1, EMPTY))
 
     def __bool__(self) -> bool:
         return self.wins
@@ -239,9 +270,9 @@ class LiGame:
         def policy(view):
             r, blocked, spent = self.know.state(view.decided)
             state = (r | self.know.scope[view.position], blocked, spent)
-            for _tau, arrival, _bit, head, key in self._options(
+            for _tau, arrival, _bit, head, key, _n, past in self._options(
                     view.position, view.clock, blocked):
-                if run(self._reveal_wins(head, arrival, state)):
+                if run(self._reveal_wins(head, arrival, past, state)):
                     return ("move", key)
             return ("resign",)
 

@@ -45,7 +45,9 @@ class StaticGame:
         self.inst = inst
         self.g = g = inst.graph
         scope = g.incident if discovery == "incident" else g.outgoing
-        self.know = Knowledge(g.edges, {v: scope(v) for v in g.vertices},
+        number = {e: i for i, e in enumerate(g.edges)}
+        self.know = Knowledge([(e.key, e.copies) for e in g.edges],
+                              {v: [number[e] for e in scope(v)] for v in g.vertices},
                               inst.k, state_limit)
         bit = self.know.bit
         # usable ways out of each vertex: (bit, head, weight, key)

@@ -29,14 +29,17 @@ reads off a shared table or a pruned pass:
   holding its own copy of the game state, in place of one generator per
   open reveal driven by ``knowledge.run`` over one state with undo;
 * the temporal walk rule as a check of each step on its own, in place of
-  the referee's rules object that let the moves through.
+  the referee's rules object that let the moves through;
+* the locally-informed search keying its memo on the whole knowledge state
+  and letting Blocker block edges that no walk can use any more, in place
+  of dropping those dead edges from reveals and memo keys.
 """
 import heapq
 import math
 from itertools import chain, repeat
 
 from tctp.arena import TRAVELLER_WIN, _choices, _State
-from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge
+from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge, window
 from tctp.dagctp import (
     UNREACHABLE,
     BlockGroups,
@@ -48,7 +51,7 @@ from tctp.dagctp import (
 )
 from tctp.errors import SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
-from tctp.knowledge import run
+from tctp.knowledge import EMPTY, Knowledge, run
 from tctp.litctp import NEVER, latest_departure_labels
 from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u
@@ -473,3 +476,86 @@ def stacked_refute(rules, tp, limit) -> tuple:
             stack.pop()
         else:
             return result, explored
+
+
+class FullStateLiGame:
+    """``LiGame`` with every edge live to the end: the memo keys each
+    position on its whole knowledge state, and Blocker's reveals may block
+    edges that depart before the clock or arrive after t2."""
+
+    def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
+        g = inst.graph
+        self.inst = inst
+        self.t1, self.t2 = window(inst, t1, t2)
+        self.memo: dict = {}
+        number = {e.key: i for i, e in enumerate(g.edges)}
+        incident = {v: sorted(g.incident(v), key=lambda e: (e.tau, e.key))
+                    for v in g.vertices}
+        self.know = Knowledge([(e.key, e.copies) for e in g.edges],
+                              {v: [number[e.key] for e in es] for v, es in incident.items()},
+                              inst.k, state_limit)
+        bit = self.know.bit
+        self.departures = {
+            v: [(e.tau, e.arrival, bit[e.key], e.other(v), e.key)
+                for e in es if e.arrival <= self.t2]
+            for v, es in incident.items()
+        }
+
+    @property
+    def states(self) -> int:
+        return self.know.states
+
+    def _options(self, pos, clock, blocked: int) -> list:
+        return [x for x in self.departures[pos] if x[0] >= clock and not blocked & x[2]]
+
+    def _wins(self, pos, clock, state):
+        if pos == self.inst.t:
+            return True
+        options = self._options(pos, clock, state[1])
+        if not options:
+            return False
+        key = (pos, options[0][0], state)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        self.know.count()
+        win = False
+        for _tau, arrival, _bit, head, _key in options:
+            if (yield self._reveal_wins(head, arrival, state)):
+                win = True
+                break
+        self.memo[key] = win
+        return win
+
+    def _reveal_wins(self, v, arrive, state):
+        for choice in self.know.choices(v, state):
+            if not (yield self._wins(v, arrive, choice)):
+                return False
+        return True
+
+    @property
+    def wins(self) -> bool:
+        return run(self._reveal_wins(self.inst.s, self.t1, EMPTY))
+
+    def traveller_policy(self):
+        def policy(view):
+            r, blocked, spent = self.know.state(view.decided)
+            state = (r | self.know.scope[view.position], blocked, spent)
+            for _tau, arrival, _bit, head, key in self._options(
+                    view.position, view.clock, blocked):
+                if run(self._reveal_wins(head, arrival, state)):
+                    return ("move", key)
+            return ("resign",)
+
+        return policy
+
+    def blocker_policy(self):
+        def policy(view):
+            state = self.know.state(view.decided)
+            for choice in self.know.choices(view.position, state):
+                if not run(self._wins(view.position, view.clock, choice)):
+                    statuses = self.know.statuses(view.position, state, choice)
+                    return {k: c for k, c in statuses.items() if c > 0}
+            return {}
+
+        return policy

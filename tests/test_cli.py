@@ -2,18 +2,22 @@
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import rand_temporal
 from tctp import arena, cli
 from tctp.arena import TRAVELLER_WIN, Transcript
 from tctp.cli import dispatch
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, \
     parse_instance, serialize_instance
+from tctp.litctp import exact_li
 from tctp.samples import separating_instance
+from tctp.utctp import decide_u
 
 
 def _run(argv):
@@ -284,6 +288,25 @@ def test_verify_certifies_the_informed_walker(sep_file):
     obj = json.loads(out)
     assert obj["ok"] is True and obj["explored"] == 13
     assert obj["counterexample"] is None
+
+
+def test_verify_checks_the_builtin_traveller_solved_for_its_deadline(tmp_path):
+    """Under --deadline N the builtin li and u Travellers verify exactly when
+    their solver wins the window [0, N]; a route that only wins by the
+    instance's own deadline is not the one checked."""
+    late_or_direct = TemporalGraph.build("sat", [
+        TimeEdge("s", "a", 0, 1), TimeEdge("a", "t", 10, 1), TimeEdge("s", "t", 2, 1)])
+    rng = random.Random(4151)
+    cases = [Instance(late_or_direct, "s", "t", 0)]
+    cases += [rand_temporal(rng, max_n=5, max_keys=8, max_tau=6) for _ in range(15)]
+    for i, inst in enumerate(cases):
+        path = _write(tmp_path, f"g{i}.ctp", inst)
+        for deadline in (1, 3, 6):
+            for model, solve in (("li", exact_li), ("u", decide_u)):
+                code, _, _ = _run(["verify", path, "--model", model,
+                                   "--deadline", str(deadline)])
+                want = 0 if solve(inst, 0, deadline).wins else 3
+                assert code == want, (i, model, deadline)
 
 
 def test_exit_codes_flag_errors(tmp_path, sep_file):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from generators import enumerate_walks, rand_temporal
+from oracles import FullStateLiGame
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
 from tctp import litctp
 from tctp.errors import SizeLimitError
@@ -256,6 +257,22 @@ def test_a_game_built_directly_searches_on_first_read():
         assert game.states == 0
         assert game.wins == searched.wins == bool(game)
         assert game.states == searched.states
+
+
+def test_routes_that_differ_only_in_dead_edges_share_a_memo_entry():
+    """s reaches c over a or over b, and c's only way on is a dead end. The
+    routes settle different edges -- only a's reveal settles a-e -- but at
+    c every edge of a and b has departed, so the second route finds the
+    first one's memo entry; the full-state reference searches c twice."""
+    g = TemporalGraph.build("sabcdet", [
+        TimeEdge("s", "a", 0, 1), TimeEdge("s", "b", 0, 1), TimeEdge("a", "e", 0, 1),
+        TimeEdge("a", "c", 1, 1), TimeEdge("b", "c", 1, 1), TimeEdge("c", "d", 5, 1)])
+    inst = Instance(g, "s", "t", 0)
+    game, ref = exact_li(inst), FullStateLiGame(inst)
+    assert not game.wins and not ref.wins
+    assert [key[0] for key in game.memo].count("c") == 1
+    assert [key[0] for key in ref.memo].count("c") == 2
+    assert game.states == ref.states - 1
 
 
 def test_state_limit_guard():

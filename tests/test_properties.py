@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
 from oracles import (
+    FullStateLiGame,
     chained,
     expansion_pi_table,
     expansion_read_policies,
@@ -106,6 +107,69 @@ def test_temporal_transcripts_are_walks(inst):
                 assert end == inst.t, (model, policy)
                 assert not steps or steps[-1][0].arrival <= (
                     math.inf if tr.t2 is None else tr.t2), (model, policy)
+
+
+@st.composite
+def li_windows(draw):
+    """(instance, t1, t2): a temporal game from v0 with up to k+1 copies per
+    edge, in a window that opens after 0 and may close before some edges
+    arrive."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 5))
+    names = [f"v{i}" for i in range(n)]
+    records = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 7),
+                  st.integers(1, 2), st.integers(1, k + 1)).filter(lambda r: r[0] != r[1]),
+        min_size=5, max_size=16,
+    ))
+    edges = [TimeEdge(names[a], names[b], tau, d, copies)
+             for a, b, tau, d, copies in records]
+    t = draw(st.sampled_from(names[1:]))
+    t1 = draw(st.integers(1, 3))
+    inst = Instance(TemporalGraph.build(names, edges), names[0], t, k)
+    return inst, t1, draw(st.integers(t1, 9))
+
+
+def _paired(mine, ref, seen: list):
+    """Policy ``mine``, noting its answer and ``ref``'s at every view."""
+    def policy(view):
+        out = mine(view)
+        seen.append((out, ref(view)))
+        return out
+    return policy
+
+
+# Blocker can spend its one block on s-y, which is dead once the walker
+# stands at p, or on p-t at p's reveal: two states at p with the same spend
+# and the same live bits apart from p-t, the first edge of p's first
+# departure time. A memo key that dropped p-t's bit as well would read the
+# lost line for the won one.
+_SAME_SPEND = Instance(TemporalGraph.build("pstyz", [
+    TimeEdge("s", "p", 0, 1), TimeEdge("s", "y", 1, 1), TimeEdge("p", "t", 3, 1),
+    TimeEdge("p", "z", 3, 1), TimeEdge("y", "t", 5, 1, 2)]), "s", "t", 1)
+
+
+@SETTINGS
+@given(li_windows())
+@example((_SAME_SPEND, 0, 9))
+def test_dead_edge_search_matches_the_full_state_reference(case):
+    """Same answer, fewer states, and both policies answer as the reference
+    does wherever the builtin Traveller meets every Blocker line and the
+    builtin Blocker meets the builtin, greedy and wandering Travellers."""
+    inst, t1, t2 = case
+    got, want = LiGame(inst, t1, t2), FullStateLiGame(inst, t1, t2)
+    assert got.wins == want.wins
+    assert got.states <= want.states
+    seen: list = []
+    tp = _paired(got.traveller_policy(), want.traveller_policy(), seen)
+    bp = _paired(got.blocker_policy(), want.blocker_policy(), seen)
+    assert verify_traveller_strategy(inst, tp, "li", deadline=t2, t1=t1).ok == got.wins
+    mine = play(inst, tp, bp, "li", t1, t2)
+    ref = play(inst, want.traveller_policy(), want.blocker_policy(), "li", t1, t2)
+    assert _bytes(mine) == _bytes(ref)
+    for traveller in (greedy_temporal, wanderer):
+        play(inst, traveller, bp, "li", t1, t2)
+    assert [a for a, _ in seen] == [b for _, b in seen]
 
 
 @st.composite
@@ -387,9 +451,9 @@ def reveal_scopes(draw):
     edges = [StaticEdge("a", f"b{i}", 1, copies=c)
              for i, c in enumerate(draw(st.lists(st.integers(1, 4), min_size=m,
                                                  max_size=m)))]
-    scope = draw(st.lists(st.sampled_from(edges), unique=True, max_size=10))
+    scope = draw(st.lists(st.sampled_from(range(m)), unique=True, max_size=10))
     k = draw(st.integers(0, 6))
-    know = Knowledge(edges, {"v": scope}, k, 1)
+    know = Knowledge([(e.key, e.copies) for e in edges], {"v": scope}, k, 1)
     settled = draw(st.integers(0, (1 << m) - 1))
     blocked = draw(st.integers(0, (1 << m) - 1)) & settled
     return know, (settled, blocked, draw(st.integers(0, k)))
@@ -456,7 +520,7 @@ def test_knowledge_state_reuse_matches_a_fresh_fold(case):
     prefix it shares with the step and the rest is added, so a changed count
     re-adds the same keys with other counts in place of the ones folded."""
     edges, steps, gap = case
-    know = Knowledge(edges, {}, 3, 1)
+    know = Knowledge([(e.key, e.copies) for e in edges], {}, 3, 1)
     know.GAP = gap
     ledger = Ledger()
     for items, how in steps:
