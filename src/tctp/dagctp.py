@@ -102,30 +102,39 @@ def pi_row(arcs: list, width: int) -> tuple:
     arcs holds (head row, weight, copies capped at width) per out-arc, and
     width is the budget plus one. Entry i is the guarantee with budget i
     left: the max over m <= i of the (m+1)-smallest candidate at budget
-    i - m, candidates counted once per copy. No out-arc gives an
-    unreachable row.
+    i - m, candidates counted once per copy. With n candidates in all,
+    Blocker removes every one once i >= n, so those entries are
+    unreachable; below n every (m+1)-smallest exists. Head rows never fall
+    as the budget grows, so a single arc's max is at m = 0: its row is the
+    head row plus the weight. No out-arc gives an unreachable row.
     """
-    budgets = range(width)
-    # sorted candidate costs per remaining-budget index r
-    prefixes = []
-    for r in budgets:
-        cands = []
-        for head, weight, copies in arcs:
-            if copies == 1:
-                cands.append(head[r] + weight)
-            else:
-                cands.extend([head[r] + weight] * copies)
-        cands.sort()
-        prefixes.append(cands)
-    row = []
-    for i in budgets:
-        best = 0
-        for m in range(i + 1):
-            prefix = prefixes[i - m]
-            cand = prefix[m] if m < len(prefix) else UNREACHABLE
-            if cand > best:
-                best = cand
-        row.append(best)
+    n = 0
+    for _, _, copies in arcs:
+        n += copies
+    reach = n if n < width else width
+    if len(arcs) == 1:
+        head, weight, _ = arcs[0]
+        row = [head[i] + weight for i in range(reach)]
+    else:
+        row = []
+        for r in range(reach):
+            # the sorted candidates at budget r; the (m+1)-smallest joins
+            # the max of entry r + m
+            cands = []
+            for head, weight, copies in arcs:
+                if copies == 1:
+                    cands.append(head[r] + weight)
+                else:
+                    cands += [head[r] + weight] * copies
+            cands.sort()
+            if not r:
+                row = cands[:reach]
+                continue
+            for m in range(reach - r):
+                if cands[m] > row[r + m]:
+                    row[r + m] = cands[m]
+    if reach < width:
+        row += [UNREACHABLE] * (width - reach)
     return tuple(row)
 
 
@@ -139,11 +148,12 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     arc weight.
 
     Each vertex reads (head row, weight, copies capped at k+1) once per
-    out-arc and hands them to ``pi_row``. For every budget index r it lists
-    each arc's candidate once per capped copy and sorts the list: Blocker
-    never removes more than k copies, so the first k+1 entries are all the
-    max can reach, and the cap keeps the list at most (k+1) * out-degree
-    long.
+    out-arc and hands them to ``pi_row``. For every budget index r below
+    the vertex's capped copy count it lists each arc's candidate once per
+    capped copy and sorts the list: Blocker never removes more than k
+    copies, so the first k+1 entries are all the max can reach, and the cap
+    keeps the list at most (k+1) * out-degree long. Entries from the copy
+    count up are unreachable.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")

@@ -170,13 +170,13 @@ class LiGame:
 
     An edge that departs before the clock, or arrives after t2, is dead: no
     walk from here can use it. Edge bits are numbered in (tau, key) order,
-    so the edges departing before a time are the low bits. A reveal treats
-    the dead edges as settled, so Blocker never spends budget on one, and
-    the memo keys a position on its bits from the first feasible departure
-    up, so positions that differ only in dead edges share one entry.
-    Dropping the dead reveals keeps the Blocker policy's moves: a losing
-    reveal that blocks a dead edge has a cheaper twin without it that comes
-    first and loses too.
+    so the edges departing before a time are the low bits. A reveal, in the
+    search and in the Blocker policy alike, treats the dead edges as
+    settled, so Blocker never spends budget on one, and the memo keys a
+    position on its bits from the first feasible departure up, so positions
+    that differ only in dead edges share one entry. Dropping the dead
+    reveals keeps the Blocker policy's moves: a losing reveal that blocks a
+    dead edge has a cheaper twin without it that comes first and loses too.
     """
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
@@ -193,6 +193,7 @@ class LiGame:
         # time -> how many edges depart before it: the dead prefix of the bits
         times = {*taus, *(tau + d for tau, _, d, *_ in order), self.t1}
         past = {x: bisect_left(taus, x) for x in times}
+        self.taus = taus
         self.past_t1 = past[self.t1]
         scopes: dict = {v: [] for v in g.vertices}
         for i, (_, _, _, _, u, v) in enumerate(order):
@@ -240,12 +241,16 @@ class LiGame:
         self.memo[key] = win
         return win
 
+    def _live(self, past: int, state):
+        """``state`` with the dead edges settled: the ``past`` edges that
+        depart before the walker's arrival and those arriving after t2."""
+        r, b, spent = state
+        return r | (1 << past) - 1 | self.late, b, spent
+
     def _reveal_wins(self, v, arrive, past: int, state):
         """Blocker to settle v's undecided live incident edges, on arrival
         when ``past`` edges depart earlier."""
-        r, b, spent = state
-        state = (r | (1 << past) - 1 | self.late, b, spent)
-        for choice in self.reveal_choices(v, state):
+        for choice in self.reveal_choices(v, self._live(past, state)):
             if not (yield self._wins(v, arrive, choice)):
                 return False
         return True
@@ -279,8 +284,11 @@ class LiGame:
         return policy
 
     def blocker_policy(self):
+        """Play the first losing reveal of the live edges, as the search
+        offers them, else block nothing."""
         def policy(view):
-            state = self.know.state(view.decided)
+            state = self._live(bisect_left(self.taus, view.clock),
+                               self.know.state(view.decided))
             for choice in self.reveal_choices(view.position, state):
                 if not run(self._wins(view.position, view.clock, choice)):
                     statuses = self.know.statuses(view.position, state, choice)

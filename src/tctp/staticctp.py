@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
-from .dagctp import UNREACHABLE
+from .dagctp import UNREACHABLE, pi_row
 from .knowledge import EMPTY, Knowledge, run
 
 
@@ -34,6 +33,14 @@ class StaticGame:
     ``_bands``, answers decisions and, by probes over the slack, values
     (MTD(f)'s null-window probes over a table of bounds); the play helpers
     read portal and reveal values from ``value``.
+
+    In incident mode, ``bounds`` brackets every cost-to-go from tables kept
+    once per blocked set B, however many states share it: the distance to
+    t over G - B below, and the budget table of a Traveller who only moves
+    down the order of that distance above. A probe outside the bracket is
+    answered without a search. The out mode keeps the everything-open
+    distance as its only bound: it is the oracle that the budget table of
+    ``dagctp`` is checked against, so it reads no table.
     """
 
     def __init__(self, inst: Instance, discovery: str = "incident",
@@ -56,9 +63,15 @@ class StaticGame:
                 for e in g.outgoing(v)]
             for v in g.vertices
         }
-        # ways into t, (bit, tail): the sweeps reach t only over one of them
-        self.into_t = [(bit, v) for v in g.vertices
-                       for bit, w, _, _ in self.moves[v] if w == inst.t]
+        # usable ways into each vertex: (tail, weight, bit)
+        self.into: dict = {v: [] for v in g.vertices}
+        for v, moves in self.moves.items():
+            for b, w, weight, _ in moves:
+                self.into[w].append((v, weight, b))
+        self.bounded = discovery == "incident"
+        # blocked mask -> [distance to t over the rest, down-table rows or
+        # None until ``bounds`` first needs them]
+        self._tables: dict = {}
         # threshold bands: (pos, state) -> [largest losing slack, smallest
         # winning slack or None]; sound because winning is monotone in slack
         self._bands: dict = {}
@@ -79,14 +92,14 @@ class StaticGame:
     def value(self, pos, state):
         """Cost-to-go at pos, UNREACHABLE when the blocker can cut every
         route. A probe of ``_win`` at slack inf tells which; a finite value
-        is then the least slack ``_win`` accepts. Slack ``h[pos] - 1`` always
-        loses; the search steps up from there, doubling the step until a
-        probe wins, and bisects the last step, keeping the bands between
-        probes, so every probe stays near the value. Weights are
+        is then the least slack ``_win`` accepts. Slack ``floor[pos] - 1``
+        always loses; the search steps up from there, doubling the step
+        until a probe wins, and bisects the last step, keeping the bands
+        between probes, so every probe stays near the value. Weights are
         non-negative ints, so the search is exact."""
         if not run(self._win(pos, state, math.inf)):
             return UNREACHABLE
-        lo, step = self.h[pos] - 1, 1
+        lo, step = self.floor(state[1])[pos] - 1, 1
         while not run(self._win(pos, state, lo + step)):
             lo, step = lo + step, 2 * step
         hi = lo + step
@@ -103,11 +116,13 @@ class StaticGame:
         are portals where the blocker moves again. Returns the route ends,
         each (cost via it, vertex index, vertex), and the predecessor map.
         Past ``best``, the cheapest end found so far, the sweep stops, and a
-        popped vertex whose distance plus ``h`` exceeds it is neither expanded
-        nor valued. Both tests are strict, so the cheapest ends, their
-        ``(cost, index)`` order and ``prev`` chains are as in a full sweep."""
-        t, h, idx, settled = self.inst.t, self.h, self.g.index, self.know.settled
+        popped vertex whose distance plus its ``floor`` exceeds it is neither
+        expanded nor valued. Both tests are strict, so the cheapest ends,
+        their ``(cost, index)`` order and ``prev`` chains are as in a full
+        sweep."""
+        t, idx, settled = self.inst.t, self.g.index, self.know.settled
         blocked = state[1]
+        floor = self.floor(blocked)
         dist = {pos: 0}
         prev: dict = {}
         heap = [(0, idx[pos], pos)]
@@ -123,7 +138,7 @@ class StaticGame:
                 # onward candidates all cost at least d from here on
                 ends.append((d, i, v))
                 break
-            if d + h.get(v, UNREACHABLE) > best:
+            if d + floor.get(v, UNREACHABLE) > best:
                 continue
             if not settled(v, state):
                 ends.append((d + self.value(v, state), i, v))
@@ -139,32 +154,72 @@ class StaticGame:
                     heapq.heappush(heap, (nd, idx[w], w))
         return ends, prev
 
-    # -- threshold search --------------------------------------------------
+    # -- bounds ------------------------------------------------------------
 
-    @cached_property
-    def h(self) -> dict:
-        """Everything-open distance to t: a lower bound on any cost-to-go,
-        which prunes the threshold search and the play sweeps and starts
-        the value search."""
-        g = self.g
-        rev: dict = {v: [] for v in g.vertices}
-        for e in g.edges:
-            rev[e.v].append((e.u, e.weight))
-            if not g.directed:
-                rev[e.u].append((e.v, e.weight))
-        t = self.inst.t
+    def _distances(self, blocked: int) -> dict:
+        """Distance to t of each vertex that reaches it over the edges not in
+        ``blocked``."""
+        idx, into, t = self.g.index, self.into, self.inst.t
         dist = {t: 0}
-        heap = [(0, g.index[t], t)]
+        heap = [(0, idx[t], t)]
         while heap:
             d, _, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
-            for u, w in rev[v]:
-                nd = d + w
+            for u, weight, bit in into[v]:
+                if blocked & bit:
+                    continue
+                nd = d + weight
                 if nd < dist.get(u, UNREACHABLE):
                     dist[u] = nd
-                    heapq.heappush(heap, (nd, g.index[u], u))
+                    heapq.heappush(heap, (nd, idx[u], u))
         return dist
+
+    def _table(self, blocked: int) -> list:
+        entry = self._tables.get(blocked)
+        if entry is None:
+            entry = self._tables[blocked] = [self._distances(blocked), None]
+        return entry
+
+    def floor(self, blocked: int) -> dict:
+        """Lower bounds on the cost-to-go of every state whose blocked mask
+        is ``blocked``, a vertex missing where it is UNREACHABLE: in
+        incident mode the distance to t over the rest of the graph, in out
+        mode the everything-open distance, ``floor(0)``. They prune the
+        threshold search and the play sweeps and start the value search."""
+        return self._table(blocked if self.bounded else 0)[0]
+
+    def bounds(self, pos, state) -> tuple:
+        """(lower, upper) on the cost-to-go at pos in incident mode.
+
+        Let B be the edges blocked in ``state``. The lower bound is the
+        distance to t over G - B. Order the vertices that reach t by (that
+        distance, index); a Traveller who only moves down the order plays
+        the DAG game on the arcs that go down it (``pi_row``'s budget
+        table), and the upper bound is its row at pos, read at the budget
+        left. Its Blocker is no weaker than the one here: blocked edges are
+        gone, edges settled open can no longer be cut, and a down arc is
+        settled when the walker first stands at its upper end, as in the
+        table, or earlier. Both bounds are UNREACHABLE when G - B cuts pos
+        from t.
+        """
+        blocked, spent = state[1], state[2]
+        entry = self._table(blocked)
+        dist, rows = entry
+        if pos not in dist:
+            return UNREACHABLE, UNREACHABLE
+        if rows is None:
+            # in order, each vertex reads the rows of its arcs' heads so far
+            idx, width, copies = self.g.index, self.inst.k + 1, self.know.copies
+            rows = entry[1] = {}
+            for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
+                rows[v] = (0,) * width if v == self.inst.t else pi_row(
+                    [(rows[w], weight, min(copies[key], width))
+                     for bit, w, weight, key in self.moves[v]
+                     if w in rows and not blocked & bit], width)
+        return dist[pos], rows[pos][self.inst.k - spent]
+
+    # -- threshold search --------------------------------------------------
 
     def decide(self, slack) -> bool:
         return run(self._win(self.inst.s, EMPTY, slack))
@@ -173,13 +228,19 @@ class StaticGame:
         """True iff the cost-to-go at pos is at most slack."""
         if pos == self.inst.t:
             return slack >= 0
-        if slack < 0 or pos not in self.h or self.h[pos] > slack:
+        floor = self.floor(state[1])
+        if pos not in floor or floor[pos] > slack:
             return False
         key = (pos, state)
         band = self._bands.get(key)
         if band is None:
+            upper = self.bounds(pos, state)[1] if self.bounded else UNREACHABLE
+            if upper == UNREACHABLE:
+                upper = None
+            elif slack >= upper:
+                return True
             self.know.count()
-            band = self._bands[key] = [-math.inf, None]
+            band = self._bands[key] = [-math.inf, upper]
         if slack <= band[0]:
             return False
         if band[1] is not None and slack >= band[1]:
@@ -202,13 +263,14 @@ class StaticGame:
     def _reaches(self, pos, state, slack):
         """From the settled pos: t within slack over settled vertices, or a
         portal whose reveal the walker wins with the slack left there."""
-        t, h, idx, settled = self.inst.t, self.h, self.g.index, self.know.settled
+        t, idx, settled = self.inst.t, self.g.index, self.know.settled
         blocked = state[1]
+        floor = self.floor(blocked)
         # while no settled vertex has an open way into t, the sweep cannot
         # reach t, so each portal is searched as soon as it is popped: the
         # same portals in the same order as after a full sweep
         eager = not any(settled(u, state) and not blocked & bit
-                        for bit, u in self.into_t)
+                        for u, _, bit in self.into[t])
         dist = {pos: 0}
         heap = [(0, idx[pos], pos)]
         portals = []
@@ -228,8 +290,9 @@ class StaticGame:
                 if blocked & bit:
                     continue
                 nd = d + weight
-                # exact pruning: h never overestimates the cost still to pay
-                if nd + h.get(w, UNREACHABLE) > slack:
+                # exact pruning: the floor never overestimates the cost
+                # still to pay
+                if nd + floor.get(w, UNREACHABLE) > slack:
                     continue
                 if nd < dist.get(w, UNREACHABLE):
                     dist[w] = nd

@@ -10,6 +10,9 @@ reads off a shared table or a pruned pass:
 * whether a block group can bind, by a descendant search from every member
   tail;
 * the budget table with ``heapq.nsmallest`` over every capped copy;
+* one row of the budget table with every budget index and every
+  (m+1)-smallest candidate range-checked, in place of cutting the row at its
+  copy count;
 * the uninformed game's table as ``compute_pi`` on the materialized time
   expansion, in place of the reverse-time sweep;
 * the uninformed game's playout policies reading each node's out-arcs from
@@ -207,6 +210,30 @@ def nsmallest_pi_values(g: StaticGraph, target, k: int) -> dict:
             row.append(best)
         values[v] = tuple(row)
     return values
+
+
+def full_width_pi_row(arcs: list, width: int) -> tuple:
+    """``pi_row`` with no cut: every budget index r gets a sorted candidate
+    list, and entry i is the max over every m <= i, an (m+1)-smallest that
+    does not exist counting as unreachable."""
+    budgets = range(width)
+    prefixes = []
+    for r in budgets:
+        cands = []
+        for head, weight, copies in arcs:
+            cands.extend([head[r] + weight] * copies)
+        cands.sort()
+        prefixes.append(cands)
+    row = []
+    for i in budgets:
+        best = 0
+        for m in range(i + 1):
+            prefix = prefixes[i - m]
+            cand = prefix[m] if m < len(prefix) else UNREACHABLE
+            if cand > best:
+                best = cand
+        row.append(best)
+    return tuple(row)
 
 
 def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:

@@ -15,6 +15,7 @@ from oracles import (
     chained,
     expansion_pi_table,
     expansion_read_policies,
+    full_width_pi_row,
     groups_can_bind,
     mask_choices,
     nsmallest_pi_values,
@@ -39,7 +40,7 @@ from tctp.core import (
     parse_instance,
     serialize_instance,
 )
-from tctp.dagctp import BlockGroups, brute_dag_game, compute_pi
+from tctp.dagctp import UNREACHABLE, BlockGroups, brute_dag_game, compute_pi, pi_row
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge, Ledger
@@ -155,14 +156,33 @@ _SAME_SPEND = Instance(TemporalGraph.build("pstyz", [
 def test_dead_edge_search_matches_the_full_state_reference(case):
     """Same answer, fewer states, and both policies answer as the reference
     does wherever the builtin Traveller meets every Blocker line and the
-    builtin Blocker meets the builtin, greedy and wandering Travellers."""
+    builtin Blocker meets the builtin, greedy and wandering Travellers. The
+    reveals the builtin Blocker weighs block no dead edge."""
     inst, t1, t2 = case
     got, want = LiGame(inst, t1, t2), FullStateLiGame(inst, t1, t2)
     assert got.wins == want.wins
     assert got.states <= want.states
+    offered: list = []
+    searched = got.reveal_choices
+
+    def spy(v, state):
+        offered.append((state, searched(v, state)))
+        return offered[-1][1]
+    got.reveal_choices = spy
+    blocker = got.blocker_policy()
+
+    def weighed(view):
+        # the policy's own list is the first one asked for
+        del offered[:]
+        out = blocker(view)
+        before, choices = offered[0]
+        dead = sum(bit for bit, _, (_, _, tau, d) in got.know.entries
+                   if tau < view.clock or tau + d > t2)
+        assert not any((b & ~before[1]) & dead for _, b, _ in choices)
+        return out
     seen: list = []
     tp = _paired(got.traveller_policy(), want.traveller_policy(), seen)
-    bp = _paired(got.blocker_policy(), want.blocker_policy(), seen)
+    bp = _paired(weighed, want.blocker_policy(), seen)
     assert verify_traveller_strategy(inst, tp, "li", deadline=t2, t1=t1).ok == got.wins
     mine = play(inst, tp, bp, "li", t1, t2)
     ref = play(inst, want.traveller_policy(), want.blocker_policy(), "li", t1, t2)
@@ -233,6 +253,34 @@ def weighted_dags(draw):
 def test_sorted_budget_table_matches_nsmallest(case):
     g, target, k = case
     assert compute_pi(g, target, k).values == nsmallest_pi_values(g, target, k)
+
+
+@st.composite
+def row_arcs(draw):
+    """(arcs, width) for ``pi_row``: non-decreasing head rows, some ending
+    unreachable, and copies up to two past the width."""
+    width = draw(st.integers(1, 6))
+    arcs = []
+    for _ in range(draw(st.integers(0, 4))):
+        steps = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        head = [sum(steps[:i + 1]) for i in range(width)]
+        cut = draw(st.integers(0, width))
+        head[cut:] = [UNREACHABLE] * (width - cut)
+        arcs.append((tuple(head), draw(st.integers(0, 5)),
+                     draw(st.integers(1, width + 2))))
+    return arcs, width
+
+
+@SETTINGS
+@given(row_arcs())
+@example(([], 3))
+@example(([((0,), 2, 1), ((1,), 0, 1)], 1))
+@example(([((0, 1, 1, 4), 2, 1)], 4))
+@example(([((0, 1, 2), 1, 3), ((0, 0, 5), 0, 4)], 3))
+def test_budget_cut_row_matches_the_full_width_row(case):
+    """No out-arc, width 1, a single arc, and copies at or past the width."""
+    arcs, width = case
+    assert pi_row(arcs, width) == full_width_pi_row(arcs, width)
 
 
 @SETTINGS
@@ -441,6 +489,38 @@ def test_bounded_static_sweeps_match_the_unbounded_reference(inst):
         tr = play(inst, game.traveller_policy(), game.blocker_policy(), model)
         plays.append(_bytes(tr))
     assert plays[0] == plays[1]
+
+
+def _reaches_t(inst, pos, blocked) -> bool:
+    """Whether pos reaches t over the edges no copy of which is blocked."""
+    g, seen, todo = inst.graph, {pos}, [pos]
+    while todo:
+        v = todo.pop()
+        for e in g.edges:
+            if e.key in blocked:
+                continue
+            for tail, head in ((e.u, e.v),) if g.directed else ((e.u, e.v), (e.v, e.u)):
+                if tail == v and head not in seen:
+                    seen.add(head)
+                    todo.append(head)
+    return inst.t in seen
+
+
+@SETTINGS
+@given(blocking_games())
+@example(_DETOUR)
+def test_blocked_set_bounds_bracket_every_reference_value(inst):
+    """At every state the reference values in incident mode, the bounds of
+    its blocked set hold the value, and the lower one is unreachable exactly
+    when the blocked edges cut pos from t."""
+    want = unbounded_static_game(inst, "incident")
+    want.entry_value()
+    game = StaticGame(inst, "incident")
+    for (pos, state), value in list(want._values.items()):
+        lower, upper = game.bounds(pos, state)
+        assert lower <= value <= upper
+        blocked = {key for key, bit in want.know.bit.items() if state[1] & bit}
+        assert (lower == UNREACHABLE) == (not _reaches_t(inst, pos, blocked))
 
 
 @st.composite

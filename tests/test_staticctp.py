@@ -6,6 +6,7 @@ import random
 import pytest
 
 from generators import rand_dag
+from tctp import staticctp
 from tctp.arena import TRAVELLER_WIN, builtin_policies, play
 from tctp.core import Instance, StaticEdge, StaticGraph
 from tctp.dagctp import UNREACHABLE, compute_pi
@@ -185,7 +186,7 @@ def test_everything_open_bound_is_plain_shortest_path():
     rng = random.Random(66)
     for inst in _small_instances(rng, 30):
         game = StaticGame(inst)
-        assert game.h == _dijkstra_to(inst.graph, inst.t)
+        assert game.floor(0) == _dijkstra_to(inst.graph, inst.t)
 
 
 def test_reveal_choices_spend_cheapest_first():
@@ -213,6 +214,23 @@ def test_out_discovery_reproduces_the_layered_table():
         inst = rand_dag(rng, max_n=6, max_arcs=10)
         got = exact_static_value(inst, discovery="out")
         assert got == compute_pi(inst.graph, inst.t, inst.k).value(inst.s, inst.k)
+
+
+def test_out_discovery_reads_no_budget_table(monkeypatch):
+    """The out mode cross-checks ``compute_pi``, so it must not read a row of
+    that table itself: a game with the row kernel removed still solves and
+    plays every DAG."""
+    def no_row(arcs, width):
+        raise AssertionError("the out mode read a budget-table row")
+    monkeypatch.setattr(staticctp, "pi_row", no_row)
+    assert not hasattr(staticctp, "compute_pi")
+    rng = random.Random(4242)
+    for _ in range(40):
+        inst = rand_dag(rng, max_n=6, max_arcs=10)
+        game = StaticGame(inst, discovery="out")
+        assert game.entry_value() == compute_pi(inst.graph, inst.t, inst.k).value(
+            inst.s, inst.k)
+        play(inst, game.traveller_policy(), game.blocker_policy(), "dag")
 
 
 def test_canonical_play_realizes_the_value():
