@@ -29,7 +29,6 @@ from .core import (
 )
 from .dagctp import (
     UNREACHABLE,
-    BlockGroups,
     PiTable,
     brute_dag_game,
     compute_pi,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCKER_WIN",
-    "BlockGroups",
     "CnfFormula",
     "CyclicGraphError",
     "ExpandedDag",

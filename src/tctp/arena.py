@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping, Optional
 
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
-from .errors import SizeLimitError
+from .errors import STATE_LIMIT, VERIFY_LIMIT, SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame
@@ -559,7 +560,7 @@ def verify_traveller_strategy(
     model: str,
     deadline=None,
     t1: int = 0,
-    limit=200_000,
+    limit=VERIFY_LIMIT,
 ) -> VerifyResult:
     """Does the policy beat every Blocker line within the deadline?
 
@@ -624,27 +625,21 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
 def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
     """Both sides of the blocked-arc game, guided by a budget table.
 
-    ``node_of`` maps a view to its table node. ``out_arcs`` maps a node to
+    ``node_of`` maps a view to where it stands. ``out_arcs`` maps that to
     a dict from each out-arc to (key of the edge whose status the arc
     follows or None when nothing can block it, the Traveller action that
     takes it).
     """
 
     def traveller(view):
-        node = node_of(view)
-        if node not in table.values:
-            return ("resign",)
-        out = out_arcs(node)
+        out = out_arcs(node_of(view))
         arc = traveller_move(out, table, table.budget - view.spent,
                              {arc.key: view.decided.get(key, 0)
                               for arc, (key, _) in out.items()})
         return ("resign",) if arc is None else out[arc][1]
 
     def blocker(view):
-        node = node_of(view)
-        if node not in table.values:
-            return {}
-        out = out_arcs(node)
+        out = out_arcs(node_of(view))
         follows = {arc.key: key for arc, (key, _) in out.items()}
         scope = set(view.undecided)
         mv = blocker_move(out, table, view.remaining)
@@ -656,22 +651,27 @@ def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
 def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     """Both sides of the per-instant model, guided by the ``u`` budget table.
 
-    A node's out-arcs are read from the instance as the time expansion makes
-    them: one per time edge departing the vertex at that time and arriving in
-    the window, and the wait to the vertex's next node in the table.
+    A position's out-arcs are read from the instance as the time expansion
+    makes them: one per time edge departing the vertex at that time and
+    arriving in the window, and the wait to the vertex's next node in the
+    table. A position between two nodes (a wait woken by an edge that
+    arrives too late to be in the table) has only that wait.
     """
     dec = decide_u(inst, t1, t2)
-    nodes = sorted(dec.table.values)
-    later = {a: b for a, b in zip(nodes, nodes[1:]) if a[0] == b[0]}
+    times: dict = {}  # vertex -> its node times, ascending
+    for v, tau in sorted(dec.table.values):
+        times.setdefault(v, []).append(tau)
 
     def out_arcs(node) -> dict:
         v, tau = node
         out = {StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies):
                (e.key, ("move", e.key))
                for e in inst.graph.incident(v) if e.tau == tau and e.arrival <= dec.t2}
-        nxt = later.get(node)
-        if nxt is not None:
-            out[StaticEdge(node, nxt, nxt[1] - tau, inst.k + 1)] = (None, ("wait", nxt[1]))
+        later = times.get(v, ())
+        i = bisect_right(later, tau)
+        if i < len(later):
+            nxt = later[i]
+            out[StaticEdge(node, (v, nxt), nxt - tau, inst.k + 1)] = (None, ("wait", nxt))
         return out
 
     return _table_pair(dec.table, lambda view: (view.position, view.clock), out_arcs)
@@ -687,7 +687,7 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
 
 
 def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None,
-                     state_limit: int = 10**7) -> tuple:
+                     state_limit: int = STATE_LIMIT) -> tuple:
     """(traveller, blocker) pair backed by the matching solver.
 
     The model's input checks run first, so an instance of the wrong kind is

@@ -26,7 +26,7 @@ from .arena import (
 )
 from .core import Instance, StaticGraph, TemporalGraph, parse_instance, serialize_instance
 from .dagctp import UNREACHABLE, compute_pi
-from .errors import InstanceFormatError, SizeLimitError
+from .errors import STATE_LIMIT, VERIFY_LIMIT, InstanceFormatError, SizeLimitError
 from .expansion import build_expansion
 from .gadgets import QbfFormula, gen_li_np, gen_li_pspace, gen_static_np, parse_dimacs
 from .litctp import NEVER, exact_li, solve_k1
@@ -265,7 +265,7 @@ def cmd_solve_li(ns) -> int:
     obj: dict = {"k": inst.k, "deadline": ns.deadline
                  if ns.deadline is not None else inst.deadline}
     if ns.exact or inst.k != 1:
-        res = exact_li(inst, 0, ns.deadline, state_limit=_limit(ns, 10**7))
+        res = exact_li(inst, 0, ns.deadline, state_limit=_limit(ns, STATE_LIMIT))
         obj["wins"] = res.wins
         lines = ["Traveller wins" if res.wins else "Blocker wins"]
         if ns.exact:
@@ -298,7 +298,7 @@ def cmd_solve_static(ns) -> int:
     if ns.deadline is not None and ns.deadline < 0:
         raise ValueError("deadline must be >= 0")
     discovery = "out" if inst.graph.directed else "incident"
-    game = StaticGame(inst, discovery=discovery, state_limit=_limit(ns, 10**7))
+    game = StaticGame(inst, discovery=discovery, state_limit=_limit(ns, STATE_LIMIT))
     val = game.entry_value()
     deadline = ns.deadline if ns.deadline is not None else inst.deadline
     wins = val != UNREACHABLE and (deadline is None or val <= deadline)
@@ -339,7 +339,7 @@ def _builtin(ns, inst: Instance, t2):
     """The (traveller, blocker) builtin pair for the window [t1, t2] the
     command plays or checks, built on first use only."""
     return functools.cache(
-        lambda: builtin_policies(inst, ns.model, ns.t1, t2, _limit(ns, 10**7)))
+        lambda: builtin_policies(inst, ns.model, ns.t1, t2, _limit(ns, STATE_LIMIT)))
 
 
 def _pick_traveller(ns, builtin):
@@ -358,7 +358,7 @@ def cmd_play(ns) -> int:
     tr = None
     if ns.blocker == "exhaustive":
         tr = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.t2, t1=ns.t1,
-                                       limit=_limit(ns, 200_000)).counterexample
+                                       limit=_limit(ns, VERIFY_LIMIT)).counterexample
     if tr is None:
         tr = play(inst, tp, builtin()[1], ns.model, ns.t1, ns.t2)
     out = _Out(ns)
@@ -371,7 +371,7 @@ def cmd_verify(ns) -> int:
     inst = _load(ns.instance)
     tp = _pick_traveller(ns, _builtin(ns, inst, ns.deadline))
     res = verify_traveller_strategy(inst, tp, ns.model, deadline=ns.deadline,
-                                    t1=ns.t1, limit=_limit(ns, 200_000))
+                                    t1=ns.t1, limit=_limit(ns, VERIFY_LIMIT))
     out = _Out(ns)
     obj = {"ok": res.ok, "explored": res.explored,
            "counterexample": _transcript_obj(res.counterexample)

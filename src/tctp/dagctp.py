@@ -5,10 +5,7 @@ total, and each blocked copy becomes visible only when Traveller arrives at
 its tail. ``compute_pi`` computes, for every vertex v and every
 remaining blocker budget i, the worst-case cost Traveller can guarantee from
 v; ``brute_dag_game`` recomputes the same quantity by exhaustive game-tree
-search and exists purely as a cross-check. Only the oracle takes block
-groups (arcs that one block decision removes together); the table treats
-every arc as its own group, which is exact when no directed path visits the
-tails of two members of one group, as in the time expansion.
+search and exists purely as a cross-check.
 """
 from __future__ import annotations
 
@@ -42,45 +39,6 @@ def topological_order(g: StaticGraph) -> list:
     if len(order) != len(g.vertices):
         raise CyclicGraphError("graph contains a directed cycle")
     return order
-
-
-@dataclass(frozen=True)
-class BlockGroups:
-    """Ties arcs that one block decision removes together.
-
-    Blocking copy j of a group removes copy j of every member arc and costs
-    one budget unit. The default (identity) grouping makes every arc its own
-    group. Group ids must be hashable and mutually sortable.
-    """
-
-    arc_to_group: Mapping[tuple, object]
-    group_copies: Mapping[object, int]
-
-    @classmethod
-    def identity(cls, g: StaticGraph) -> "BlockGroups":
-        return cls(
-            {e.key: i for i, e in enumerate(g.edges)},
-            {i: e.copies for i, e in enumerate(g.edges)},
-        )
-
-    def group_of(self, e: StaticEdge):
-        return self.arc_to_group[e.key]
-
-
-def _group_members(g: StaticGraph, groups: BlockGroups) -> dict:
-    """Validate groups against g; map each group id to its member arcs."""
-    members: dict = {}
-    for e in g.edges:
-        gid = groups.arc_to_group.get(e.key)
-        if gid is None:
-            raise ValueError(f"arc {e.key} missing from block groups")
-        if groups.group_copies[gid] != e.copies:
-            raise ValueError(f"arc {e.key} copies differ from its group's")
-        members.setdefault(gid, []).append(e)
-    for gid, arcs in members.items():
-        if len(arcs) > 1 and len({a.u for a in arcs}) != len(arcs):
-            raise ValueError(f"group {gid!r} has two member arcs at one tail")
-    return members
 
 
 @dataclass(frozen=True)
@@ -232,44 +190,31 @@ def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> d
 _STATES_PER_VERTEX = 20
 
 
-def brute_dag_game(
-    g: StaticGraph,
-    s,
-    t,
-    budget: int,
-    groups: Optional[BlockGroups] = None,
-    unlimited: bool = False,
-):
+def brute_dag_game(g: StaticGraph, s, t, budget: int, unlimited: bool = False):
     """Exact game value by exhaustive search over reveal histories.
 
-    This is the only consumer of ``BlockGroups``; groups default to one per
-    arc and are validated against g. The information state is the set of
-    block decisions made so far (one per group, fixed on first reveal);
-    Blocker enumerates every legal count vector, budget permitting. Intended
-    for small cross-check instances; the per-vertex information-state guard
-    trips otherwise unless unlimited.
+    The information state is the blocked count of every arc revealed so far,
+    each fixed at the arc's tail on first arrival; Blocker enumerates every
+    legal count vector, budget permitting. Intended for small cross-check
+    instances; the per-vertex information-state guard trips otherwise unless
+    unlimited.
     """
     for x in (s, t):
         if x not in g.index:
             raise ValueError(f"unknown vertex {x!r}")
     topological_order(g)  # validates acyclicity
-    if groups is None:
-        groups = BlockGroups.identity(g)
-    else:
-        _group_members(g, groups)
     out_arcs = {v: sorted(g.outgoing(v), key=lambda a: a.key) for v in g.vertices}
     memo: dict = {}
     states_per_vertex: dict = {}
 
-    def reveal_vectors(gids, rem, decided):
-        """All ways to fix blocked counts for the given undecided groups."""
-        if not gids:
+    def reveal_vectors(arcs, rem, decided):
+        """All ways to fix blocked counts for the given undecided arcs."""
+        if not arcs:
             yield decided
             return
-        gid, rest = gids[0], gids[1:]
-        cap = min(groups.group_copies[gid], rem)
-        for c in range(cap + 1):
-            yield from reveal_vectors(rest, rem - c, decided + ((gid, c),))
+        e, rest = arcs[0], arcs[1:]
+        for c in range(min(e.copies, rem) + 1):
+            yield from reveal_vectors(rest, rem - c, decided + ((e.key, c),))
 
     def value(v, decided: tuple):
         if v == t:
@@ -287,20 +232,14 @@ def brute_dag_game(
             states_per_vertex[v] = n
         dmap = dict(decided)
         spent = sum(dmap.values())
-        undecided = []
-        seen = set()
-        for e in out_arcs[v]:
-            gid = groups.group_of(e)
-            if gid not in dmap and gid not in seen:
-                seen.add(gid)
-                undecided.append(gid)
+        undecided = tuple(e for e in out_arcs[v] if e.key not in dmap)
         worst = None
-        for new_decided in reveal_vectors(tuple(undecided), budget - spent, decided):
+        for new_decided in reveal_vectors(undecided, budget - spent, decided):
             ndmap = dict(new_decided)
             ordered = tuple(sorted(new_decided))
             best = UNREACHABLE
             for e in out_arcs[v]:
-                if e.copies - ndmap.get(groups.group_of(e), 0) < 1:
+                if e.copies - ndmap.get(e.key, 0) < 1:
                     continue
                 sub = e.weight + value(e.v, ordered)
                 if sub < best:

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default limits a SizeLimitError reports."""
+
+STATE_LIMIT = 10**7  # states of an exact knowledge-state search
+VERIFY_LIMIT = 200_000  # reveal states the verifier explores
 
 
 class InstanceFormatError(ValueError):

@@ -16,6 +16,7 @@ from functools import cache, cached_property
 from typing import Dict, Mapping, Optional
 
 from .core import Instance, TemporalGraph, window
+from .errors import STATE_LIMIT
 from .knowledge import EMPTY, Knowledge, run
 
 NEVER = -math.inf
@@ -179,7 +180,7 @@ class LiGame:
     dead edge has a cheaper twin without it that comes first and loses too.
     """
 
-    def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
+    def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = STATE_LIMIT):
         g = inst.graph
         if not isinstance(g, TemporalGraph):
             raise ValueError("locally-informed solver needs a temporal instance")
@@ -298,7 +299,7 @@ class LiGame:
         return policy
 
 
-def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = 10**7) -> LiGame:
+def exact_li(inst: Instance, t1=0, t2=None, state_limit: int = STATE_LIMIT) -> LiGame:
     """Exact decision of the locally-informed game for any budget.
 
     Traveller departs no sooner than t1 and must reach t by t2 (t2 defaults

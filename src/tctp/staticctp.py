@@ -17,6 +17,7 @@ from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
 from .dagctp import UNREACHABLE, pi_row
+from .errors import STATE_LIMIT
 from .knowledge import EMPTY, Knowledge, run
 
 
@@ -44,7 +45,7 @@ class StaticGame:
     """
 
     def __init__(self, inst: Instance, discovery: str = "incident",
-                 state_limit: int = 10 ** 7):
+                 state_limit: int = STATE_LIMIT):
         if not isinstance(inst.graph, StaticGraph):
             raise TypeError("weighted-graph solver got a non-static instance")
         if discovery not in ("incident", "out"):
@@ -346,13 +347,13 @@ class StaticGame:
 
 
 def exact_static_value(inst: Instance, discovery: str = "incident",
-                       state_limit: int = 10 ** 7):
+                       state_limit: int = STATE_LIMIT):
     """Least cost the walker can guarantee from s to t, UNREACHABLE if none."""
     return StaticGame(inst, discovery, state_limit).entry_value()
 
 
 def decide_static(inst: Instance, T=None, discovery: str = "incident",
-                  state_limit: int = 10 ** 7) -> bool:
+                  state_limit: int = STATE_LIMIT) -> bool:
     """True iff the guaranteed cost is at most T (default: inst.deadline).
 
     One probe of the threshold search, with everything-open distances as an

@@ -24,13 +24,13 @@ def rand_dag(rng: random.Random, max_n: int = 8, max_arcs: int = 14,
 
 
 def rand_temporal(rng: random.Random, max_n: int = 6, max_keys: int = 12,
-                  max_tau: int = 5, max_k: int = 2, k=None) -> Instance:
+                  max_tau: int = 5, max_k: int = 2, k=None, max_d: int = 2) -> Instance:
     n = rng.randint(2, max_n)
     names = [f"v{i}" for i in range(n)]
     edges = []
     for _ in range(rng.randint(1, max_keys)):
         u, v = rng.sample(names, 2)
-        edges.append(TimeEdge(u, v, rng.randint(0, max_tau), rng.randint(1, 2),
+        edges.append(TimeEdge(u, v, rng.randint(0, max_tau), rng.randint(1, max_d),
                               copies=rng.randint(1, 3)))
     g = TemporalGraph.build(names, edges)
     budget = rng.randint(0, max_k) if k is None else k

@@ -7,8 +7,6 @@ reads off a shared table or a pruned pass:
   candidate window;
 * the single-block solver with one label pass per single-copy edge and a
   full rescan of the unsettled vertices at every settling step;
-* whether a block group can bind, by a descendant search from every member
-  tail;
 * the budget table with ``heapq.nsmallest`` over every capped copy;
 * one row of the budget table with every budget index and every
   (m+1)-smallest candidate range-checked, in place of cutting the row at its
@@ -45,14 +43,13 @@ from tctp.arena import TRAVELLER_WIN, _choices, _State
 from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge, window
 from tctp.dagctp import (
     UNREACHABLE,
-    BlockGroups,
     PiTable,
     blocker_move,
     compute_pi,
     topological_order,
     traveller_move,
 )
-from tctp.errors import SizeLimitError
+from tctp.errors import STATE_LIMIT, SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.knowledge import EMPTY, Knowledge, run
 from tctp.litctp import NEVER, latest_departure_labels
@@ -151,37 +148,6 @@ def per_edge_k1_table(inst: Instance, T=None) -> dict:
     return pi1
 
 
-def groups_can_bind(g, groups: BlockGroups) -> bool:
-    """True iff one directed path visits the tails of two arcs of one group.
-
-    The group is decided at the first of those tails, so a block chosen
-    there also removes the arc at the second, even when no path holds both
-    arcs.
-    """
-    members = {}
-    for e in g.edges:
-        members.setdefault(groups.arc_to_group[e.key], []).append(e)
-
-    def reaches(x, y) -> bool:
-        seen, stack = {x}, [x]
-        while stack:
-            z = stack.pop()
-            if z == y:
-                return True
-            for e in g.outgoing(z):
-                if e.v not in seen:
-                    seen.add(e.v)
-                    stack.append(e.v)
-        return False
-
-    return any(
-        a is not b and reaches(a.u, b.u)
-        for arcs in members.values()
-        for a in arcs
-        for b in arcs
-    )
-
-
 def nsmallest_pi_values(g: StaticGraph, target, k: int) -> dict:
     """Budget-table rows, each candidate list cut by ``heapq.nsmallest``."""
     values: dict = {}
@@ -251,10 +217,18 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
     table, g = dec.table, xd.graph
 
+    def arcs_at(node) -> tuple:
+        """The node's out-arcs, or between two nodes the wait to the next."""
+        if node in g.index:
+            return g.outgoing(node)
+        v, tau = node
+        later = [b for a, b in g.vertices if a == v and b > tau]
+        return (StaticEdge(node, (v, min(later)), min(later) - tau, inst.k + 1),) if later else ()
+
     def newly_at(node, decided) -> dict:
         out = {}
-        for arc in g.outgoing(node):
-            origin = xd.origins[arc.key]
+        for arc in arcs_at(node):
+            origin = xd.origins.get(arc.key, WAIT)
             if isinstance(origin, TimeEdge):
                 c = decided.get(origin.key, 0)
                 if c:
@@ -263,25 +237,21 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
 
     def traveller(view):
         node = (view.position, view.clock)
-        if node not in g.index:
-            return ("resign",)
-        arc = traveller_move(g.outgoing(node), table, table.budget - view.spent,
+        arc = traveller_move(arcs_at(node), table, table.budget - view.spent,
                              newly_at(node, view.decided))
         if arc is None:
             return ("resign",)
-        origin = xd.origins[arc.key]
+        origin = xd.origins.get(arc.key, WAIT)
         if isinstance(origin, TimeEdge):
             return ("move", origin.key)
         return ("wait", arc.v[1])
 
     def blocker(view):
         node = (view.position, view.clock)
-        if node not in g.index:
-            return {}
         scope = set(view.undecided)
         out = {}
-        for ak, c in blocker_move(g.outgoing(node), table, view.remaining).items():
-            origin = xd.origins[ak]
+        for ak, c in blocker_move(arcs_at(node), table, view.remaining).items():
+            origin = xd.origins.get(ak, WAIT)
             if isinstance(origin, TimeEdge) and origin.key in scope:
                 out[origin.key] = c
         return out
@@ -510,7 +480,7 @@ class FullStateLiGame:
     position on its whole knowledge state, and Blocker's reveals may block
     edges that depart before the clock or arrive after t2."""
 
-    def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = 10**7):
+    def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = STATE_LIMIT):
         g = inst.graph
         self.inst = inst
         self.t1, self.t2 = window(inst, t1, t2)

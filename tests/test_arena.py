@@ -121,6 +121,23 @@ def test_replay_policies_reproduce_the_transcript():
     assert other.events[-1] == {"type": "RESIGN", "by": "traveller"}
 
 
+def test_builtin_playouts_replay_byte_for_byte():
+    # the builtin pairs wait and resign as well as move, so the replay
+    # meets every Traveller event a transcript holds
+    rng = random.Random(77)
+    kinds = set()
+    for _ in range(60):
+        inst = rand_temporal(rng, max_n=5, max_keys=8, max_tau=6, max_d=3)
+        for model in ("u", "li"):
+            for t2 in (4, None):
+                tr = play(inst, *builtin_policies(inst, model, 0, t2), model, 0, t2)
+                kinds.update(e["type"] for e in tr.events)
+                again = play(inst, transcript_traveller_policy(tr),
+                             _recorded_blocker(tr), model, 0, t2)
+                assert again.to_json_lines() == tr.to_json_lines()
+    assert {"MOVE", "WAIT", "RESIGN"} <= kinds
+
+
 def _recorded_blocker(tr):
     """Blocker replaying the transcript's REVEAL statuses in order."""
     return scripted_blocker(dict(e["statuses"]) for e in tr.events

@@ -298,7 +298,8 @@ def test_verify_checks_the_builtin_traveller_solved_for_its_deadline(tmp_path):
         TimeEdge("s", "a", 0, 1), TimeEdge("a", "t", 10, 1), TimeEdge("s", "t", 2, 1)])
     rng = random.Random(4151)
     cases = [Instance(late_or_direct, "s", "t", 0)]
-    cases += [rand_temporal(rng, max_n=5, max_keys=8, max_tau=6) for _ in range(15)]
+    cases += [rand_temporal(rng, max_n=5, max_keys=8, max_tau=6, max_d=3)
+              for _ in range(15)]
     for i, inst in enumerate(cases):
         path = _write(tmp_path, f"g{i}.ctp", inst)
         for deadline in (1, 3, 6):
@@ -307,6 +308,22 @@ def test_verify_checks_the_builtin_traveller_solved_for_its_deadline(tmp_path):
                                    "--deadline", str(deadline)])
                 want = 0 if solve(inst, 0, deadline).wins else 3
                 assert code == want, (i, model, deadline)
+
+
+def test_builtin_u_traveller_waits_past_an_edge_that_arrives_too_late(tmp_path):
+    """s -> x departs at 2 but arrives after t2 = 6, so the table has no node
+    (s, 2); its reveal wakes the Traveller's wait there, and the Traveller
+    waits on to s -> t at 5 instead of resigning."""
+    g = TemporalGraph.build("stx", [TimeEdge("s", "t", 5, 1), TimeEdge("s", "x", 2, 10)])
+    path = _write(tmp_path, "late.ctp", Instance(g, "s", "t", 0))
+    assert _run(["solve-u", path, "--t2", "6"])[:2] == (
+        0, "Traveller wins window [0, 6]: guaranteed arrival 6\n")
+    code, out, _ = _run(["play", path, "--model", "u", "--t2", "6"])
+    tr = Transcript.from_json_lines(out)
+    assert code == 0 and tr.outcome == TRAVELLER_WIN and tr.final_time == 6
+    assert [e["until"] for e in tr.events if e["type"] == "WAIT"] == [2, 5]
+    code, out, _ = _run(["verify", path, "--model", "u", "--deadline", "6"])
+    assert code == 0 and out.startswith("verified:")
 
 
 def test_exit_codes_flag_errors(tmp_path, sep_file):

@@ -128,6 +128,8 @@ def test_round_trip_both_formats():
     for inst in _instances(rng, 10):
         for fmt in ("text", "json"):
             assert parse_instance(serialize_instance(inst, fmt)) == inst
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        serialize_instance(inst, "xml")
 
 
 def test_serialization_is_byte_stable():
@@ -148,6 +150,23 @@ def test_parse_reports_line_numbers():
         parse_instance("model temporal\nvertices a b\ns a\nt b\nk 0\nedge a b 0\n")
     with pytest.raises(InstanceFormatError, match="unknown keyword"):
         parse_instance("model temporal\nwat\n")
+
+
+_HEAD = "model {}\nvertices a b\ns a\nt b\nk 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("model temporal\nvertices a b\ns a\nk 0\n", None, "missing t line"),
+    (_HEAD.format("temporal") + "deadline soon\n", 6, "bad deadline value 'soon'"),
+    (_HEAD.format("temporal") + "edge a b x 1\n", 6, "bad edge numbers in 'a b x 1'"),
+    (_HEAD.format("temporal") + "edge a zz 0 1\n", 6, "unknown vertex 'zz' in edge"),
+    (_HEAD.format("static") + "edge a b 1\nedge a a 1\n", 7, "loop edge at 'a'"),
+])
+def test_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_parse_rejects_repeated_header_lines():

@@ -6,7 +6,6 @@ import pytest
 from generators import rand_dag
 from tctp.core import StaticEdge, StaticGraph
 from tctp.dagctp import (
-    BlockGroups,
     UNREACHABLE,
     blocker_move,
     brute_dag_game,
@@ -129,60 +128,11 @@ def test_optimal_playout_realizes_the_table_value():
     assert finite > 25
 
 
-def test_grouped_diamond_agrees_with_exhaustive():
-    arcs = [
-        StaticEdge("s", "a", 1),
-        StaticEdge("s", "b", 2),
-        StaticEdge("a", "t", 1, copies=2),
-        StaticEdge("b", "t", 1, copies=2),
-    ]
-    g = StaticGraph.build(["s", "a", "b", "t"], arcs, directed=True)
-    groups = BlockGroups(
-        {
-            ("s", "a", 1): "sa",
-            ("s", "b", 2): "sb",
-            ("a", "t", 1): "exit",
-            ("b", "t", 1): "exit",
-        },
-        {"sa": 1, "sb": 1, "exit": 2},
-    )
-    for k in range(3):
-        table = compute_pi(g, "t", k)
-        assert table.value("s", k) == brute_dag_game(g, "s", "t", k, groups)
-
-
-def test_group_validation():
-    chain_arcs = [StaticEdge("s", "a", 1), StaticEdge("a", "t", 1)]
-    g = StaticGraph.build(["s", "a", "t"], chain_arcs, directed=True)
-    missing = BlockGroups({("s", "a", 1): 0}, {0: 1})
-    with pytest.raises(ValueError, match="missing from block groups"):
-        brute_dag_game(g, "s", "t", 1, missing)
-    bad_copies = BlockGroups(
-        {("s", "a", 1): 0, ("a", "t", 1): 1}, {0: 2, 1: 1}
-    )
-    with pytest.raises(ValueError, match="copies differ"):
-        brute_dag_game(g, "s", "t", 1, bad_copies)
-    same_tail = BlockGroups(
-        {("s", "t", 1): "x", ("s", "t", 2): "x"}, {"x": 1}
-    )
-    g2 = StaticGraph.build(
-        ["s", "t"], [StaticEdge("s", "t", 1), StaticEdge("s", "t", 2)], directed=True
-    )
-    with pytest.raises(ValueError, match="one tail"):
-        brute_dag_game(g2, "s", "t", 1, same_tail)
-
-
-def test_a_group_binds_without_a_shared_path():
-    # no path holds both members of "x", but one play can stand on both
-    # tails: the block decided at s also removes a -> t
+def test_a_shortcut_triangle_matches_exhaustive():
+    # Blocker spends its one block on s -> t or, on arrival at a, on a -> t
     arcs = [StaticEdge("s", "a", 1), StaticEdge("s", "t", 1), StaticEdge("a", "t", 1)]
     g = StaticGraph.build(["s", "a", "t"], arcs, directed=True)
-    groups = BlockGroups(
-        {("s", "a", 1): "sa", ("s", "t", 1): "x", ("a", "t", 1): "x"},
-        {"sa": 1, "x": 1},
-    )
     assert compute_pi(g, "t", 1).value("s", 1) == brute_dag_game(g, "s", "t", 1) == 2
-    assert brute_dag_game(g, "s", "t", 1, groups) == UNREACHABLE
 
 
 def test_topological_order():
@@ -211,6 +161,8 @@ def test_table_rejects_out_of_range_budget():
         compute_pi(g, "zzz", 1)
     with pytest.raises(ValueError, match="unknown source"):
         decide_dag(g, "zzz", "t", 1, 9)
+    with pytest.raises(ValueError, match="unknown vertex 'zzz'"):
+        brute_dag_game(g, "s", "zzz", 1)
 
 
 def test_exhaustive_search_guard():

@@ -16,7 +16,6 @@ from oracles import (
     expansion_pi_table,
     expansion_read_policies,
     full_width_pi_row,
-    groups_can_bind,
     mask_choices,
     nsmallest_pi_values,
     outgoing_read_policies,
@@ -40,7 +39,7 @@ from tctp.core import (
     parse_instance,
     serialize_instance,
 )
-from tctp.dagctp import UNREACHABLE, BlockGroups, brute_dag_game, compute_pi, pi_row
+from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge, Ledger
@@ -193,12 +192,8 @@ def test_dead_edge_search_matches_the_full_state_reference(case):
 
 
 @st.composite
-def grouped_dags(draw):
-    """A random DAG whose arcs fall into a few block groups.
-
-    Members of a group get the group's copy count and distinct tails, so the
-    only way a grouping can be invalid is a path through two members.
-    """
+def small_dags(draw):
+    """A random DAG on at most 8 vertices and 14 arcs with 1 or 2 copies each."""
     n = draw(st.integers(3, 8))
     names = [f"n{i}" for i in range(n)]
     pairs = draw(st.lists(
@@ -206,31 +201,18 @@ def grouped_dags(draw):
             lambda p: p[0] < p[1]),
         min_size=2, max_size=14, unique=True,
     ))
-    copies = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
-    arc_to_group, group_copies, arcs, tails = {}, {}, [], {}
-    for i, j in pairs:
-        gid = draw(st.integers(0, 2))
-        if names[i] in tails.setdefault(gid, set()):
-            gid = len(copies) + len(arcs)  # a group of its own
-        tails.setdefault(gid, set()).add(names[i])
-        c = copies[gid] if gid < len(copies) else draw(st.integers(1, 2))
-        arc = StaticEdge(names[i], names[j], draw(st.integers(1, 5)), copies=c)
-        arcs.append(arc)
-        arc_to_group[arc.key] = gid
-        group_copies[gid] = c
+    arcs = [StaticEdge(names[i], names[j], draw(st.integers(1, 5)),
+                       copies=draw(st.integers(1, 2))) for i, j in pairs]
     g = StaticGraph.build(names, arcs, directed=True)
-    return g, names[-1], draw(st.integers(0, 3)), BlockGroups(arc_to_group, group_copies)
+    return g, names[-1], draw(st.integers(0, 3))
 
 
 @SETTINGS
-@given(grouped_dags())
-def test_groups_with_tails_on_no_common_path_never_bind(case):
-    # the table ignores groups; where no path visits two tails of one group,
-    # the exhaustive game that honours them must agree with it
-    g, target, k, groups = case
-    if not groups_can_bind(g, groups):
-        want = compute_pi(g, target, k).value("n0", k)
-        assert brute_dag_game(g, "n0", target, k, groups, unlimited=True) == want
+@given(small_dags())
+def test_budget_table_matches_exhaustive_play(case):
+    g, target, k = case
+    want = compute_pi(g, target, k).value("n0", k)
+    assert brute_dag_game(g, "n0", target, k, unlimited=True) == want
 
 
 @st.composite
