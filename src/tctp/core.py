@@ -95,24 +95,15 @@ class StaticEdge(_Edge):
         return (self.u, self.v, self.weight)
 
 
-def _merge(keyed, make):
-    """One edge per canonical key, in key order; parallel records sum copies.
-
-    keyed yields (canonical key, edge) pairs. An edge whose key occurs once
-    and already reads canonically is kept as it is.
-    """
-    merged: dict[tuple, list] = {}
-    for key, e in keyed:
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [e, e.copies]
-        else:
-            entry[0] = None
-            entry[1] += e.copies
-    return tuple(
-        e if e is not None and e.key == key else make(key, copies)
-        for key, (e, copies) in sorted(merged.items())
-    )
+def _sums(vset: set, keyed) -> dict:
+    """Copies summed per canonical key over keyed's (key, u, v, copies)
+    records; an endpoint outside vset is a ValueError."""
+    merged: dict[tuple, int] = {}
+    for key, u, v, copies in keyed:
+        if u not in vset or v not in vset:
+            raise ValueError(f"edge endpoint {u if u not in vset else v!r} not in vertex list")
+        merged[key] = merged.get(key, 0) + copies
+    return merged
 
 
 class _Graph:
@@ -143,17 +134,9 @@ class TemporalGraph(_Graph):
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[TimeEdge]) -> "TemporalGraph":
         """Canonicalize: sort vertices, merge parallel records by summing copies."""
-        vs = tuple(sorted(set(vertices)))
-        vset = set(vs)
-        for e in edges:
-            for x in (e.u, e.v):
-                if x not in vset:
-                    raise ValueError(f"edge endpoint {x!r} not in vertex list")
-        merged = _merge(
-            ((e.key, e) for e in edges),
-            lambda key, copies: TimeEdge(*key, copies=copies),
-        )
-        return cls(vs, merged)
+        vset = set(vertices)
+        keyed = (((e.u, e.v, e.tau, e.d), e.u, e.v, e.copies) for e in edges)
+        return _graph("temporal", vset, _sums(vset, keyed))
 
     @cached_property
     def latest_first(self) -> tuple[TimeEdge, ...]:
@@ -169,19 +152,10 @@ class StaticGraph(_Graph):
 
     @classmethod
     def build(cls, vertices, edges: Iterable[StaticEdge], directed: bool = False) -> "StaticGraph":
-        vs = tuple(sorted(set(vertices)))
-        vset = set(vs)
-        keyed = []
-        for e in edges:
-            for x in (e.u, e.v):
-                if x not in vset:
-                    raise ValueError(f"edge endpoint {x!r} not in vertex list")
-            u, v = e.u, e.v
-            if not directed and v < u:
-                u, v = v, u
-            keyed.append(((u, v, e.weight), e))
-        merged = _merge(keyed, lambda key, copies: StaticEdge(*key, copies=copies))
-        return cls(vs, merged, directed)
+        vset = set(vertices)
+        keyed = (((e.v, e.u, e.weight) if not directed and e.v < e.u else e.key, e.u, e.v,
+                  e.copies) for e in edges)
+        return _graph("dag" if directed else "static", vset, _sums(vset, keyed))
 
     @cached_property
     def _outgoing(self) -> dict:
@@ -256,19 +230,14 @@ def serialize_instance(inst: Instance, fmt: str = "text") -> str:
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     g = inst.graph
-    lines = [f"model {inst.model}"]
-    lines.append("vertices " + " ".join(_name(v) for v in g.vertices))
-    lines.append(f"s {_name(inst.s)}")
-    lines.append(f"t {_name(inst.t)}")
-    lines.append(f"k {inst.k}")
+    lines = [f"model {inst.model}", "vertices " + " ".join(_name(v) for v in g.vertices),
+             f"s {_name(inst.s)}", f"t {_name(inst.t)}", f"k {inst.k}"]
     if inst.deadline is not None:
         lines.append(f"deadline {inst.deadline}")
     if isinstance(g, TemporalGraph):
-        for e in g.edges:
-            lines.append(f"edge {e.u} {e.v} {e.tau} {e.d} {e.copies}")
+        lines += [f"edge {e.u} {e.v} {e.tau} {e.d} {e.copies}" for e in g.edges]
     else:
-        for e in g.edges:
-            lines.append(f"edge {_name(e.u)} {_name(e.v)} {e.weight} {e.copies}")
+        lines += [f"edge {_name(e.u)} {_name(e.v)} {e.weight} {e.copies}" for e in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -281,30 +250,26 @@ def _name(v: VertexId) -> str:
 
 def _to_dict(inst: Instance) -> dict:
     g = inst.graph
-    out: dict = {"model": inst.model}
-    out["vertices"] = [_name(v) for v in g.vertices]
-    out["s"] = _name(inst.s)
-    out["t"] = _name(inst.t)
-    out["k"] = inst.k
+    out: dict = {"model": inst.model, "vertices": [_name(v) for v in g.vertices],
+                 "s": _name(inst.s), "t": _name(inst.t), "k": inst.k}
     if inst.deadline is not None:
         out["deadline"] = inst.deadline
     if isinstance(g, TemporalGraph):
-        out["edges"] = [
-            {"u": e.u, "v": e.v, "tau": e.tau, "d": e.d, "copies": e.copies}
-            for e in g.edges
-        ]
+        out["edges"] = [{"u": e.u, "v": e.v, "tau": e.tau, "d": e.d, "copies": e.copies}
+                        for e in g.edges]
     else:
-        out["edges"] = [
-            {"u": _name(e.u), "v": _name(e.v), "weight": e.weight, "copies": e.copies}
-            for e in g.edges
-        ]
+        out["edges"] = [{"u": _name(e.u), "v": _name(e.v), "weight": e.weight,
+                         "copies": e.copies} for e in g.edges]
     return out
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse either serialization; text errors carry the offending line number."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse either serialization; text errors carry the offending line number.
+
+    Each edge record is checked once, its copies are summed under its
+    canonical key, and the graph takes its sorted edges from those sums.
+    """
+    if text.lstrip().startswith("{"):
         try:
             return _from_dict(json.loads(text))
         except RecursionError:
@@ -313,93 +278,124 @@ def parse_instance(text: str) -> Instance:
 
 
 def _parse_text(text: str) -> Instance:
-    model = None
     vertices: list[str] = []
     fields: dict[str, tuple[str, int]] = {}
-    edges: list[tuple] = []
-    deadline = None
+    records: list[list[str]] = []  # each edge line's tokens, "edge" first
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
-        kw, args = tokens[0], tokens[1:]
-        if kw in fields or (kw == "model" and model is not None):
-            raise InstanceFormatError(f"repeated {kw} line", lineno)
-        if kw == "model":
-            if len(args) != 1 or args[0] not in _MODELS:
-                raise InstanceFormatError(f"bad model line {line!r}", lineno)
-            model = args[0]
+        kw = tokens[0]
+        if kw == "edge":
+            records.append(tokens)
+            linenos.append(lineno)
         elif kw == "vertices":
-            vertices.extend(args)
-        elif kw in ("s", "t", "k", "deadline"):
-            if len(args) != 1:
+            vertices += tokens[1:]
+        elif kw in fields:
+            raise InstanceFormatError(f"repeated {kw} line", lineno)
+        elif kw in ("model", "s", "t", "k", "deadline"):
+            if kw == "model" and (len(tokens) != 2 or tokens[1] not in _MODELS):
+                line = raw.split("#", 1)[0].strip()
+                raise InstanceFormatError(f"bad model line {line!r}", lineno)
+            if len(tokens) != 2:
                 raise InstanceFormatError(f"{kw} takes one value", lineno)
-            fields[kw] = (args[0], lineno)
-        elif kw == "edge":
-            edges.append((args, lineno))
+            fields[kw] = (tokens[1], lineno)
         else:
             raise InstanceFormatError(f"unknown keyword {kw!r}", lineno)
-    if model is None:
-        raise InstanceFormatError("missing model line")
-    for req in ("s", "t", "k"):
+    for req in ("model", "s", "t", "k"):
         if req not in fields:
             raise InstanceFormatError(f"missing {req} line")
+    model = fields["model"][0]
     vset = set(vertices)
-    for name, which in ((fields["s"][0], "source"), (fields["t"][0], "target")):
+    for kw, which in (("s", "source"), ("t", "target")):
+        name, lineno = fields[kw]
         if name not in vset:
-            raise InstanceFormatError(
-                f"unknown {which} vertex {name!r}",
-                fields["s" if which == "source" else "t"][1],
-            )
+            raise InstanceFormatError(f"unknown {which} vertex {name!r}", lineno)
+    k = _count(*fields["k"], "k", "blocker budget k")
+    deadline = (_count(*fields["deadline"], "deadline", "deadline")
+                if "deadline" in fields else None)
+
+    # the loops only tell sound records from faulty ones; _record_error names the fault
+    merged: dict[tuple, int] = {}
+    get = merged.get
+    if model == "temporal":
+        for tokens, lineno in zip(records, linenos):
+            try:
+                _, u, v, tau, d, copies = tokens if len(tokens) == 6 else (*tokens, "1")
+                tau, d, copies = int(tau), int(d), int(copies)
+            except ValueError:
+                raise _record_error(tokens, lineno, model, vset) from None
+            if u not in vset or v not in vset or u == v or tau < 0 or d < 1 or copies < 1:
+                raise _record_error(tokens, lineno, model, vset)
+            key = (u, v, tau, d) if u < v else (v, u, tau, d)
+            merged[key] = get(key, 0) + copies
+    else:
+        for tokens, lineno in zip(records, linenos):
+            try:
+                _, u, v, weight, copies = tokens if len(tokens) == 5 else (*tokens, "1")
+                weight, copies = int(weight), int(copies)
+            except ValueError:
+                raise _record_error(tokens, lineno, model, vset) from None
+            if u not in vset or v not in vset or u == v or weight < 0 or copies < 1:
+                raise _record_error(tokens, lineno, model, vset)
+            key = (v, u, weight) if v < u and model == "static" else (u, v, weight)
+            merged[key] = get(key, 0) + copies
+    return Instance(_graph(model, vertices, merged), fields["s"][0], fields["t"][0], k, deadline)
+
+
+def _count(value: str, lineno: int, kw: str, what: str) -> int:
+    """The value of a k or deadline line, which must be an integer >= 0."""
     try:
-        k = int(fields["k"][0])
+        n = int(value)
     except ValueError:
-        raise InstanceFormatError(f"bad k value {fields['k'][0]!r}", fields["k"][1]) from None
-    if "deadline" in fields:
-        try:
-            deadline = int(fields["deadline"][0])
-        except ValueError:
-            raise InstanceFormatError(
-                f"bad deadline value {fields['deadline'][0]!r}", fields["deadline"][1]
-            ) from None
+        raise InstanceFormatError(f"bad {kw} value {value!r}", lineno) from None
+    if n < 0:
+        raise InstanceFormatError(f"{what} must be >= 0", lineno)
+    return n
 
-    def ints(args, lineno, n):
-        try:
-            return [int(a) for a in args[2 : 2 + n]]
-        except ValueError:
-            raise InstanceFormatError(f"bad edge numbers in {' '.join(args)!r}", lineno) from None
 
-    built_edges = []
-    for args, lineno in edges:
-        want = 5 if model == "temporal" else 4
-        if len(args) not in (want - 1, want):
-            raise InstanceFormatError(
-                f"edge record needs {want - 1} or {want} fields, got {len(args)}", lineno
-            )
-        u, v = args[0], args[1]
-        for x in (u, v):
-            if x not in vset:
-                raise InstanceFormatError(f"unknown vertex {x!r} in edge", lineno)
-        nums = ints(args, lineno, len(args) - 2)
-        copies = nums[-1] if len(args) == want else 1
-        try:
-            if model == "temporal":
-                tau, d = nums[0], nums[1]
-                built_edges.append(TimeEdge(u, v, tau, d, copies))
-            else:
-                built_edges.append(StaticEdge(u, v, nums[0], copies))
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc), lineno) from None
-
+def _record_error(tokens: list, lineno: int, model: str, vset: set) -> InstanceFormatError:
+    """The first fault of an edge line: its field count, then its endpoints,
+    its numbers, then the ranges its edge type checks."""
+    args = tokens[1:]
+    want = 5 if model == "temporal" else 4
+    if len(args) not in (want - 1, want):
+        return InstanceFormatError(f"edge record needs {want - 1} or {want} fields, "
+                                   f"got {len(args)}", lineno)
+    for x in args[:2]:
+        if x not in vset:
+            return InstanceFormatError(f"unknown vertex {x!r} in edge", lineno)
     try:
-        if model == "temporal":
-            graph: Graph = TemporalGraph.build(vertices, built_edges)
-        else:
-            graph = StaticGraph.build(vertices, built_edges, directed=(model == "dag"))
-        return Instance(graph, fields["s"][0], fields["t"][0], k, deadline)
+        nums = [int(a) for a in args[2:]]
+    except ValueError:
+        return InstanceFormatError(f"bad edge numbers in {' '.join(args)!r}", lineno)
+    try:  # the edge's own checks name a fault in its ranges
+        (TimeEdge if model == "temporal" else StaticEdge)(*args[:2], *nums)
     except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+        return InstanceFormatError(str(exc), lineno)
+
+
+def _graph(model: str, vertices: Iterable, merged: dict) -> Graph:
+    """The graph over vertices whose edges are merged's (key, copies) items.
+    Every key was range-checked and put in canonical order before it got here,
+    so each edge is set field by field, past the checks of its constructor."""
+    vs = tuple(sorted(set(vertices)))
+    new, put = object.__new__, object.__setattr__
+    edges = []
+    if model == "temporal":
+        for key in sorted(merged):  # keys alone sort faster than (key, copies) items
+            e = new(TimeEdge)
+            put(e, "u", key[0]), put(e, "v", key[1]), put(e, "tau", key[2]), put(e, "d", key[3])
+            put(e, "copies", merged[key])
+            edges.append(e)
+        return TemporalGraph(vs, tuple(edges))
+    for key in sorted(merged):
+        e = new(StaticEdge)
+        put(e, "u", key[0]), put(e, "v", key[1]), put(e, "weight", key[2])
+        put(e, "copies", merged[key])
+        edges.append(e)
+    return StaticGraph(vs, tuple(edges), model == "dag")
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
@@ -416,14 +412,16 @@ def _typed(value, kind: type, what: str):
 
 
 def _from_dict(data: dict) -> Instance:
-    """Build an Instance from parsed JSON, with the schema's field types."""
+    """Build an Instance from parsed JSON, with the schema's field types. An
+    endpoint missing from the vertex list fails once every record has passed
+    its type and range checks."""
     try:
         model = data["model"]
         if model not in _MODELS:
             raise InstanceFormatError(f"bad model {model!r}")
         vertices = [_typed(v, str, "vertex name")
                     for v in _typed(data["vertices"], list, "vertices")]
-        built: list = []
+        keyed = []
         for e in _typed(data["edges"], list, "edges"):
             _typed(e, dict, "edge record")
             u = _typed(e["u"], str, "edge endpoint")
@@ -431,16 +429,18 @@ def _from_dict(data: dict) -> Instance:
             copies = _typed(e.get("copies", 1), int, "copies")
             if model == "temporal":
                 tau, d = _typed(e["tau"], int, "tau"), _typed(e["d"], int, "d")
-                built.append(TimeEdge(u, v, tau, d, copies))
+                if u == v or tau < 0 or d < 1 or copies < 1:
+                    TimeEdge(u, v, tau, d, copies)  # raises, naming the fault
+                u, v = (u, v) if u < v else (v, u)
+                key = (u, v, tau, d)
             else:
-                built.append(StaticEdge(u, v, _typed(e["weight"], int, "weight"), copies))
-        if model == "temporal":
-            graph: Graph = TemporalGraph.build(vertices, built)
-        else:
-            graph = StaticGraph.build(vertices, built, directed=(model == "dag"))
-        deadline = data.get("deadline")
-        if "deadline" in data:
-            _typed(deadline, int, "deadline")
+                weight = _typed(e["weight"], int, "weight")
+                if u == v or weight < 0 or copies < 1:
+                    StaticEdge(u, v, weight, copies)  # raises, naming the fault
+                key = (v, u, weight) if v < u and model == "static" else (u, v, weight)
+            keyed.append((key, u, v, copies))
+        graph = _graph(model, vertices, _sums(set(vertices), keyed))
+        deadline = _typed(data["deadline"], int, "deadline") if "deadline" in data else None
         return Instance(graph, _typed(data["s"], str, "s"), _typed(data["t"], str, "t"),
                         _typed(data["k"], int, "k"), deadline)
     except KeyError as exc:

@@ -38,7 +38,7 @@ def latest_departure_labels(
     labels = {v: NEVER for v in g.vertices}
     labels[t] = deadline
     for e in g.latest_first:
-        if skip_one == e.key and e.copies == 1:
+        if e.copies == 1 and skip_one == e.key:
             continue
         if e.tau + e.d <= labels[e.v] and e.tau > labels[e.u]:
             labels[e.u] = e.tau

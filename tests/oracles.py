@@ -33,14 +33,20 @@ reads off a shared table or a pruned pass:
   the referee's rules object that let the moves through;
 * the locally-informed search keying its memo on the whole knowledge state
   and letting Blocker block edges that no walk can use any more, in place
-  of dropping those dead edges from reveals and memo keys.
+  of dropping those dead edges from reveals and memo keys;
+* the instance readers building every record as a ``TimeEdge`` or
+  ``StaticEdge`` and handing them to ``build``, which checks every endpoint
+  again and merges parallel records, in place of checking each record once
+  and summing its copies into one map.
 """
 import heapq
+import json
 import math
+import reprlib
 from itertools import chain, repeat
 
 from tctp.arena import TRAVELLER_WIN, _choices, _State
-from tctp.core import Instance, StaticEdge, StaticGraph, TimeEdge, window
+from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, window
 from tctp.dagctp import (
     UNREACHABLE,
     PiTable,
@@ -49,7 +55,7 @@ from tctp.dagctp import (
     topological_order,
     traveller_move,
 )
-from tctp.errors import STATE_LIMIT, SizeLimitError
+from tctp.errors import STATE_LIMIT, InstanceFormatError, SizeLimitError
 from tctp.expansion import SINK, TARGET, WAIT, build_expansion
 from tctp.knowledge import EMPTY, Knowledge, run
 from tctp.litctp import NEVER, latest_departure_labels
@@ -556,3 +562,157 @@ class FullStateLiGame:
             return {}
 
         return policy
+
+
+_MODELS = ("temporal", "static", "dag")
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """``parse_instance`` with every record built as an edge and handed to
+    ``build``. A negative k or deadline is an error at its own line."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        try:
+            return _reference_from_dict(json.loads(text))
+        except RecursionError:
+            raise InstanceFormatError("JSON nested too deeply") from None
+    return _reference_parse_text(text)
+
+
+def _reference_parse_text(text: str) -> Instance:
+    model = None
+    vertices: list[str] = []
+    fields: dict[str, tuple[str, int]] = {}
+    edges: list[tuple] = []
+    deadline = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kw, args = tokens[0], tokens[1:]
+        if kw in fields or (kw == "model" and model is not None):
+            raise InstanceFormatError(f"repeated {kw} line", lineno)
+        if kw == "model":
+            if len(args) != 1 or args[0] not in _MODELS:
+                raise InstanceFormatError(f"bad model line {line!r}", lineno)
+            model = args[0]
+        elif kw == "vertices":
+            vertices.extend(args)
+        elif kw in ("s", "t", "k", "deadline"):
+            if len(args) != 1:
+                raise InstanceFormatError(f"{kw} takes one value", lineno)
+            fields[kw] = (args[0], lineno)
+        elif kw == "edge":
+            edges.append((args, lineno))
+        else:
+            raise InstanceFormatError(f"unknown keyword {kw!r}", lineno)
+    if model is None:
+        raise InstanceFormatError("missing model line")
+    for req in ("s", "t", "k"):
+        if req not in fields:
+            raise InstanceFormatError(f"missing {req} line")
+    vset = set(vertices)
+    for name, which in ((fields["s"][0], "source"), (fields["t"][0], "target")):
+        if name not in vset:
+            raise InstanceFormatError(
+                f"unknown {which} vertex {name!r}",
+                fields["s" if which == "source" else "t"][1],
+            )
+    try:
+        k = int(fields["k"][0])
+    except ValueError:
+        raise InstanceFormatError(f"bad k value {fields['k'][0]!r}", fields["k"][1]) from None
+    if k < 0:
+        raise InstanceFormatError("blocker budget k must be >= 0", fields["k"][1])
+    if "deadline" in fields:
+        try:
+            deadline = int(fields["deadline"][0])
+        except ValueError:
+            raise InstanceFormatError(
+                f"bad deadline value {fields['deadline'][0]!r}", fields["deadline"][1]
+            ) from None
+        if deadline < 0:
+            raise InstanceFormatError("deadline must be >= 0", fields["deadline"][1])
+
+    def ints(args, lineno, n):
+        try:
+            return [int(a) for a in args[2 : 2 + n]]
+        except ValueError:
+            raise InstanceFormatError(f"bad edge numbers in {' '.join(args)!r}", lineno) from None
+
+    built_edges = []
+    for args, lineno in edges:
+        want = 5 if model == "temporal" else 4
+        if len(args) not in (want - 1, want):
+            raise InstanceFormatError(
+                f"edge record needs {want - 1} or {want} fields, got {len(args)}", lineno
+            )
+        u, v = args[0], args[1]
+        for x in (u, v):
+            if x not in vset:
+                raise InstanceFormatError(f"unknown vertex {x!r} in edge", lineno)
+        nums = ints(args, lineno, len(args) - 2)
+        copies = nums[-1] if len(args) == want else 1
+        try:
+            if model == "temporal":
+                tau, d = nums[0], nums[1]
+                built_edges.append(TimeEdge(u, v, tau, d, copies))
+            else:
+                built_edges.append(StaticEdge(u, v, nums[0], copies))
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), lineno) from None
+
+    try:
+        if model == "temporal":
+            graph = TemporalGraph.build(vertices, built_edges)
+        else:
+            graph = StaticGraph.build(vertices, built_edges, directed=(model == "dag"))
+        return Instance(graph, fields["s"][0], fields["t"][0], k, deadline)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+
+
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    if type(value) is not kind:
+        got = reprlib.repr(value)
+        if len(got) > 80:
+            got = got[:80] + "..."
+        raise InstanceFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
+def _reference_from_dict(data: dict) -> Instance:
+    try:
+        model = data["model"]
+        if model not in _MODELS:
+            raise InstanceFormatError(f"bad model {model!r}")
+        vertices = [_typed(v, str, "vertex name")
+                    for v in _typed(data["vertices"], list, "vertices")]
+        built: list = []
+        for e in _typed(data["edges"], list, "edges"):
+            _typed(e, dict, "edge record")
+            u = _typed(e["u"], str, "edge endpoint")
+            v = _typed(e["v"], str, "edge endpoint")
+            copies = _typed(e.get("copies", 1), int, "copies")
+            if model == "temporal":
+                tau, d = _typed(e["tau"], int, "tau"), _typed(e["d"], int, "d")
+                built.append(TimeEdge(u, v, tau, d, copies))
+            else:
+                built.append(StaticEdge(u, v, _typed(e["weight"], int, "weight"), copies))
+        if model == "temporal":
+            graph = TemporalGraph.build(vertices, built)
+        else:
+            graph = StaticGraph.build(vertices, built, directed=(model == "dag"))
+        deadline = data.get("deadline")
+        if "deadline" in data:
+            _typed(deadline, int, "deadline")
+        return Instance(graph, _typed(data["s"], str, "s"), _typed(data["t"], str, "t"),
+                        _typed(data["k"], int, "k"), deadline)
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None

@@ -161,6 +161,11 @@ _HEAD = "model {}\nvertices a b\ns a\nt b\nk 0\n"
     (_HEAD.format("temporal") + "edge a b x 1\n", 6, "bad edge numbers in 'a b x 1'"),
     (_HEAD.format("temporal") + "edge a zz 0 1\n", 6, "unknown vertex 'zz' in edge"),
     (_HEAD.format("static") + "edge a b 1\nedge a a 1\n", 7, "loop edge at 'a'"),
+    ("model temporal\nvertices a b\ns a\nt b\nk -1\n", 5, "blocker budget k must be >= 0"),
+    (_HEAD.format("temporal") + "deadline -2\n", 6, "deadline must be >= 0"),
+    # a faulty record fails at its own line, whatever it would merge with
+    (_HEAD.format("temporal") + "edge a b 0 1 2\nedge b a 0 1 0\n", 7,
+     "copies must be >= 1 on b-a"),
 ])
 def test_parse_errors_name_their_line(text, line, message):
     with pytest.raises(InstanceFormatError) as info:

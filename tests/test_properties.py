@@ -4,6 +4,7 @@ Each fast path answers from one shared table or a pruned pass; the oracles in
 ``oracles.py`` recompute the same answers naively on generated instances.
 """
 import dataclasses
+import json
 import math
 
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from oracles import (
     outgoing_read_policies,
     per_edge_k1_table,
     rebuilt_expansion,
+    reference_parse_instance,
     scan_earliest_arrival,
     scan_latest_departure,
     scan_shortest_duration,
@@ -413,6 +415,79 @@ def instances(draw):
 def test_parse_inverts_serialize(inst):
     for fmt in ("text", "json"):
         assert parse_instance(serialize_instance(inst, fmt)) == inst
+
+
+@st.composite
+def loose_texts(draw):
+    """One instance as a file a person might write, in either encoding:
+    reversed and parallel records, copies left out, k and deadline possibly
+    negative, and a few record fields set to a wrong value or type, dropped
+    or added. Text files split the vertex list over several lines, shuffle
+    their lines and add comments, tabs, blank lines and CRLF endings. Some
+    texts then have a few characters deleted, replaced or inserted."""
+    model, names, records = draw(edge_records())
+    s, t = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    k, deadline = draw(st.integers(-1, 3)), draw(st.none() | st.integers(-1, 20))
+    fields = ("tau", "d") if model == "temporal" else ("weight",)
+    rows = []
+    for e in records:
+        u, v = (e.v, e.u) if draw(st.booleans()) and model != "dag" else (e.u, e.v)
+        row = {"u": u, "v": v, **{f: getattr(e, f) for f in fields}}
+        if e.copies > 1 or draw(st.booleans()):
+            row["copies"] = e.copies
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        field = draw(st.sampled_from([*row, "extra"]))
+        value = draw(st.sampled_from(
+            (-1, 0, 2, "x", "zz", None, True, 1.5, row.get("u"), "drop")))
+        if value == "drop":
+            row.pop(field, None)
+        else:
+            row[field] = value
+    if draw(st.booleans()):
+        data = {"model": model, "vertices": names, "s": s, "t": t, "k": k, "edges": rows}
+        if deadline is not None:
+            data["deadline"] = deadline
+        text = json.dumps(data, indent=draw(st.sampled_from((None, 0, 2))))
+    else:
+        cut = sorted(draw(st.lists(st.integers(0, len(names)), max_size=2)))
+        parts = [names[a:b] for a, b in zip([0, *cut], [*cut, len(names)])]
+        lines = [f"model {model}", f"s {s}", f"t {t}", f"k {k}"]
+        lines += ["vertices " + " ".join(part) for part in parts]
+        lines += ["edge " + " ".join(map(str, row.values())) for row in rows]
+        if deadline is not None:
+            lines.append(f"deadline {deadline}")
+        lines = draw(st.permutations(lines))
+        lines = [line.replace(" ", draw(st.sampled_from((" ", "\t", "  \t"))))
+                 + draw(st.sampled_from(("", " ", "  # note", "#")))
+                 for line in lines]
+        for _ in range(draw(st.integers(0, 2))):
+            blank = draw(st.sampled_from(("", "# c", "\t")))
+            lines.insert(draw(st.integers(0, len(lines))), blank)
+        text = draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+    for _ in range(draw(st.sampled_from((0, 0, 1, 3)))):
+        at = draw(st.integers(0, len(text)))
+        new = draw(st.text("019-av #{}:,\"\n", max_size=2))
+        text = text[:at] + new + text[at + draw(st.integers(0, 2)):]
+    return text
+
+
+def _reading(parse, text):
+    try:
+        inst = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return inst, serialize_instance(inst), serialize_instance(inst, "json")
+
+
+@SETTINGS
+@given(loose_texts())
+@example("model temporal\nvertices a b\ns a\nt b\nk 1\nedge a b 0 1 2\nedge b a 0 1 0\n")
+@example('{"model": "static", "vertices": ["a", "b"], "s": "a", "t": "b", "k": 1, "edges": '
+         '[{"u": "a", "v": "b", "weight": 1}, {"u": "b", "v": "a", "weight": 1, "copies": 0}]}')
+def test_parse_matches_the_reference_reader(text):
+    assert _reading(parse_instance, text) == _reading(reference_parse_instance, text)
 
 
 @st.composite
