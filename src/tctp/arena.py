@@ -23,13 +23,12 @@ the view each side sees.
 ``play`` steps the rules against a Blocker policy and returns a Transcript.
 Policies are plain callables from a view of the current knowledge state to
 an action; an illegal output becomes a FOUL event that awards the game to
-the opponent instead of raising. A view is a ``View`` (position, clock,
-decided, spent, instance); the Traveller's in "li" is a ``LiView``, which
-adds the visited vertices, and Blocker's a ``BlockerView``, which adds the
-keys up for reveal and the budget left. Traveller actions: ("move",
-edge_key), ("wait", until) on temporal models, ("resign",). A wait is a
-commitment; a policy wanting to re-decide every instant can wait one step
-at a time.
+the opponent instead of raising. A view is a ``View``, the Traveller's in
+"li" a ``LiView`` and Blocker's a ``BlockerView``. Policies only read it; it
+is built fresh per consult and not frozen, which builds four times slower.
+Traveller actions: ("move", edge_key), ("wait", until) on temporal models,
+("resign",). A wait is a commitment; a policy wanting to re-decide every
+instant can wait one step at a time.
 
 ``verify_traveller_strategy`` steps the same rules but branches over every
 legal count vector at every reveal, one generator per open reveal driven
@@ -43,8 +42,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Mapping, Optional
+from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
@@ -57,6 +57,7 @@ from .utctp import decide_u
 TRAVELLER_WIN = "TRAVELLER_WIN"
 BLOCKER_WIN = "BLOCKER_WIN"
 MODELS = ("li", "u", "static", "dag")
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
 
 Policy = Callable
 
@@ -65,7 +66,7 @@ Policy = Callable
 # views handed to policies
 
 
-@dataclass(frozen=True)
+@dataclass
 class View:
     """What a side knows when it is consulted.
 
@@ -81,7 +82,7 @@ class View:
     inst: Instance
 
 
-@dataclass(frozen=True)
+@dataclass
 class LiView(View):
     """The Traveller's view in ``li``: ``decided`` covers exactly the edges
     incident to the ``visited`` vertices, a read-only set view."""
@@ -89,7 +90,7 @@ class LiView(View):
     visited: AbstractSet
 
 
-@dataclass(frozen=True)
+@dataclass
 class BlockerView(View):
     """What Blocker sees when asked to fix statuses.
 
@@ -142,7 +143,7 @@ class Transcript:
                "budget_spent": self.budget_spent}
 
     def to_json_lines(self) -> str:
-        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in self.rows())
+        return "".join(_encode(row) + "\n" for row in self.rows())
 
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":
@@ -240,14 +241,15 @@ def scripted_blocker(choices) -> Policy:
 
 
 def _undecided(edges, decided) -> list:
-    return sorted((e for e in edges if e.key not in decided), key=lambda e: e.key)
+    out = [e for e in edges if e.key not in decided]
+    return sorted(out, key=lambda e: e.key) if len(out) > 1 else out
 
 
 def _check_choice(scope, choice, remaining: int) -> Optional[str]:
     """None when legal, else a human-readable foul reason."""
     if not isinstance(choice, Mapping):
         return f"reveal must be a mapping, got {type(choice).__name__}"
-    caps = {e.key: e.copies for e in scope}
+    caps = {e.key: e.copies for e in scope} if choice else {}
     total = 0
     for key, c in choice.items():
         if key not in caps:
@@ -389,7 +391,8 @@ class _Rules:
 
     @staticmethod
     def _surviving(st: _State, e, key) -> None:
-        if e.copies - st.decided.snapshot().get(e.key, 0) < 1:
+        i = st.decided.index.get(e.key)
+        if i is not None and e.copies - st.decided.entries[i][1] < 1:
             raise _Foul(f"no surviving copy of {key!r}")
 
 

@@ -178,6 +178,8 @@ class LiGame:
     that differ only in dead edges share one entry. Dropping the dead
     reveals keeps the Blocker policy's moves: a losing reveal that blocks a
     dead edge has a cheaper twin without it that comes first and loses too.
+    A memo value is the Traveller policy's move: the key of the first
+    departure, in (tau, key) order, that wins against every reveal, else False.
     """
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = STATE_LIMIT):
@@ -190,11 +192,10 @@ class LiGame:
         # edge i of the game is the i-th in (tau, key) order; each attribute
         # is read once, as ``key`` builds a new tuple at every read
         order = sorted((e.tau, e.key, e.d, e.copies, e.u, e.v) for e in g.edges)
-        taus = [x[0] for x in order]
+        self.taus = taus = [x[0] for x in order]
         # time -> how many edges depart before it: the dead prefix of the bits
         times = {*taus, *(tau + d for tau, _, d, *_ in order), self.t1}
         past = {x: bisect_left(taus, x) for x in times}
-        self.taus = taus
         self.past_t1 = past[self.t1]
         scopes: dict = {v: [] for v in g.vertices}
         for i, (_, _, _, _, u, v) in enumerate(order):
@@ -214,32 +215,29 @@ class LiGame:
             self.departures[u].append((tau, tau + d, bit, v, key, *before))
             self.departures[v].append((tau, tau + d, bit, u, key, *before))
 
-    def _options(self, pos, clock, blocked: int) -> list:
-        return [x for x in self.departures[pos] if x[0] >= clock and not blocked & x[2]]
-
     def traveller_wins(self, pos, clock, decided: Mapping) -> bool:
         """Post-reveal: every key incident to pos is present in decided."""
-        return run(self._wins(pos, clock, self.know.state(decided)))
+        return bool(run(self._wins(pos, clock, self.know.state(decided))))
 
     def _wins(self, pos, clock, state):
         if pos == self.inst.t:
             return True
-        options = self._options(pos, clock, state[1])
+        r, b, spent = state
+        options = [x for x in self.departures[pos] if x[0] >= clock and not b & x[2]]
         if not options:
             return False
-        r, b, spent = state
         n = options[0][5]  # edges departing before the first feasible departure
-        key = (pos, options[0][0], r >> n, b >> n, spent)
-        hit = self.memo.get(key)
+        at = (pos, options[0][0], r >> n, b >> n, spent)
+        hit = self.memo.get(at)
         if hit is not None:
             return hit
         self.know.count()
         win = False
-        for _tau, arrival, _bit, head, _key, _n, past in options:
+        for _tau, arrival, _bit, head, key, _n, past in options:
             if (yield self._reveal_wins(head, arrival, past, state)):
-                win = True
+                win = key
                 break
-        self.memo[key] = win
+        self.memo[at] = win
         return win
 
     def _live(self, past: int, state):
@@ -273,24 +271,23 @@ class LiGame:
         return self.know.states
 
     def traveller_policy(self):
+        """The memo's move, else resign; late edges are settled, as in the search."""
         def policy(view):
             r, blocked, spent = self.know.state(view.decided)
-            state = (r | self.know.scope[view.position], blocked, spent)
-            for _tau, arrival, _bit, head, key, _n, past in self._options(
-                    view.position, view.clock, blocked):
-                if run(self._reveal_wins(head, arrival, past, state)):
-                    return ("move", key)
-            return ("resign",)
+            state = (r | self.know.scope[view.position] | self.late, blocked, spent)
+            move = run(self._wins(view.position, view.clock, state))
+            return ("move", move) if move else ("resign",)
 
         return policy
 
     def blocker_policy(self):
         """Play the first losing reveal of the live edges, as the search
-        offers them, else block nothing."""
+        offers them, else block nothing, as a lone reveal does unsearched."""
         def policy(view):
             state = self._live(bisect_left(self.taus, view.clock),
                                self.know.state(view.decided))
-            for choice in self.reveal_choices(view.position, state):
+            choices = self.reveal_choices(view.position, state)
+            for choice in choices if len(choices) > 1 else ():
                 if not run(self._wins(view.position, view.clock, choice)):
                     statuses = self.know.statuses(view.position, state, choice)
                     return {k: c for k, c in statuses.items() if c > 0}

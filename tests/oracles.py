@@ -37,12 +37,17 @@ reads off a shared table or a pruned pass:
 * the instance readers building every record as a ``TimeEdge`` or
   ``StaticEdge`` and handing them to ``build``, which checks every endpoint
   again and merges parallel records, in place of checking each record once
-  and summing its copies into one map.
+  and summing its copies into one map;
+* the locally-informed playout policies re-running the search at every
+  consult -- the Traveller the reveal behind each departure in turn, the
+  Blocker each reveal, a lone one included -- in place of reading the
+  Traveller's move from the memo and playing a lone reveal unsearched.
 """
 import heapq
 import json
 import math
 import reprlib
+from bisect import bisect_left
 from itertools import chain, repeat
 
 from tctp.arena import TRAVELLER_WIN, _choices, _State
@@ -479,6 +484,32 @@ def stacked_refute(rules, tp, limit) -> tuple:
             stack.pop()
         else:
             return result, explored
+
+
+def replayed_li_policies(game) -> tuple:
+    """(traveller, blocker) for a searched ``LiGame`` that replay its search
+    at each consult and read only whether a position wins."""
+    know = game.know
+
+    def traveller(view):
+        pos, clock = view.position, view.clock
+        r, blocked, spent = know.state(view.decided)
+        state = (r | know.scope[pos], blocked, spent)
+        for tau, arrival, bit, head, key, _n, past in game.departures[pos]:
+            if (tau >= clock and not blocked & bit
+                    and run(game._reveal_wins(head, arrival, past, state))):
+                return ("move", key)
+        return ("resign",)
+
+    def blocker(view):
+        state = game._live(bisect_left(game.taus, view.clock), know.state(view.decided))
+        for choice in game.reveal_choices(view.position, state):
+            if not run(game._wins(view.position, view.clock, choice)):
+                statuses = know.statuses(view.position, state, choice)
+                return {k: c for k, c in statuses.items() if c > 0}
+        return {}
+
+    return traveller, blocker
 
 
 class FullStateLiGame:

@@ -76,6 +76,43 @@ def test_solve_li_exact_appends_a_transcript(sep_file):
     assert again == (code, out, "")
 
 
+@st.composite
+def li_games(draw):
+    """(instance, deadline flag value): a temporal game with up to k+1
+    copies per edge, an optional deadline in the file and another, or none,
+    on the command line."""
+    k = draw(st.integers(0, 2))
+    names = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=10))
+    edges = [TimeEdge(u, v, draw(st.integers(0, 6)), draw(st.integers(1, 2)),
+                      draw(st.integers(1, k + 1))) for u, v in pairs]
+    inst = Instance(TemporalGraph.build(names, edges), names[0], draw(st.sampled_from(names)),
+                    k, draw(st.none() | st.integers(0, 8)))
+    return inst, draw(st.none() | st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(li_games())
+def test_solve_li_exact_prints_the_transcript_play_prints(tmp_path_factory, case):
+    """Everything ``solve-li --exact [--deadline N]`` prints after its answer
+    line is what ``play --model li [--t2 N]`` prints, and under --format json
+    its "transcript" is play's object."""
+    inst, deadline = case
+    path = _write(tmp_path_factory.mktemp("li"), "game.ctp", inst)
+    solve, replay = ["solve-li", "--exact", path], ["play", path, "--model", "li"]
+    if deadline is not None:
+        solve, replay = solve + ["--deadline", str(deadline)], replay + ["--t2", str(deadline)]
+    code, out, err = _run(solve)
+    played = _run(replay)
+    assert err == "" and played[0] == code and played[2] == ""
+    answer, transcript = out.split("\n", 1)
+    assert answer == ("Traveller wins" if code == 0 else "Blocker wins")
+    assert transcript == played[1]
+    solved_json = json.loads(_run(solve + ["--format", "json"])[1])
+    assert solved_json["transcript"] == json.loads(_run(replay + ["--format", "json"])[1])
+
+
 def test_solve_li_k1_prints_the_safety_table(tmp_path):
     path = _write(tmp_path, "sep1.ctp", separating_instance(1))
     code, out, _ = _run(["solve-li", path])

@@ -7,6 +7,7 @@ import pytest
 
 from generators import enumerate_walks, rand_temporal
 from oracles import FullStateLiGame
+from tctp.arena import TRAVELLER_WIN, play
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
 from tctp import litctp
 from tctp.errors import SizeLimitError
@@ -273,6 +274,37 @@ def test_routes_that_differ_only_in_dead_edges_share_a_memo_entry():
     assert [key[0] for key in game.memo].count("c") == 1
     assert [key[0] for key in ref.memo].count("c") == 2
     assert game.states == ref.states - 1
+
+
+def test_the_builtin_pair_reads_a_long_chain_off_the_memo():
+    """On a 3,000-hop chain with k+1 copies per hop nothing can be blocked:
+    the builtin Traveller makes one memo read per move and the builtin
+    Blocker, offered one reveal at each vertex, makes none."""
+    names = [f"c{i:04d}" for i in range(3001)]
+    edges = [TimeEdge(names[i], names[i + 1], i, 1, copies=4) for i in range(3000)]
+    inst = Instance(TemporalGraph.build(names, edges), names[0], names[-1], 3)
+    game = exact_li(inst)
+    assert game.wins and game.states == 3000
+    calls = {"traveller": 0, "blocker": 0}
+    side = []
+    searched = game._wins
+
+    def spy(*args):
+        calls[side[-1]] += 1
+        return searched(*args)
+
+    def consulted(name, policy):
+        def policy_as(view):
+            side.append(name)
+            return policy(view)
+        return policy_as
+    game._wins = spy
+    tr = play(inst, consulted("traveller", game.traveller_policy()),
+              consulted("blocker", game.blocker_policy()), "li")
+    assert tr.outcome == TRAVELLER_WIN and len(tr.moves()) == 3000
+    assert calls == {"traveller": 3000, "blocker": 0}
+    assert game.states == 3000
+    assert game.traveller_wins(names[0], 0, {edges[0].key: 0}) is True
 
 
 def test_state_limit_guard():

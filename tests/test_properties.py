@@ -23,6 +23,7 @@ from oracles import (
     per_edge_k1_table,
     rebuilt_expansion,
     reference_parse_instance,
+    replayed_li_policies,
     scan_earliest_arrival,
     scan_latest_departure,
     scan_shortest_duration,
@@ -45,7 +46,7 @@ from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
 from tctp.knowledge import EMPTY, Knowledge, Ledger
-from tctp.litctp import LiGame, solve_k1
+from tctp.litctp import LiGame, exact_li, solve_k1
 from tctp.staticctp import StaticGame
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
@@ -190,6 +191,33 @@ def test_dead_edge_search_matches_the_full_state_reference(case):
     assert _bytes(mine) == _bytes(ref)
     for traveller in (greedy_temporal, wanderer):
         play(inst, traveller, bp, "li", t1, t2)
+    assert [a for a, _ in seen] == [b for _, b in seen]
+
+
+@SETTINGS
+@given(li_windows())
+@example((_SAME_SPEND, 0, 9))
+def test_memo_read_policies_match_the_replaying_reference(case):
+    """The builtin Traveller reads its move from the memo and the builtin
+    Blocker plays a lone reveal unsearched; the reference pair replays the
+    search on a game of its own. The builtin line books no state and adds no
+    memo entry. The Travellers answer alike at every position the verifier
+    reaches, partial blocks included, and both pairs play the same bytes
+    against the builtin, greedy and wandering Travellers."""
+    inst, t1, t2 = case
+    game = exact_li(inst, t1, t2)
+    ref_tp, ref_bp = replayed_li_policies(exact_li(inst, t1, t2))
+    searched = game.states, len(game.memo)
+    builtin = play(inst, game.traveller_policy(), game.blocker_policy(), "li", t1, t2)
+    assert (game.states, len(game.memo)) == searched
+    assert _bytes(builtin) == _bytes(play(inst, ref_tp, ref_bp, "li", t1, t2))
+    seen: list = []
+    tp = _paired(game.traveller_policy(), ref_tp, seen)
+    assert verify_traveller_strategy(inst, tp, "li", deadline=t2, t1=t1).ok == game.wins
+    bp = _paired(game.blocker_policy(), ref_bp, seen)
+    for traveller in (tp, greedy_temporal, wanderer):
+        assert _bytes(play(inst, traveller, bp, "li", t1, t2)) == _bytes(
+            play(inst, traveller, ref_bp, "li", t1, t2))
     assert [a for a, _ in seen] == [b for _, b in seen]
 
 
