@@ -249,15 +249,15 @@ def _check_choice(scope, choice, remaining: int) -> Optional[str]:
     """None when legal, else a human-readable foul reason."""
     if not isinstance(choice, Mapping):
         return f"reveal must be a mapping, got {type(choice).__name__}"
-    caps = {e.key: e.copies for e in scope} if choice else {}
     total = 0
     for key, c in choice.items():
-        if key not in caps:
+        cap = next((e.copies for e in scope if e.key == key), None)  # by ==, unhashable keys too
+        if cap is None:
             return f"status for {key!r} which is not up for reveal"
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             return f"bad copy count {c!r} for {key!r}"
-        if c > caps[key]:
-            return f"{c} blocked copies of {key!r} but only {caps[key]} exist"
+        if c > cap:
+            return f"{c} blocked copies of {key!r} but only {cap} exist"
         total += c
     if total > remaining:
         return f"blocking {total} copies with only {remaining} budget left"

@@ -63,8 +63,11 @@ def pi_row(arcs: list, width: int) -> tuple:
     i - m, candidates counted once per copy. With n candidates in all,
     Blocker removes every one once i >= n, so those entries are
     unreachable; below n every (m+1)-smallest exists. Head rows never fall
-    as the budget grows, so a single arc's max is at m = 0: its row is the
-    head row plus the weight. No out-arc gives an unreachable row.
+    as the budget grows (a precondition), so a single arc's max is at
+    m = 0: its row is the head row plus the weight. So is a wide arc's, one
+    with width copies or more, if no other arc's candidate is below its own
+    at any budget: it gives every (m+1)-smallest the row reads, unsorted.
+    No out-arc gives an unreachable row.
     """
     n = 0
     for _, _, copies in arcs:
@@ -74,6 +77,20 @@ def pi_row(arcs: list, width: int) -> tuple:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
+        for arc in arcs:
+            head, weight, copies = arc
+            if copies >= width > 1:  # at width 1 the sort is one min
+                for other in arcs:
+                    if other is not arc:
+                        ohead, oweight = other[0], other[1]
+                        for i in range(width):
+                            if ohead[i] + oweight < head[i] + weight:
+                                break  # other undercuts arc at budget i
+                        else:
+                            continue
+                        break
+                else:
+                    return tuple([head[i] + weight for i in range(width)])
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins

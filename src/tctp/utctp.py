@@ -64,7 +64,9 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     the wait takes the next row plus the gap: ``pi_row`` gives the running
     max of that for k+1 equal candidates, and no row falls as the budget
     grows (a row entry is a max over candidates that do not fall with it),
-    so the running max is the row itself. Row for row, the result equals
+    so the running max is the row itself. A wait that no departure
+    undercuts at any budget gives the next row plus the gap too, by
+    ``pi_row``'s wide-arc rule. Row for row, the result equals
     ``compute_pi`` on ``build_expansion`` with the same arguments, less the
     expansion's target node, which is entered only from nodes of t.
     """

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 import pytest
@@ -361,6 +362,33 @@ def test_an_unhashable_move_key_is_a_foul():
         assert tr.outcome == BLOCKER_WIN
         assert tr.events[-1]["type"] == "FOUL" and "no edge" in tr.events[-1]["reason"]
         assert not verify_traveller_strategy(inst, lambda v: ("move", key), model)
+
+
+class _ListKeyed(Mapping):
+    """A reveal whose one key is a list: a Mapping need not hash its keys."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __getitem__(self, key):
+        return 1
+
+    def __iter__(self):
+        return iter([self.key])
+
+    def __len__(self):
+        return 1
+
+
+def test_an_unhashable_reveal_key_is_a_foul():
+    _, static = _one_game_per_model()[2]
+    for inst, model, key in ((separating_instance(2), "li", ["s", "v0", 0, 1]),
+                             (static, "static", ["s", "a", 1])):
+        tr = play(inst, builtin_policies(inst, model)[0], lambda v: _ListKeyed(key), model)
+        assert tr.outcome == TRAVELLER_WIN
+        foul = tr.events[-1]
+        assert foul["type"] == "FOUL" and foul["by"] == "blocker"
+        assert foul["reason"] == f"status for {key!r} which is not up for reveal"
 
 
 def test_golden_corpus_replays_byte_identical():

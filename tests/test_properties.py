@@ -289,8 +289,19 @@ def row_arcs(draw):
 @example(([((0,), 2, 1), ((1,), 0, 1)], 1))
 @example(([((0, 1, 1, 4), 2, 1)], 4))
 @example(([((0, 1, 2), 1, 3), ((0, 0, 5), 0, 4)], 3))
+@example(([((0, 1, 2), 1, 3), ((1, 2, 4), 0, 2)], 3))
+@example(([((0, 1, 2), 1, 3), ((0, 5, 5), 0, 1)], 3))
+@example(([((0, 2, 4), 0, 3), ((0, 1, 3), 0, 3)], 3))
+@example(([((0, 1, UNREACHABLE), 1, 3), ((2, 3, 4), 0, 1)], 3))
+@example(([((0, 1, 1), 2, 5), ((2, 3, 9), 0, 1)], 3))
+@example(([((0, 0, 0), 0, 2), ((5, 5, 5), 0, 1)], 3))
 def test_budget_cut_row_matches_the_full_width_row(case):
-    """No out-arc, width 1, a single arc, and copies at or past the width."""
+    """No out-arc, width 1, a single arc, and copies at or past the width.
+    Then the wide-arc rule: a wide arc that others only tie or exceed, a
+    narrow arc below it at budget 0 only, two wide arcs of which only the
+    second is never undercut, a wide arc that ends unreachable beside a
+    finite narrow one, a wide arc with copies past the width, and an arc
+    one copy short of wide that nothing undercuts."""
     arcs, width = case
     assert pi_row(arcs, width) == full_width_pi_row(arcs, width)
 
