@@ -316,11 +316,11 @@ class _State:
         """Record a legal choice (zeros for unmentioned keys); returns the statuses."""
         n = len(self.decided.entries)
         for e in scope:
-            self.decided.add(e.key, int(choice.get(e.key, 0)))
-        statuses = tuple(self.decided.entries[n:])
-        self.spent += sum(c for _, c in statuses)
+            c = int(choice.get(e.key, 0))
+            self.decided.add(e.key, c)
+            self.spent += c
         self.seen = set()
-        return statuses
+        return tuple(self.decided.entries[n:])
 
     def mark(self) -> tuple:
         return (self.pos, self.clock, self.spent, self.seen,
@@ -408,8 +408,10 @@ class _TemporalRules(_Rules):
         super().__init__(inst, t1, None if t2 == math.inf else t2, horizon)
 
     def move(self, st, key) -> dict:
-        e = next((e for e in self.g.incident(st.pos) if e.key == key), None)
-        if e is None:
+        for e in self.g.incident(st.pos):
+            if e.key == key:
+                break
+        else:
             raise _Foul(f"no edge {key!r} at {st.pos!r}")
         self._departs(e, key, st.clock)
         self._surviving(st, e, key)
@@ -531,7 +533,7 @@ def play(
         remaining = inst.k - st.spent
         choice = blocker_policy(BlockerView(
             st.pos, st.clock, st.decided.snapshot(), st.spent, inst,
-            tuple(e.key for e in stop), remaining))
+            tuple([e.key for e in stop]), remaining))
         reason = _check_choice(stop, choice, remaining)
         if reason is not None:
             events.append({"type": "FOUL", "by": "blocker", "reason": reason})

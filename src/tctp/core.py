@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -26,8 +26,10 @@ VertexId = Union[str, tuple]
 
 
 class _Edge:
-    """Endpoint helpers shared by both edge kinds; it adds no field, so
-    equality, hashing and field order stay the subclasses' own."""
+    """Endpoint helpers shared by both edge kinds; it adds no field and no
+    slot, so equality, hashing and field order stay the subclasses' own."""
+
+    __slots__ = ()
 
     def touches(self, x) -> bool:
         return x == self.u or x == self.v
@@ -40,15 +42,17 @@ class _Edge:
         raise ValueError(f"{x!r} is not an endpoint of {self.u}-{self.v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeEdge(_Edge):
-    """One undirected time edge; `copies` identical parallel copies."""
+    """One undirected time edge; `copies` identical parallel copies. Its
+    ``key``, (u, v, tau, d), is stored once and left out of ==, hash and repr."""
 
     u: str
     v: str
     tau: int
     d: int
     copies: int = 1
+    key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.u == self.v:
@@ -63,24 +67,23 @@ class TimeEdge(_Edge):
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
-
-    @property
-    def key(self) -> tuple:
-        return (self.u, self.v, self.tau, self.d)
+        object.__setattr__(self, "key", (self.u, self.v, self.tau, self.d))
 
     @property
     def arrival(self) -> int:
         return self.tau + self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticEdge(_Edge):
-    """Weighted edge of a static graph; directed graphs read it as u -> v."""
+    """Weighted edge of a static graph; directed graphs read it as u -> v.
+    Its ``key``, (u, v, weight), is stored once, as on ``TimeEdge``."""
 
     u: VertexId
     v: VertexId
     weight: int
     copies: int = 1
+    key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.u == self.v:
@@ -89,10 +92,7 @@ class StaticEdge(_Edge):
             raise ValueError(f"negative weight on {self.u}-{self.v}")
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1 on {self.u}-{self.v}")
-
-    @property
-    def key(self) -> tuple:
-        return (self.u, self.v, self.weight)
+        object.__setattr__(self, "key", (self.u, self.v, self.weight))
 
 
 def _sums(vset: set, keyed) -> dict:
@@ -135,7 +135,7 @@ class TemporalGraph(_Graph):
     def build(cls, vertices: Iterable[str], edges: Iterable[TimeEdge]) -> "TemporalGraph":
         """Canonicalize: sort vertices, merge parallel records by summing copies."""
         vset = set(vertices)
-        keyed = (((e.u, e.v, e.tau, e.d), e.u, e.v, e.copies) for e in edges)
+        keyed = ((e.key, e.u, e.v, e.copies) for e in edges)
         return _graph("temporal", vset, _sums(vset, keyed))
 
     @cached_property
@@ -387,13 +387,13 @@ def _graph(model: str, vertices: Iterable, merged: dict) -> Graph:
         for key in sorted(merged):  # keys alone sort faster than (key, copies) items
             e = new(TimeEdge)
             put(e, "u", key[0]), put(e, "v", key[1]), put(e, "tau", key[2]), put(e, "d", key[3])
-            put(e, "copies", merged[key])
+            put(e, "copies", merged[key]), put(e, "key", key)
             edges.append(e)
         return TemporalGraph(vs, tuple(edges))
     for key in sorted(merged):
         e = new(StaticEdge)
         put(e, "u", key[0]), put(e, "v", key[1]), put(e, "weight", key[2])
-        put(e, "copies", merged[key])
+        put(e, "copies", merged[key]), put(e, "key", key)
         edges.append(e)
     return StaticGraph(vs, tuple(edges), model == "dag")
 

@@ -129,10 +129,11 @@ class Knowledge:
         done, (r, b, spent) = folded[-1] if folded else (None, EMPTY)
         start = done.n if folded else 0
         pairs = decided.ledger.entries[start:decided.n] if snap else decided.items()
+        bits, copies = self.bit, self.copies
         for key, c in pairs:
-            bit = self.bit[key]
+            bit = bits[key]
             r |= bit
-            if c >= self.copies[key]:
+            if c >= copies[key]:
                 b |= bit
             spent += c
         if snap:
@@ -145,6 +146,11 @@ class Knowledge:
         """Nothing left to settle at v, so the Blocker has no move there."""
         scope = self.scope[v]
         return state[0] & scope == scope
+
+    def blockable(self, keys, settled: int, remaining: int) -> bool:
+        """Whether ``choices`` lists more than one reveal: some of a scope's
+        undecided ``keys`` is off the ``settled`` mask and fits ``remaining``."""
+        return any(self.copies[key] <= remaining and not settled & self.bit[key] for key in keys)
 
     def choices(self, v, state) -> list:
         """The Blocker's reveals at v as child states, cheapest spend first,

@@ -180,6 +180,7 @@ class LiGame:
     dead edge has a cheaper twin without it that comes first and loses too.
     A memo value is the Traveller policy's move: the key of the first
     departure, in (tau, key) order, that wins against every reveal, else False.
+    Both policies read the memo and search only positions it lacks.
     """
 
     def __init__(self, inst: Instance, t1=0, t2=None, state_limit: int = STATE_LIMIT):
@@ -189,46 +190,48 @@ class LiGame:
         self.inst = inst
         self.t1, self.t2 = window(inst, t1, t2)
         self.memo: dict = {}
-        # edge i of the game is the i-th in (tau, key) order; each attribute
-        # is read once, as ``key`` builds a new tuple at every read
-        order = sorted((e.tau, e.key, e.d, e.copies, e.u, e.v) for e in g.edges)
-        self.taus = taus = [x[0] for x in order]
+        edges = sorted(g.edges, key=lambda e: (e.tau, e.key))  # edge i is bit i
+        self.taus = taus = [e.tau for e in edges]
         # time -> how many edges depart before it: the dead prefix of the bits
-        times = {*taus, *(tau + d for tau, _, d, *_ in order), self.t1}
+        times = {*taus, *(e.tau + e.d for e in edges), self.t1}
         past = {x: bisect_left(taus, x) for x in times}
         self.past_t1 = past[self.t1]
         scopes: dict = {v: [] for v in g.vertices}
-        for i, (_, _, _, _, u, v) in enumerate(order):
-            scopes[u].append(i)
-            scopes[v].append(i)
-        self.know = Knowledge([(key, c) for _, key, _, c, _, _ in order], scopes,
-                              inst.k, state_limit)
+        for i, e in enumerate(edges):
+            scopes[e.u].append(i)
+            scopes[e.v].append(i)
+        self.know = Knowledge([(e.key, e.copies) for e in edges], scopes, inst.k, state_limit)
         # departures arriving inside the window, in (tau, key) order:
         # (tau, arrival, bit, head, key, edges departing before tau, and before arrival)
         self.departures: dict = {v: [] for v in g.vertices}
         self.late = 0  # the edges arriving after t2
-        for (tau, key, d, _, u, v), (bit, _, _) in zip(order, self.know.entries):
-            if tau + d > self.t2:
+        for e, (bit, _, _) in zip(edges, self.know.entries):
+            tau, arrival = e.tau, e.tau + e.d
+            if arrival > self.t2:
                 self.late |= bit
                 continue
-            before = (past[tau], past[tau + d])
-            self.departures[u].append((tau, tau + d, bit, v, key, *before))
-            self.departures[v].append((tau, tau + d, bit, u, key, *before))
+            before = (past[tau], past[arrival])
+            self.departures[e.u].append((tau, arrival, bit, e.v, e.key, *before))
+            self.departures[e.v].append((tau, arrival, bit, e.u, e.key, *before))
 
     def traveller_wins(self, pos, clock, decided: Mapping) -> bool:
         """Post-reveal: every key incident to pos is present in decided."""
         return bool(run(self._wins(pos, clock, self.know.state(decided))))
 
-    def _wins(self, pos, clock, state):
+    def _recall(self, pos, clock, state) -> tuple:
+        """(departures feasible at clock, memo key, result or None if unsearched) at pos."""
         if pos == self.inst.t:
-            return True
+            return (), None, True
         r, b, spent = state
         options = [x for x in self.departures[pos] if x[0] >= clock and not b & x[2]]
         if not options:
-            return False
+            return options, None, False
         n = options[0][5]  # edges departing before the first feasible departure
         at = (pos, options[0][0], r >> n, b >> n, spent)
-        hit = self.memo.get(at)
+        return options, at, self.memo.get(at)
+
+    def _wins(self, pos, clock, state):
+        options, at, hit = self._recall(pos, clock, state)
         if hit is not None:
             return hit
         self.know.count()
@@ -271,24 +274,27 @@ class LiGame:
         return self.know.states
 
     def traveller_policy(self):
-        """The memo's move, else resign; late edges are settled, as in the search."""
+        """The memo's move, searched on a miss, else resign; late edges settled as searched."""
         def policy(view):
             r, blocked, spent = self.know.state(view.decided)
             state = (r | self.know.scope[view.position] | self.late, blocked, spent)
-            move = run(self._wins(view.position, view.clock, state))
+            move = self._recall(view.position, view.clock, state)[2]
+            if move is None:
+                move = run(self._wins(view.position, view.clock, state))
             return ("move", move) if move else ("resign",)
 
         return policy
 
     def blocker_policy(self):
         """Play the first losing reveal of the live edges, as the search
-        offers them, else block nothing, as a lone reveal does unsearched."""
+        offers them, else block nothing, unlisted where that is the one reveal."""
         def policy(view):
-            state = self._live(bisect_left(self.taus, view.clock),
-                               self.know.state(view.decided))
-            choices = self.reveal_choices(view.position, state)
-            for choice in choices if len(choices) > 1 else ():
-                if not run(self._wins(view.position, view.clock, choice)):
+            clock, past = view.clock, bisect_left(self.taus, view.clock)
+            if not self.know.blockable(view.undecided, self._live(past, EMPTY)[0], view.remaining):
+                return {}
+            state = self._live(past, self.know.state(view.decided))
+            for choice in self.reveal_choices(view.position, state):
+                if not run(self._wins(view.position, clock, choice)):
                     statuses = self.know.statuses(view.position, state, choice)
                     return {k: c for k, c in statuses.items() if c > 0}
             return {}

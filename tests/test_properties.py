@@ -6,6 +6,7 @@ Each fast path answers from one shared table or a pruned pass; the oracles in
 import dataclasses
 import json
 import math
+from bisect import bisect_left
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from tctp.core import (
 from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row
 from tctp.errors import SizeLimitError
 from tctp.expansion import build_expansion
+from tctp.gadgets import CnfFormula, QbfFormula, gen_li_np, gen_li_pspace, gen_static_np
 from tctp.knowledge import EMPTY, Knowledge, Ledger
 from tctp.litctp import LiGame, exact_li, solve_k1
 from tctp.staticctp import StaticGame
@@ -159,7 +161,8 @@ def test_dead_edge_search_matches_the_full_state_reference(case):
     """Same answer, fewer states, and both policies answer as the reference
     does wherever the builtin Traveller meets every Blocker line and the
     builtin Blocker meets the builtin, greedy and wandering Travellers. The
-    reveals the builtin Blocker weighs block no dead edge."""
+    builtin Blocker lists reveals only where the live state has two or more,
+    and the reveals it weighs block no dead edge."""
     inst, t1, t2 = case
     got, want = LiGame(inst, t1, t2), FullStateLiGame(inst, t1, t2)
     assert got.wins == want.wins
@@ -177,6 +180,12 @@ def test_dead_edge_search_matches_the_full_state_reference(case):
         # the policy's own list is the first one asked for
         del offered[:]
         out = blocker(view)
+        # it lists reveals exactly when the live state has more than one
+        live = got._live(bisect_left(got.taus, view.clock), got.know.state(view.decided))
+        assert bool(offered) == (len(got.know.choices(view.position, live)) > 1)
+        if not offered:
+            assert out == {}
+            return out
         before, choices = offered[0]
         dead = sum(bit for bit, _, (_, _, tau, d) in got.know.entries
                    if tau < view.clock or tau + d > t2)
@@ -454,6 +463,48 @@ def instances(draw):
 def test_parse_inverts_serialize(inst):
     for fmt in ("text", "json"):
         assert parse_instance(serialize_instance(inst, fmt)) == inst
+
+
+def _keyed(e) -> bool:
+    """Whether e's stored key is the tuple of its key fields, its endpoints
+    in canonical order, and its repr shows its fields and no key."""
+    if isinstance(e, TimeEdge):
+        key = (e.u, e.v, e.tau, e.d)
+        shown = f"TimeEdge(u={e.u!r}, v={e.v!r}, tau={e.tau!r}, d={e.d!r}, copies={e.copies!r})"
+        canonical = e.u < e.v
+    else:
+        key = (e.u, e.v, e.weight)
+        shown = f"StaticEdge(u={e.u!r}, v={e.v!r}, weight={e.weight!r}, copies={e.copies!r})"
+        canonical = True
+    return canonical and e.key == key and repr(e) == shown and hash(e) == hash(
+        type(e)(*key, e.copies))
+
+
+@SETTINGS
+@given(instances(), st.integers(0, 3))
+def test_stored_edge_keys_follow_their_fields(inst, shift):
+    """The key an edge stores is its fields' tuple however the edge was made:
+    by the constructor, by a graph build, by either parse, by
+    ``dataclasses.replace`` (reversed endpoints included) or by the time
+    expansion."""
+    g = inst.graph
+    made = list(g.edges)
+    for fmt in ("text", "json"):
+        made += parse_instance(serialize_instance(inst, fmt)).graph.edges
+    if isinstance(g, TemporalGraph):
+        made += [dataclasses.replace(e, u=e.v, v=e.u, tau=e.tau + shift) for e in g.edges]
+        made += [TimeEdge(e.v, e.u, e.tau, e.d, e.copies) for e in g.edges]
+        made += build_expansion(g, inst.s, inst.t, inst.k).graph.edges
+    else:
+        made += [dataclasses.replace(e, u=e.v, v=e.u, weight=e.weight + shift) for e in g.edges]
+    assert all(_keyed(e) for e in made)
+
+
+def test_gadget_edges_store_their_keys():
+    f = CnfFormula.build(2, [(1, 2, 2), (1, -2, -2)])
+    made = [*gen_li_pspace(QbfFormula(f)).graph.edges, *gen_static_np(f)[0].graph.edges,
+            *gen_li_np(f)[0].graph.edges]
+    assert made and all(_keyed(e) for e in made)
 
 
 @st.composite
