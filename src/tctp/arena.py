@@ -57,7 +57,12 @@ from .utctp import decide_u
 TRAVELLER_WIN = "TRAVELLER_WIN"
 BLOCKER_WIN = "BLOCKER_WIN"
 MODELS = ("li", "u", "static", "dag")
-_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(row, sort_keys=True)
+# json.dumps(row, sort_keys=True) through json's C encoder, built here once:
+# JSONEncoder.encode builds one per call. None where json has no C module.
+_encoder = json.JSONEncoder(sort_keys=True)
+_rows = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _encoder.default, json.encoder.encode_basestring_ascii, None,
+    _encoder.key_separator, _encoder.item_separator, True, False, True)
 
 Policy = Callable
 
@@ -143,7 +148,9 @@ class Transcript:
                "budget_spent": self.budget_spent}
 
     def to_json_lines(self) -> str:
-        return "".join(_encode(row) + "\n" for row in self.rows())
+        if _rows is None:
+            return "".join(_encoder.encode(row) + "\n" for row in self.rows())
+        return "".join("".join(_rows(row, 0)) + "\n" for row in self.rows())
 
     @classmethod
     def from_json_lines(cls, text: str) -> "Transcript":

@@ -226,7 +226,7 @@ _MODELS = ("temporal", "static", "dag")
 def serialize_instance(inst: Instance, fmt: str = "text") -> str:
     """Stable serialization: vertices and edges in canonical sorted order."""
     if fmt == "json":
-        return json.dumps(_to_dict(inst), indent=2, sort_keys=False) + "\n"
+        return _json_text(inst)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     g = inst.graph
@@ -248,19 +248,30 @@ def _name(v: VertexId) -> str:
     return f"{name}@{time}" if name != "@target" else "@target"
 
 
-def _to_dict(inst: Instance) -> dict:
-    g = inst.graph
-    out: dict = {"model": inst.model, "vertices": [_name(v) for v in g.vertices],
-                 "s": _name(inst.s), "t": _name(inst.t), "k": inst.k}
-    if inst.deadline is not None:
-        out["deadline"] = inst.deadline
+# one edge object of the JSON layout; its numbers are ints, which % writes as json does
+_TIME_EDGE = ('{\n      "u": %s,\n      "v": %s,\n      "tau": %s,\n      "d": %s,\n'
+              '      "copies": %s\n    }')
+_STATIC_EDGE = '{\n      "u": %s,\n      "v": %s,\n      "weight": %s,\n      "copies": %s\n    }'
+
+
+def _json_text(inst: Instance) -> str:
+    """``json.dumps(..., indent=2)`` of the schema's fields in its order, laid
+    out here: ``indent`` takes json's pure-Python encoder, at several times
+    the cost."""
+    g, q = inst.graph, json.encoder.encode_basestring_ascii
+    names = {v: q(_name(v)) for v in g.vertices}  # each vertex's JSON string, once
     if isinstance(g, TemporalGraph):
-        out["edges"] = [{"u": e.u, "v": e.v, "tau": e.tau, "d": e.d, "copies": e.copies}
-                        for e in g.edges]
+        edges = [_TIME_EDGE % (names[e.u], names[e.v], e.tau, e.d, e.copies) for e in g.edges]
     else:
-        out["edges"] = [{"u": _name(e.u), "v": _name(e.v), "weight": e.weight,
-                         "copies": e.copies} for e in g.edges]
-    return out
+        edges = [_STATIC_EDGE % (names[e.u], names[e.v], e.weight, e.copies) for e in g.edges]
+    deadline = "" if inst.deadline is None else f',\n  "deadline": {inst.deadline}'
+    return (f'{{\n  "model": {q(inst.model)},\n  "vertices": {_json_list([*names.values()])},\n'
+            f'  "s": {names[inst.s]},\n  "t": {names[inst.t]},\n  "k": {inst.k}{deadline},\n'
+            f'  "edges": {_json_list(edges)}\n}}\n')
+
+
+def _json_list(items: list) -> str:
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def parse_instance(text: str) -> Instance:

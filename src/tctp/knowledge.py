@@ -16,6 +16,7 @@ only what a snapshot adds to one it folded before.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import SizeLimitError
@@ -92,24 +93,28 @@ class Snapshot(Mapping):
 
 class Knowledge:
     """Edge bits, reveal scopes and state counter of one game. ``edges`` are
-    its (key, copies) pairs, edge i on bit i; ``scopes`` lists the edge
-    numbers of each vertex's scope in the game's local order."""
+    its (key, copies) pairs, edge i on bit i; ``scopes`` lists each vertex's
+    edge numbers in the game's local order, or is empty and ``scoped`` sets them."""
 
     GAP = 64  # ledger entries between the folded states kept below the last
 
     def __init__(self, edges, scopes: Mapping, k: int, state_limit: int):
         # (bit, copies, key) of edge i
-        self.entries = [(1 << i, c, key) for i, (key, c) in enumerate(edges)]
-        self.bit = {key: bit for bit, _, key in self.entries}
+        self.entries = entries = [(1 << i, c, key) for i, (key, c) in enumerate(edges)]
+        self.bit = {key: bit for bit, _, key in entries}
         self.copies = dict(edges)
-        self.local = {v: tuple(self.entries[i] for i in es) for v, es in scopes.items()}
-        self.scope = {v: sum(bit for bit, _, _ in loc) for v, loc in self.local.items()}
+        self.scoped({v: [entries[i] for i in es] for v, es in scopes.items()})
         self.k = k
         self.state_limit = state_limit
         self.states = 0
         self._spends: dict = {}
         # (snapshot, its state): the last one folded, and one per GAP entries below
         self._folded: list = []
+
+    def scoped(self, local: Mapping) -> None:
+        """Set each vertex's scope: ``local[v]``, its entries in local order."""
+        self.local = local
+        self.scope = {v: sum(map(itemgetter(0), loc)) for v, loc in local.items()}
 
     def count(self) -> None:
         """Book one more knowledge state; past the limit, raise."""
@@ -164,7 +169,9 @@ class Knowledge:
         if spends is None:
             remaining = self.k - spent
             blockable = [(bit, c) for bit, c, _ in self.local[v]
-                         if not r & bit and c <= remaining]
+                         if c <= remaining and not r & bit]
+            if not blockable:  # the one reveal blocks nothing: not worth a memo entry
+                return [(r | self.scope[v], b, spent)]
             # (total, mask over blockable, edge bits) of every reveal that
             # fits the budget: each edge extends only the subsets it fits
             ranked = [(0, 0, 0)]

@@ -192,27 +192,31 @@ class LiGame:
         self.memo: dict = {}
         edges = sorted(g.edges, key=lambda e: (e.tau, e.key))  # edge i is bit i
         self.taus = taus = [e.tau for e in edges]
-        # time -> how many edges depart before it: the dead prefix of the bits
-        times = {*taus, *(e.tau + e.d for e in edges), self.t1}
-        past = {x: bisect_left(taus, x) for x in times}
+        # time -> how many edges depart before it (the bits' dead prefix), one merge
+        past, n = {}, 0
+        for x in sorted({*taus, *[e.tau + e.d for e in edges], self.t1}):
+            while n < len(taus) and taus[n] < x:
+                n += 1
+            past[x] = n
         self.past_t1 = past[self.t1]
-        scopes: dict = {v: [] for v in g.vertices}
-        for i, e in enumerate(edges):
-            scopes[e.u].append(i)
-            scopes[e.v].append(i)
-        self.know = Knowledge([(e.key, e.copies) for e in edges], scopes, inst.k, state_limit)
+        self.know = know = Knowledge([(e.key, e.copies) for e in edges], {}, inst.k, state_limit)
         # departures arriving inside the window, in (tau, key) order:
         # (tau, arrival, bit, head, key, edges departing before tau, and before arrival)
-        self.departures: dict = {v: [] for v in g.vertices}
-        self.late = 0  # the edges arriving after t2
-        for e, (bit, _, _) in zip(edges, self.know.entries):
-            tau, arrival = e.tau, e.tau + e.d
-            if arrival > self.t2:
+        self.departures = departures = {v: [] for v in g.vertices}
+        local: dict = {v: [] for v in g.vertices}
+        self.late, t2 = 0, self.t2  # late: the edges arriving after t2
+        for e, entry in zip(edges, know.entries):
+            bit, _, key = entry
+            u, v, tau, arrival = e.u, e.v, e.tau, e.tau + e.d
+            local[u].append(entry)
+            local[v].append(entry)
+            if arrival > t2:
                 self.late |= bit
                 continue
-            before = (past[tau], past[arrival])
-            self.departures[e.u].append((tau, arrival, bit, e.v, e.key, *before))
-            self.departures[e.v].append((tau, arrival, bit, e.u, e.key, *before))
+            dead, dead_on_arrival = past[tau], past[arrival]
+            departures[u].append((tau, arrival, bit, v, key, dead, dead_on_arrival))
+            departures[v].append((tau, arrival, bit, u, key, dead, dead_on_arrival))
+        know.scoped(local)
 
     def traveller_wins(self, pos, clock, decided: Mapping) -> bool:
         """Post-reveal: every key incident to pos is present in decided."""

@@ -41,7 +41,9 @@ reads off a shared table or a pruned pass:
 * the locally-informed playout policies re-running the search at every
   consult -- the Traveller the reveal behind each departure in turn, the
   Blocker each reveal, a lone one included -- in place of reading the
-  Traveller's move from the memo and playing a lone reveal unsearched.
+  Traveller's move from the memo and playing a lone reveal unsearched;
+* an instance's JSON as ``json.dumps(..., indent=2)`` of its schema dict, in
+  place of the layout the writer spells out.
 """
 import heapq
 import json
@@ -51,7 +53,15 @@ from bisect import bisect_left
 from itertools import chain, repeat
 
 from tctp.arena import TRAVELLER_WIN, _choices, _State
-from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, window
+from tctp.core import (
+    Instance,
+    StaticEdge,
+    StaticGraph,
+    TemporalGraph,
+    TimeEdge,
+    _name,
+    window,
+)
 from tctp.dagctp import (
     UNREACHABLE,
     PiTable,
@@ -596,6 +606,26 @@ class FullStateLiGame:
 
 
 _MODELS = ("temporal", "static", "dag")
+
+
+def indented_instance_json(inst: Instance) -> str:
+    """``serialize_instance(inst, "json")`` through ``json.dumps``."""
+    return json.dumps(_to_dict(inst), indent=2, sort_keys=False) + "\n"
+
+
+def _to_dict(inst: Instance) -> dict:
+    g = inst.graph
+    out: dict = {"model": inst.model, "vertices": [_name(v) for v in g.vertices],
+                 "s": _name(inst.s), "t": _name(inst.t), "k": inst.k}
+    if inst.deadline is not None:
+        out["deadline"] = inst.deadline
+    if isinstance(g, TemporalGraph):
+        out["edges"] = [{"u": e.u, "v": e.v, "tau": e.tau, "d": e.d, "copies": e.copies}
+                        for e in g.edges]
+    else:
+        out["edges"] = [{"u": _name(e.u), "v": _name(e.v), "weight": e.weight,
+                         "copies": e.copies} for e in g.edges]
+    return out
 
 
 def reference_parse_instance(text: str) -> Instance:

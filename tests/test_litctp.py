@@ -278,14 +278,16 @@ def test_routes_that_differ_only_in_dead_edges_share_a_memo_entry():
 
 def test_the_builtin_pair_reads_a_long_chain_off_the_memo():
     """On a 3,000-hop chain with k+1 copies per hop nothing can be blocked:
-    the builtin Traveller makes one memo read per move, each a hit that
-    starts no search, and the builtin Blocker, offered one reveal at each
-    vertex, makes none."""
+    the search lists each lone reveal without caching its spends, the
+    builtin Traveller makes one memo read per move, each a hit that starts
+    no search, and the builtin Blocker, offered one reveal at each vertex,
+    makes none."""
     names = [f"c{i:04d}" for i in range(3001)]
     edges = [TimeEdge(names[i], names[i + 1], i, 1, copies=4) for i in range(3000)]
     inst = Instance(TemporalGraph.build(names, edges), names[0], names[-1], 3)
     game = exact_li(inst)
     assert game.wins and game.states == 3000
+    assert game.know._spends == {}
     calls = {"traveller": 0, "blocker": 0, "searches": 0}
     side = []
     recalled, searched = game._recall, game._wins
@@ -308,7 +310,7 @@ def test_the_builtin_pair_reads_a_long_chain_off_the_memo():
               consulted("blocker", game.blocker_policy()), "li")
     assert tr.outcome == TRAVELLER_WIN and len(tr.moves()) == 3000
     assert calls == {"traveller": 3000, "blocker": 0, "searches": 0}
-    assert game.states == 3000
+    assert game.states == 3000 and game.know._spends == {}
     assert game.traveller_wins(names[0], 0, {edges[0].key: 0}) is True
 
 

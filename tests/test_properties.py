@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 from bisect import bisect_left
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from oracles import (
     expansion_pi_table,
     expansion_read_policies,
     full_width_pi_row,
+    indented_instance_json,
     mask_choices,
     nsmallest_pi_values,
     outgoing_read_policies,
@@ -33,7 +35,13 @@ from oracles import (
     unbounded_static_game,
 )
 from tctp import arena
-from tctp.arena import TRAVELLER_WIN, builtin_policies, play, verify_traveller_strategy
+from tctp.arena import (
+    TRAVELLER_WIN,
+    Transcript,
+    builtin_policies,
+    play,
+    verify_traveller_strategy,
+)
 from tctp.core import (
     Instance,
     StaticEdge,
@@ -360,7 +368,18 @@ def test_sweep_table_matches_compute_pi_on_the_expansion(case):
 
 
 def _bytes(transcript):
-    return None if transcript is None else transcript.to_json_lines()
+    """A transcript's lines, each checked to be ``json.dumps(row,
+    sort_keys=True)`` byte for byte: so every playout these properties
+    compare, under all four models, checks the writer too."""
+    if transcript is None:
+        return None
+    lines = transcript.to_json_lines()
+    assert lines == _dumped(transcript)
+    return lines
+
+
+def _dumped(tr: Transcript) -> str:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in tr.rows())
 
 
 @SETTINGS
@@ -441,11 +460,11 @@ def test_parse_merges_records_into_equal_graphs(case):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, alphabet="ab@_-.09"):
     """A temporal, static or dag instance: odd vertex names, merged records,
     isolated vertices, with or without a deadline."""
     model, names, records = draw(edge_records())
-    odd = draw(st.lists(st.text("ab@_-.09", min_size=1, max_size=3),
+    odd = draw(st.lists(st.text(alphabet, min_size=1, max_size=3),
                         min_size=len(names), max_size=len(names), unique=True))
     rename = dict(zip(names, odd))
     records = [dataclasses.replace(e, u=rename[e.u], v=rename[e.v]) for e in records]
@@ -463,6 +482,59 @@ def instances(draw):
 def test_parse_inverts_serialize(inst):
     for fmt in ("text", "json"):
         assert parse_instance(serialize_instance(inst, fmt)) == inst
+
+
+# characters JSON escapes: quotes, backslashes, controls, non-ASCII, astral
+_ESCAPED = 'a@ "\\\n\t\x00\x7fé☃\u2028😀'
+
+
+@SETTINGS
+@given(instances(_ESCAPED))
+@example(Instance(TemporalGraph.build(["é"], []), "é", "é", 0))
+def test_instance_json_is_the_indented_dump(inst):
+    """The JSON writer's layout is ``json.dumps(..., indent=2)`` of the schema
+    dict, byte for byte: every model, with or without a deadline, edgeless
+    graphs, escaped names, and time expansions' ``name@time`` and
+    ``@target`` vertices."""
+    made = [inst]
+    if inst.model == "temporal":
+        xd = build_expansion(inst.graph, inst.s, inst.t, inst.k)
+        made += [Instance(xd.graph, xd.source, xd.target, inst.k, inst.deadline)]
+    for one in made:
+        assert serialize_instance(one, "json") == indented_instance_json(one)
+
+
+@st.composite
+def transcripts(draw):
+    """Transcripts with every event type, tuple keys, escaped names and
+    reasons, and numbers that are large, fractional or infinite."""
+    name = st.text(_ESCAPED, min_size=1, max_size=3) | st.text(max_size=3)
+    number = st.integers(-1, 10**20) | st.floats(allow_nan=False)
+    key = st.tuples(name, name, number, number) | st.tuples(name, name, number)
+    by = st.sampled_from(("traveller", "blocker"))
+    event = st.one_of(
+        st.fixed_dictionaries({"type": st.just("REVEAL"), "at": name, "clock": number,
+                               "statuses": st.lists(st.tuples(key, number)).map(tuple)}),
+        st.fixed_dictionaries({"type": st.just("MOVE"), "key": key, "depart": number,
+                               "arrive": number}),
+        st.fixed_dictionaries({"type": st.just("WAIT"), "at": name, "until": number}),
+        st.fixed_dictionaries({"type": st.just("RESIGN"), "by": by}),
+        st.fixed_dictionaries({"type": st.just("FOUL"), "by": by, "reason": st.text()}))
+    return Transcript(
+        draw(st.sampled_from(arena.MODELS)), draw(name), draw(name), draw(st.integers(0, 3)),
+        tuple(draw(st.lists(event, max_size=6))),
+        draw(st.sampled_from((TRAVELLER_WIN, arena.BLOCKER_WIN))), draw(number),
+        draw(st.integers(0, 3)), draw(st.integers(0, 9)), draw(st.none() | number))
+
+
+@SETTINGS
+@given(transcripts())
+def test_transcript_lines_are_json_dumps_rows(tr):
+    """Each transcript line is ``json.dumps(row, sort_keys=True)``, byte for
+    byte, through json's C encoder and without it."""
+    assert tr.to_json_lines() == _dumped(tr)
+    with mock.patch.object(arena, "_rows", None):
+        assert tr.to_json_lines() == _dumped(tr)
 
 
 def _keyed(e) -> bool:
