@@ -230,14 +230,15 @@ def serialize_instance(inst: Instance, fmt: str = "text") -> str:
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     g = inst.graph
-    lines = [f"model {inst.model}", "vertices " + " ".join(_name(v) for v in g.vertices),
+    names = {v: _name(v) for v in g.vertices}  # each vertex's name, once
+    lines = [f"model {inst.model}", "vertices " + " ".join(names.values()),
              f"s {_name(inst.s)}", f"t {_name(inst.t)}", f"k {inst.k}"]
     if inst.deadline is not None:
         lines.append(f"deadline {inst.deadline}")
     if isinstance(g, TemporalGraph):
         lines += [f"edge {e.u} {e.v} {e.tau} {e.d} {e.copies}" for e in g.edges]
     else:
-        lines += [f"edge {_name(e.u)} {_name(e.v)} {e.weight} {e.copies}" for e in g.edges]
+        lines += [f"edge {names[e.u]} {names[e.v]} {e.weight} {e.copies}" for e in g.edges]
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .core import StaticEdge, StaticGraph, TemporalGraph
+from .core import StaticGraph, TemporalGraph, _graph
 
 Node = tuple  # (vertex name, time); the synthetic target is ("@target", 0)
 WAIT = "wait"
@@ -94,12 +94,10 @@ def build_expansion(
         add((t, tau), TARGET, 0, k + 1, SINK)
     nodes.add(TARGET)
 
-    # every endpoint is a node and every key is unique, so the canonical
-    # graph is the sorted nodes and arcs as they stand
-    arcs = tuple(StaticEdge(*key, copies) for key, copies in sorted(copies_of.items()))
-    graph = StaticGraph(tuple(sorted(nodes)), arcs, directed=True)
+    # every endpoint is a node and every key is unique and valid by
+    # construction, so the arcs skip the checks of their constructor
     return ExpandedDag(
-        graph=graph,
+        graph=_graph("dag", nodes, copies_of),
         source=(s, t1),
         target=TARGET,
         k=k,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan, window
@@ -60,52 +61,71 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
 
     A node of t has the zero row. Any other (v, tau) node's candidates are
     the wait to v's next time (k+1 copies, weight the gap) and each surviving
-    time edge departing v at tau (weight d). A node whose only candidate is
-    the wait takes the next row plus the gap: ``pi_row`` gives the running
-    max of that for k+1 equal candidates, and no row falls as the budget
-    grows (a row entry is a max over candidates that do not fall with it),
-    so the running max is the row itself. A wait that no departure
-    undercuts at any budget gives the next row plus the gap too, by
-    ``pi_row``'s wide-arc rule. Row for row, the result equals
-    ``compute_pi`` on ``build_expansion`` with the same arguments, less the
-    expansion's target node, which is entered only from nodes of t.
+    time edge departing v at tau (weight d). Every departure node has a wait,
+    since the edge's arrival gives both endpoints a later node. With w the
+    wait's candidate row (the next row plus the gap), ``pi_row``'s entry i,
+    the max over m <= i of the (m+1)-smallest candidate at budget i - m,
+    reads only order statistics that the wait's k+1 copies already hold to
+    at most w. So a departure whose candidate is nowhere below w changes no
+    entry and is dropped; with none left the row is w. With one left, of
+    candidate row x and c capped copies, the (m+1)-smallest at budget r is
+    min(x[r], w[r]) for m < c and w[r] for m >= c; no row falls as the
+    budget grows (a row entry is a max over candidates that do not fall with
+    it), so the max sits at m = 0 or m = c: entry i is max(min(x[i], w[i]),
+    w[i - c]), the second term only when i >= c. Two or more go to
+    ``pi_row`` with the wait. Row for row, the result equals ``compute_pi``
+    on ``build_expansion`` with the same arguments, less the expansion's
+    target node, which is entered only from nodes of t.
     """
     width = k + 1
     departs: dict = {}  # (v, tau) -> [(head node, d, capped copies)]
-    at_time: dict = {t1: {s}}  # tau -> vertices with a node at tau
+    nodes = {(s, t1)}
     for e in g.edges:
         tau, arrival = e.tau, e.arrival
         if tau < t1 or arrival > t2:
             continue
-        copies = min(e.copies, width)
-        departs.setdefault((e.u, tau), []).append(((e.v, arrival), e.d, copies))
-        departs.setdefault((e.v, tau), []).append(((e.u, arrival), e.d, copies))
-        at_time.setdefault(tau, set()).update((e.u, e.v))
-        at_time.setdefault(arrival, set()).update((e.u, e.v))
+        u, v, d, copies = e.u, e.v, e.d, min(e.copies, width)
+        head_v, head_u = (v, arrival), (u, arrival)
+        departs.setdefault((u, tau), []).append((head_v, d, copies))
+        departs.setdefault((v, tau), []).append((head_u, d, copies))
+        nodes.add(head_v)
+        nodes.add(head_u)
+    nodes.update(departs)
 
     zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
     later: dict = {}  # v -> (time, row) of v's next node in time
-    for tau in sorted(at_time, reverse=True):
-        for v in at_time[tau]:
-            node = (v, tau)
-            nxt = later.get(v)
-            edges = departs.get(node)
-            if v == t:
-                row = zero
-            elif edges is not None:
-                arcs = [(values[head], d, copies) for head, d, copies in edges]
-                if nxt is not None:
-                    arcs.append((nxt[1], nxt[0] - tau, width))
-                row = pi_row(arcs, width)
-            elif nxt is not None:
-                gap = nxt[0] - tau
-                row = tuple([x + gap for x in nxt[1]])
+    # arcs lead strictly later, so nodes of one time never read each other
+    for node in sorted(nodes, key=itemgetter(1), reverse=True):
+        v, tau = node
+        nxt = later.get(v)
+        if v == t:
+            row = zero
+        elif nxt is None:
+            row = unreachable
+        else:
+            gap = nxt[0] - tau
+            wait = [x + gap for x in nxt[1]]
+            under = []
+            for head, d, copies in departs.get(node, ()):
+                h = values[head]
+                for r in range(width):
+                    if h[r] + d < wait[r]:
+                        under.append((h, d, copies))
+                        break
+            if not under:
+                row = tuple(wait)
+            elif len(under) == 1:
+                h, d, c = under[0]
+                # entry i is max(min(x[i], w[i]), w[i - c]), the second only for i >= c
+                low = [x + d if x + d < y else y for x, y in zip(h, wait)]
+                row = tuple(low[:c] + [x if x > y else y for x, y in zip(low[c:], wait)])
             else:
-                row = unreachable
-            values[node] = row
-            later[v] = (tau, row)
+                under.append((nxt[1], gap, width))
+                row = pi_row(under, width)
+        values[node] = row
+        later[v] = (tau, row)
     return PiTable(values, k)
 
 

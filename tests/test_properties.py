@@ -358,13 +358,37 @@ def u_windows(draw):
     return Instance(TemporalGraph.build(names, edges), s, t, k, deadline), t1, t2
 
 
+# k=2: nodes whose departures never undercut the wait, one that does with
+# fewer copies than the width and one with the full width, and two that do
+_WAIT_RULE = Instance(TemporalGraph.build("abst", [
+    TimeEdge("s", "a", 0, 1), TimeEdge("s", "b", 0, 2, 2), TimeEdge("s", "t", 3, 4, 3),
+    TimeEdge("a", "t", 1, 1), TimeEdge("a", "t", 2, 1), TimeEdge("b", "t", 2, 3, 2),
+    TimeEdge("a", "b", 1, 1)]), "s", "t", 2)
+
+
+def _tied_wait(k: int) -> Instance:
+    """At (s, 0) the edge to t ties the wait and the edge to x leads to an
+    unreachable row; (s, 1) is undercut by its full-width edge to t."""
+    return Instance(TemporalGraph.build("stx", [
+        TimeEdge("s", "t", 0, 2, k + 1), TimeEdge("s", "t", 1, 1, k + 1),
+        TimeEdge("s", "x", 0, 1, k + 1)]), "s", "t", k)
+
+
 @SETTINGS
 @given(u_windows())
+@example((_WAIT_RULE, 0, None))
+@example((_tied_wait(0), 0, None))
+@example((_tied_wait(1), 0, None))
 def test_sweep_table_matches_compute_pi_on_the_expansion(case):
+    """Each branch of the sweep's wait rule: no departure below the wait,
+    one below it with fewer or with width copies, a tie, an unreachable head
+    row, two below it, and k = 0."""
     inst, t1, t2 = case
     dec = decide_u(inst, t1, t2)
     # the whole table: every (v, tau) row and the budget
     assert dec.table == expansion_pi_table(inst, t1, dec.t2)
+    # no row falls as the budget grows: the wait rule's closed form needs it
+    assert all(list(row) == sorted(row) for row in dec.table.values.values())
 
 
 def _bytes(transcript):

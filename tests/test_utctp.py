@@ -146,6 +146,41 @@ def test_decide_u_builds_no_expansion_and_no_dag_table(monkeypatch):
     assert calls == []
 
 
+def test_pi_row_runs_only_where_two_departures_undercut_the_wait(monkeypatch):
+    # every other row is read off the wait; the nodes with two or more
+    # departure arcs below their wait arc are counted on the expansion
+    calls = []
+    monkeypatch.setattr(utctp, "pi_row",
+                        lambda arcs, width: calls.append((arcs, width))
+                        or dagctp.pi_row(arcs, width))
+    rng = random.Random(25)
+    total = 0
+    for _ in range(40):
+        inst = rand_temporal(rng, max_n=6, max_keys=20, max_tau=8, max_k=3)
+        calls.clear()
+        decide_u(inst)
+        xd = expansion.build_expansion(inst.graph, inst.s, inst.t, inst.k)
+        table = dagctp.compute_pi(xd.graph, xd.target, inst.k).values
+        want = 0
+        for node in xd.non_target_nodes():
+            out = xd.graph.outgoing(node)
+            waits = [e for e in out if xd.origins[e.key] == expansion.WAIT]
+            if node[0] == inst.t or not waits:  # a vertex's last node has no departure
+                continue
+            wait = [x + waits[0].weight for x in table[waits[0].v]]
+            under = [e for e in out if e not in waits
+                     and any(x + e.weight < y for x, y in zip(table[e.v], wait))]
+            want += len(under) >= 2
+        assert len(calls) == want
+        for arcs, width in calls:
+            wait_row, gap, copies = arcs[-1]
+            wait = [x + gap for x in wait_row]
+            assert copies == width == inst.k + 1 and len(arcs) >= 3
+            assert all(any(x + d < y for x, y in zip(head, wait)) for head, d, _ in arcs[:-1])
+        total += want
+    assert total > 0
+
+
 def test_agrees_with_exhaustive_game():
     rng = random.Random(99)
     for _ in range(60):
