@@ -49,6 +49,7 @@ from typing import AbstractSet, Callable, Optional
 from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import STATE_LIMIT, VERIFY_LIMIT, SizeLimitError
+from .expansion import layout
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame
@@ -663,22 +664,21 @@ def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
 def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     """Both sides of the per-instant model, guided by the ``u`` budget table.
 
-    A position's out-arcs are read from the instance as the time expansion
-    makes them: one per time edge departing the vertex at that time and
-    arriving in the window, and the wait to the vertex's next node in the
-    table. A position between two nodes (a wait woken by an edge that
-    arrives too late to be in the table) has only that wait.
+    A position's out-arcs are those of ``expansion.layout``, the node list
+    the table was swept over: one per departure of the node, and the wait
+    to the vertex's next node. A position between two nodes (a wait woken
+    by an edge that arrives too late to be in the table) has only that wait.
     """
     dec = decide_u(inst, t1, t2)
+    nodes, departs = layout(inst.graph, inst.s, dec.t1, dec.t2)
     times: dict = {}  # vertex -> its node times, ascending
-    for v, tau in sorted(dec.table.values):
+    for v, tau in reversed(nodes):
         times.setdefault(v, []).append(tau)
 
     def out_arcs(node) -> dict:
         v, tau = node
-        out = {StaticEdge(node, (e.other(v), e.arrival), e.d, e.copies):
-               (e.key, ("move", e.key))
-               for e in inst.graph.incident(v) if e.tau == tau and e.arrival <= dec.t2}
+        out = {StaticEdge(node, head, d, copies): (e.key, ("move", e.key))
+               for head, d, copies, e in departs.get(node, ())}
         later = times.get(v, ())
         i = bisect_right(later, tau)
         if i < len(later):

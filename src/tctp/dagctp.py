@@ -67,8 +67,8 @@ def pi_row(arcs: list, width: int) -> tuple:
     m = 0: its row is the head row plus the weight. So is a wide arc's, one
     with width copies or more, if no other arc's candidate is below its own
     at any budget: it gives every (m+1)-smallest the row reads, unsorted.
-    No out-arc gives an unreachable row. ``utctp._sweep`` drops the
-    departures that never undercut its wait before it calls this.
+    No out-arc gives an unreachable row. ``utctp._sweep`` calls this only
+    where two or more departures undercut its wait, and reads other rows off it.
     """
     n = 0
     for _, _, copies in arcs:

@@ -11,19 +11,19 @@ reachability question on the DAG.
 Blocking a copy of a time edge removes it in both directions, but the two
 arcs born from the edge leave from two nodes at its departure time, and no
 play stands on both (every arc leads strictly later), so each arc can be
-blocked alone.
+blocked alone. ``layout`` defines the nodes and departure arcs once, for
+``build_expansion``, the ``u`` budget table and the ``u`` playout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 from .core import StaticGraph, TemporalGraph, _graph
 
 Node = tuple  # (vertex name, time); the synthetic target is ("@target", 0)
-WAIT = "wait"
-SINK = "sink"
 
 TARGET: Node = ("@target", 0)
 
@@ -35,10 +35,32 @@ class ExpandedDag:
     target: Node
     k: int
     t2: Union[int, float]
-    origins: dict
 
     def non_target_nodes(self) -> tuple:
         return tuple(v for v in self.graph.vertices if v != self.target)
+
+
+def layout(g: TemporalGraph, s: str, t1: int, t2) -> tuple:
+    """(nodes, departs) of the [t1, t2] expansion, less its target.
+
+    Only time edges with t1 <= tau and tau + d <= t2 take part. nodes lists
+    every (vertex, time) node, (s, t1) included, latest first (no arc joins
+    two nodes of one time). departs maps a departure node to a (head node,
+    d, copies, time edge) entry per edge leaving it, in g.edges order.
+    """
+    departs: dict = {}
+    nodes = {(s, t1)}
+    for e in g.edges:
+        tau, arrival = e.tau, e.arrival
+        if tau < t1 or arrival > t2:
+            continue
+        head_v, head_u = (e.v, arrival), (e.u, arrival)
+        departs.setdefault((e.u, tau), []).append((head_v, e.d, e.copies, e))
+        departs.setdefault((e.v, tau), []).append((head_u, e.d, e.copies, e))
+        nodes.add(head_v)
+        nodes.add(head_u)
+    nodes.update(departs)
+    return sorted(nodes, key=itemgetter(1), reverse=True), departs
 
 
 def build_expansion(
@@ -51,9 +73,9 @@ def build_expansion(
 ) -> ExpandedDag:
     """Expand g restricted to the window [t1, t2].
 
-    Only time edges with t1 <= tau and tau + d <= t2 take part; a (s, t1)
-    node always exists, so the degenerate s = t case still reaches the
-    target through its sink arcs.
+    The nodes and departure arcs are ``layout``'s; a (s, t1) node always
+    exists, so the degenerate s = t case still reaches the target through
+    its sink arcs.
     """
     for x in (s, t):
         if x not in g.index:
@@ -62,46 +84,21 @@ def build_expansion(
         t2 = math.inf
     if t1 < 0 or t1 > t2:
         raise ValueError(f"bad window [{t1}, {t2}]")
-    surviving = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
-
-    nodes = {(s, t1)}
-    for e in surviving:
-        nodes.update(
-            {(e.u, e.tau), (e.v, e.tau), (e.u, e.arrival), (e.v, e.arrival)}
-        )
+    nodes, departs = layout(g, s, t1, t2)
 
     copies_of: dict = {}  # arc key -> copies; no two arcs share a key
-    origins: dict = {}
-
-    def add(u: Node, v: Node, weight: int, copies: int, origin) -> None:
-        key = (u, v, weight)
-        copies_of[key] = copies
-        origins[key] = origin
-
-    for e in surviving:
-        add((e.u, e.tau), (e.v, e.arrival), e.d, e.copies, e)
-        add((e.v, e.tau), (e.u, e.arrival), e.d, e.copies, e)
-
-    times_of: dict[str, list[int]] = {}
-    for name, tau in nodes:
-        times_of.setdefault(name, []).append(tau)
-    for name, times in sorted(times_of.items()):
-        times.sort()
-        for a, b in zip(times, times[1:]):
-            add((name, a), (name, b), b - a, k + 1, WAIT)
-
-    for tau in sorted(times_of.get(t, [])):
-        add((t, tau), TARGET, 0, k + 1, SINK)
-    nodes.add(TARGET)
+    later: dict = {}  # vertex -> time of its next node
+    for node in nodes:
+        v, tau = node
+        for head, d, copies, _ in departs.get(node, ()):
+            copies_of[(node, head, d)] = copies
+        nxt = later.get(v)
+        if nxt is not None:
+            copies_of[(node, (v, nxt), nxt - tau)] = k + 1
+        if v == t:
+            copies_of[(node, TARGET, 0)] = k + 1
+        later[v] = tau
 
     # every endpoint is a node and every key is unique and valid by
     # construction, so the arcs skip the checks of their constructor
-    return ExpandedDag(
-        graph=_graph("dag", nodes, copies_of),
-        source=(s, t1),
-        target=TARGET,
-        k=k,
-        t2=t2,
-        origins=origins,
-    )
-
+    return ExpandedDag(_graph("dag", [*nodes, TARGET], copies_of), (s, t1), TARGET, k, t2)

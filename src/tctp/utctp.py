@@ -4,11 +4,11 @@ Blocker reveals the status of a time edge exactly when Traveller stands at
 one of its endpoints at its departure time. This is the blocked-arc game
 of ``dagctp`` on the time expansion, whose (vertex, time) nodes form a DAG.
 Deciding a window is a budget table over those nodes, filled by one sweep
-in decreasing time: every arc of the expansion, departure or wait, leads
-strictly later, so no graph and no topological order is built, and no
-node stands for the target (a node of t is worth 0). The playout policies
-(``arena.expansion_policies``) read a node's arcs straight from the
-instance in the same way and play the table as ``dag`` play does. The
+over ``expansion.layout``'s node list in decreasing time: every arc of the
+expansion, departure or wait, leads strictly later, so no graph and no
+topological order is built, and no node stands for the target (a node of t
+is worth 0). The playout policies (``arena.expansion_policies``) read a
+node's arcs from the same layout and play the table as ``dag`` play does. The
 three window optimizers (earliest arrival, latest departure, fastest path)
 read their answers from the one budget table of the unbounded window, and
 ``brute_u_game`` replays the game definition directly on tiny instances as
@@ -19,12 +19,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan, window
 from .dagctp import UNREACHABLE, PiTable, pi_row
 from .errors import SizeLimitError
+from .expansion import layout
 
 
 @dataclass
@@ -56,12 +56,11 @@ def decide_u(
 
 
 def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
-    """The budget table of the [t1, t2] time expansion, node by node in
-    decreasing time.
-
-    A node of t has the zero row. Any other (v, tau) node's candidates are
-    the wait to v's next time (k+1 copies, weight the gap) and each surviving
-    time edge departing v at tau (weight d). Every departure node has a wait,
+    """The budget table of the [t1, t2] time expansion, a row per ``layout``
+    node, latest first. A node of t has the zero row. Any other (v, tau)
+    node's candidates are the wait to v's next node (k+1 copies, weight the
+    gap) and its ``layout`` departures (weight d, copies capped at k+1, as
+    ``pi_row`` takes them). Every departure node has a wait,
     since the edge's arrival gives both endpoints a later node. With w the
     wait's candidate row (the next row plus the gap), ``pi_row``'s entry i,
     the max over m <= i of the (m+1)-smallest candidate at budget i - m,
@@ -78,26 +77,12 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     target node, which is entered only from nodes of t.
     """
     width = k + 1
-    departs: dict = {}  # (v, tau) -> [(head node, d, capped copies)]
-    nodes = {(s, t1)}
-    for e in g.edges:
-        tau, arrival = e.tau, e.arrival
-        if tau < t1 or arrival > t2:
-            continue
-        u, v, d, copies = e.u, e.v, e.d, min(e.copies, width)
-        head_v, head_u = (v, arrival), (u, arrival)
-        departs.setdefault((u, tau), []).append((head_v, d, copies))
-        departs.setdefault((v, tau), []).append((head_u, d, copies))
-        nodes.add(head_v)
-        nodes.add(head_u)
-    nodes.update(departs)
-
+    nodes, departs = layout(g, s, t1, t2)
     zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
     later: dict = {}  # v -> (time, row) of v's next node in time
-    # arcs lead strictly later, so nodes of one time never read each other
-    for node in sorted(nodes, key=itemgetter(1), reverse=True):
+    for node in nodes:
         v, tau = node
         nxt = later.get(v)
         if v == t:
@@ -108,11 +93,11 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
             gap = nxt[0] - tau
             wait = [x + gap for x in nxt[1]]
             under = []
-            for head, d, copies in departs.get(node, ()):
+            for head, d, copies, _ in departs.get(node, ()):
                 h = values[head]
                 for r in range(width):
                     if h[r] + d < wait[r]:
-                        under.append((h, d, copies))
+                        under.append((h, d, copies if copies < width else width))
                         break
             if not under:
                 row = tuple(wait)

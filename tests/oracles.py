@@ -71,7 +71,7 @@ from tctp.dagctp import (
     traveller_move,
 )
 from tctp.errors import STATE_LIMIT, InstanceFormatError, SizeLimitError
-from tctp.expansion import SINK, TARGET, WAIT, build_expansion
+from tctp.expansion import TARGET
 from tctp.knowledge import EMPTY, Knowledge, run
 from tctp.litctp import NEVER, latest_departure_labels
 from tctp.staticctp import StaticGame
@@ -224,19 +224,20 @@ def full_width_pi_row(arcs: list, width: int) -> tuple:
 
 
 def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
-    """The [t1, t2] budget table of ``compute_pi`` on the built expansion,
+    """The [t1, t2] budget table of ``compute_pi`` on the rebuilt expansion,
     less the row of its target node."""
-    xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
-    table = compute_pi(xd.graph, xd.target, inst.k)
-    return PiTable({node: row for node, row in table.values.items() if node != xd.target},
+    graph, _ = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
+    table = compute_pi(graph, TARGET, inst.k)
+    return PiTable({node: row for node, row in table.values.items() if node != TARGET},
                    table.budget)
 
 
 def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
-    """Both sides of the ``u`` playout, reading out-arcs from the expansion."""
+    """Both sides of the ``u`` playout, reading out-arcs from the rebuilt
+    expansion."""
     dec = decide_u(inst, t1, t2)
-    xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
-    table, g = dec.table, xd.graph
+    g, origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
+    table = dec.table
 
     def arcs_at(node) -> tuple:
         """The node's out-arcs, or between two nodes the wait to the next."""
@@ -249,7 +250,7 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     def newly_at(node, decided) -> dict:
         out = {}
         for arc in arcs_at(node):
-            origin = xd.origins.get(arc.key, WAIT)
+            origin = origins.get(arc.key, WAIT)
             if isinstance(origin, TimeEdge):
                 c = decided.get(origin.key, 0)
                 if c:
@@ -262,7 +263,7 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
                              newly_at(node, view.decided))
         if arc is None:
             return ("resign",)
-        origin = xd.origins.get(arc.key, WAIT)
+        origin = origins.get(arc.key, WAIT)
         if isinstance(origin, TimeEdge):
             return ("move", origin.key)
         return ("wait", arc.v[1])
@@ -272,7 +273,7 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
         scope = set(view.undecided)
         out = {}
         for ak, c in blocker_move(arcs_at(node), table, view.remaining).items():
-            origin = xd.origins.get(ak, WAIT)
+            origin = origins.get(ak, WAIT)
             if isinstance(origin, TimeEdge) and origin.key in scope:
                 out[origin.key] = c
         return out
@@ -306,10 +307,14 @@ def outgoing_read_policies(inst: Instance, table=None) -> tuple:
     return traveller, blocker
 
 
-def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:
-    """(graph, origins) of the [t1, t2] expansion.
+WAIT = "wait"  # origin of a wait arc in rebuilt_expansion
+SINK = "sink"  # origin of a sink arc into the target
 
-    Every arc is made as a StaticEdge and handed to StaticGraph.build.
+
+def rebuilt_expansion(g, s, t, k, t1=0, t2=math.inf) -> tuple:
+    """(graph, origins) of the [t1, t2] expansion, built apart from
+    ``expansion.layout``: origins maps each arc key to its time edge, WAIT
+    or SINK. Every arc is made as a StaticEdge and handed to StaticGraph.build.
     """
     surviving = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
     nodes = {(s, t1)}

@@ -6,15 +6,18 @@ import random
 import pytest
 
 from generators import enumerate_walks, rand_temporal
+from oracles import SINK, WAIT, rebuilt_expansion
 from tctp.core import TemporalGraph, TimeEdge
 from tctp.dagctp import compute_pi
-from tctp.expansion import SINK, TARGET, WAIT, build_expansion
+from tctp.expansion import TARGET, build_expansion
 from tctp.samples import separating_instance
+
+# (graph, s, t, k, t1, t2) of the figure's expansion
+_FIG = (separating_instance(2).graph, "s", "t", 2, 0, 3)
 
 
 def _fig():
-    inst = separating_instance(2)
-    return build_expansion(inst.graph, "s", "t", 2, 0, 3)
+    return build_expansion(*_FIG)
 
 
 def _pairs(xd):
@@ -39,10 +42,10 @@ def test_window_node_inventory():
 
 
 def test_arc_inventory():
-    xd = _fig()
+    xd, origins = _fig(), rebuilt_expansion(*_FIG)[1]
     kinds = {WAIT: 0, SINK: 0, "edge": 0}
     for arc in xd.graph.edges:
-        origin = xd.origins[arc.key]
+        origin = origins[arc.key]
         kinds["edge" if isinstance(origin, TimeEdge) else origin] += 1
     assert kinds == {"edge": 8, WAIT: 8, SINK: 2}
     arc = _pairs(xd)[(("v0", 2), ("v2", 3))]
@@ -58,9 +61,9 @@ def test_node_count_is_linear_in_surviving_edges():
 
 
 def test_wait_and_sink_arcs_cannot_be_blocked():
-    xd = _fig()
+    xd, origins = _fig(), rebuilt_expansion(*_FIG)[1]
     for arc in xd.graph.edges:
-        origin = xd.origins[arc.key]
+        origin = origins[arc.key]
         if origin is WAIT:
             assert arc.copies == xd.k + 1
             assert arc.weight == arc.v[1] - arc.u[1]
@@ -86,9 +89,10 @@ def test_values_on_the_expansion():
     assert table.value(xd.source, 2) == math.inf
 
 
-def _projected_paths(xd):
+def _projected_paths(xd, origins):
     """The temporal walk of each source-to-target path, as (edge, depart)
-    steps: edge arcs become steps, wait and sink arcs add none."""
+    steps: edge arcs become steps, wait and sink arcs add none. origins
+    names each arc's time edge, WAIT or SINK."""
     out = set()
 
     def go(node, steps):
@@ -96,7 +100,7 @@ def _projected_paths(xd):
             out.add(tuple(steps))
             return
         for arc in xd.graph.outgoing(node):
-            origin = xd.origins[arc.key]
+            origin = origins[arc.key]
             step = [(origin, origin.tau)] if isinstance(origin, TimeEdge) else []
             go(arc.v, steps + step)
 
@@ -114,9 +118,10 @@ def test_expansion_paths_project_onto_exactly_the_feasible_walks():
         g, s, t = inst.graph, inst.s, inst.t
         for t1, t2 in ((0, math.inf), (1, 4), (0, 3)):
             xd = build_expansion(g, s, t, inst.k, t1, t2)
+            origins = rebuilt_expansion(g, s, t, inst.k, t1, t2)[1]
             direct = {steps for verts, steps in enumerate_walks(g, s, t1)
                       if verts[-1] == t and (not steps or steps[-1][0].arrival <= t2)}
-            assert _projected_paths(xd) == direct
+            assert _projected_paths(xd, origins) == direct
 
 
 def test_source_equal_target_still_reaches():

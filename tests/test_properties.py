@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from arena_golden import greedy_static, greedy_temporal, wanderer
 from oracles import (
     FullStateLiGame,
+    SINK,
+    WAIT,
     chained,
     expansion_pi_table,
     expansion_read_policies,
@@ -50,10 +52,11 @@ from tctp.core import (
     TimeEdge,
     parse_instance,
     serialize_instance,
+    window,
 )
 from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row
 from tctp.errors import SizeLimitError
-from tctp.expansion import build_expansion
+from tctp.expansion import TARGET, build_expansion, layout
 from tctp.gadgets import CnfFormula, QbfFormula, gen_li_np, gen_li_pspace, gen_static_np
 from tctp.knowledge import EMPTY, Knowledge, Ledger
 from tctp.litctp import LiGame, exact_li, solve_k1
@@ -329,12 +332,11 @@ def test_one_pass_expansion_matches_static_graph_build(inst, t1, t2):
     if t2 is not None and t2 < t1:
         t1, t2 = t2, t1
     xd = build_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
-    graph, origins = rebuilt_expansion(
+    graph, _ = rebuilt_expansion(
         inst.graph, inst.s, inst.t, inst.k, t1, math.inf if t2 is None else t2)
     assert xd.graph.vertices == graph.vertices
     assert xd.graph.edges == graph.edges  # edge equality covers copies
     assert xd.graph.directed
-    assert xd.origins == origins
 
 
 @st.composite
@@ -356,6 +358,27 @@ def u_windows(draw):
     deadline = draw(st.none() | st.integers(t1, 10))
     t2 = draw(st.none() | st.integers(t1, 10))
     return Instance(TemporalGraph.build(names, edges), s, t, k, deadline), t1, t2
+
+
+@SETTINGS
+@given(u_windows())
+def test_layout_is_the_rebuilt_expansion_less_waits_and_sinks(case):
+    """layout's nodes are the rebuilt expansion's, less its target, latest
+    first; a node's departures are its out-arcs other than the wait and the
+    sink, each with the time edge the arc comes from."""
+    inst, t1, t2 = case
+    t1, t2 = window(inst, t1, t2)
+    nodes, departs = layout(inst.graph, inst.s, t1, t2)
+    graph, origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
+    assert sorted(nodes) == [v for v in graph.vertices if v != TARGET]
+    assert all(a[1] >= b[1] for a, b in zip(nodes, nodes[1:]))
+    assert set(departs) <= set(nodes)
+    for node in nodes:
+        entries = departs.get(node, [])
+        arcs = [a for a in graph.outgoing(node) if origins[a.key] not in (WAIT, SINK)]
+        assert (sorted((head, d, copies) for head, d, copies, _ in entries)
+                == sorted((a.v, a.weight, a.copies) for a in arcs))
+        assert all(origins[(node, head, d)] == e for head, d, _, e in entries)
 
 
 # k=2: nodes whose departures never undercut the wait, one that does with

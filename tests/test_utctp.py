@@ -5,6 +5,7 @@ import random
 import pytest
 
 from generators import rand_temporal
+from oracles import WAIT, rebuilt_expansion
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
 from tctp import arena, dagctp, expansion, utctp
 from tctp.errors import SizeLimitError
@@ -160,11 +161,12 @@ def test_pi_row_runs_only_where_two_departures_undercut_the_wait(monkeypatch):
         calls.clear()
         decide_u(inst)
         xd = expansion.build_expansion(inst.graph, inst.s, inst.t, inst.k)
+        origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k)[1]
         table = dagctp.compute_pi(xd.graph, xd.target, inst.k).values
         want = 0
         for node in xd.non_target_nodes():
             out = xd.graph.outgoing(node)
-            waits = [e for e in out if xd.origins[e.key] == expansion.WAIT]
+            waits = [e for e in out if origins[e.key] == WAIT]
             if node[0] == inst.t or not waits:  # a vertex's last node has no departure
                 continue
             wait = [x + waits[0].weight for x in table[waits[0].v]]
