@@ -46,10 +46,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Optional
 
-from .core import Instance, StaticEdge, StaticGraph, TemporalGraph, window
+from .core import Instance, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import STATE_LIMIT, VERIFY_LIMIT, SizeLimitError
-from .expansion import layout
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame
@@ -635,28 +634,24 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
 # ready-made policies
 
 
-def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
+def _table_pair(table: PiTable, arcs_at: Callable) -> tuple:
     """Both sides of the blocked-arc game, guided by a budget table.
 
-    ``node_of`` maps a view to where it stands. ``out_arcs`` maps that to
-    a dict from each out-arc to (key of the edge whose status the arc
-    follows or None when nothing can block it, the Traveller action that
-    takes it).
+    ``arcs_at`` maps a view to the out-arcs where it stands, as the
+    (head, weight, copies, key) tuples of ``dagctp.traveller_move``: key is
+    the edge whose status the arc follows, None for a wait to the head's time.
     """
 
     def traveller(view):
-        out = out_arcs(node_of(view))
-        arc = traveller_move(out, table, table.budget - view.spent,
-                             {arc.key: view.decided.get(key, 0)
-                              for arc, (key, _) in out.items()})
-        return ("resign",) if arc is None else out[arc][1]
+        arc = traveller_move(arcs_at(view), table, table.budget - view.spent, view.decided)
+        if arc is None:
+            return ("resign",)
+        return ("wait", arc[0][1]) if arc[3] is None else ("move", arc[3])
 
     def blocker(view):
-        out = out_arcs(node_of(view))
-        follows = {arc.key: key for arc, (key, _) in out.items()}
         scope = set(view.undecided)
-        mv = blocker_move(out, table, view.remaining)
-        return {follows[ak]: c for ak, c in mv.items() if follows[ak] in scope}
+        mv = blocker_move(arcs_at(view), table, view.remaining)
+        return {key: c for key, c in mv.items() if key in scope}
 
     return traveller, blocker
 
@@ -664,29 +659,29 @@ def _table_pair(table: PiTable, node_of: Callable, out_arcs: Callable) -> tuple:
 def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     """Both sides of the per-instant model, guided by the ``u`` budget table.
 
-    A position's out-arcs are those of ``expansion.layout``, the node list
-    the table was swept over: one per departure of the node, and the wait
-    to the vertex's next node. A position between two nodes (a wait woken
-    by an edge that arrives too late to be in the table) has only that wait.
+    A position's out-arcs are the time expansion's, read off the graph and
+    the table: a departure per edge leaving there at that instant and
+    arriving by t2, and the wait to the vertex's next node in the table. A
+    position between two nodes (a wait woken by an edge that arrives too
+    late to be in the table) has only that wait.
     """
     dec = decide_u(inst, t1, t2)
-    nodes, departs = layout(inst.graph, inst.s, dec.t1, dec.t2)
+    g, t2, wide = inst.graph, dec.t2, inst.k + 1
     times: dict = {}  # vertex -> its node times, ascending
-    for v, tau in reversed(nodes):
+    for v, tau in reversed(dec.table.values):  # the sweep wrote them latest first
         times.setdefault(v, []).append(tau)
 
-    def out_arcs(node) -> dict:
-        v, tau = node
-        out = {StaticEdge(node, head, d, copies): (e.key, ("move", e.key))
-               for head, d, copies, e in departs.get(node, ())}
+    def arcs_at(view) -> list:
+        v, clock = view.position, view.clock
+        arcs = [((e.other(v), e.arrival), e.d, e.copies, e.key)
+                for e in g.incident(v) if e.tau == clock and e.arrival <= t2]
         later = times.get(v, ())
-        i = bisect_right(later, tau)
+        i = bisect_right(later, clock)
         if i < len(later):
-            nxt = later[i]
-            out[StaticEdge(node, (v, nxt), nxt - tau, inst.k + 1)] = (None, ("wait", nxt))
-        return out
+            arcs.append(((v, later[i]), later[i] - clock, wide, None))
+        return arcs
 
-    return _table_pair(dec.table, lambda view: (view.position, view.clock), out_arcs)
+    return _table_pair(dec.table, arcs_at)
 
 
 def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
@@ -694,8 +689,8 @@ def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
     g = inst.graph
     if table is None:
         table = compute_pi(g, inst.t, inst.k)
-    return _table_pair(table, lambda view: view.position,
-                       lambda v: {e: (e.key, ("move", e.key)) for e in g.outgoing(v)})
+    return _table_pair(table, lambda view: [(e.v, e.weight, e.copies, e.key)
+                                            for e in g.outgoing(view.position)])
 
 
 def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None,

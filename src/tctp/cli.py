@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from typing import Optional
 
 from .arena import (
     MODELS,
@@ -148,6 +149,15 @@ class _Out:
             for line in text_lines:
                 sys.stdout.write(line + "\n")
 
+    def transcript(self, tr: Transcript, obj: Optional[dict] = None, text_lines=()) -> None:
+        """Emit a result ending in tr: obj with tr as its "transcript" field
+        (tr's object alone when obj is None), or tr's JSON lines after text_lines."""
+        if self.prints == "json":
+            tobj = _transcript_obj(tr)
+            self.result(tobj if obj is None else {**obj, "transcript": tobj}, ())
+        elif self.prints == "text":
+            self.result(None, [*text_lines, tr.to_json_lines().rstrip("\n")])
+
 
 def _load(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
@@ -270,12 +280,9 @@ def cmd_solve_li(ns) -> int:
         lines = ["Traveller wins" if res.wins else "Blocker wins"]
         if ns.exact:
             tp, bp = res.traveller_policy(), res.blocker_policy()
-            tr = play(inst, tp, bp, "li", 0, ns.deadline)
-            if out.prints == "json":
-                obj["transcript"] = _transcript_obj(tr)
-            elif out.prints == "text":
-                lines.append(tr.to_json_lines().rstrip("\n"))
-        out.result(obj, lines)
+            out.transcript(play(inst, tp, bp, "li", 0, ns.deadline), obj, lines)
+        else:
+            out.result(obj, lines)
         return 0 if res.wins else 3
     res = solve_k1(inst, ns.deadline)
     obj["wins"] = res.wins
@@ -308,11 +315,9 @@ def cmd_solve_static(ns) -> int:
     if val != UNREACHABLE:
         tr = play(inst, game.traveller_policy(), game.blocker_policy(),
                   "dag" if inst.graph.directed else "static")
-        if out.prints == "json":
-            obj["transcript"] = _transcript_obj(tr)
-        elif out.prints == "text":
-            lines.append(tr.to_json_lines().rstrip("\n"))
-    out.result(obj, lines)
+        out.transcript(tr, obj, lines)
+    else:
+        out.result(obj, lines)
     return 0 if wins else 3
 
 
@@ -361,9 +366,7 @@ def cmd_play(ns) -> int:
                                        limit=_limit(ns, VERIFY_LIMIT)).counterexample
     if tr is None:
         tr = play(inst, tp, builtin()[1], ns.model, ns.t1, ns.t2)
-    out = _Out(ns)
-    out.result(_transcript_obj(tr) if out.prints == "json" else None,
-               [tr.to_json_lines().rstrip("\n")] if out.prints == "text" else [])
+    _Out(ns).transcript(tr)
     return 0 if tr.outcome == TRAVELLER_WIN else 3
 
 

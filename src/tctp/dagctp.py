@@ -10,11 +10,11 @@ search and exists purely as a cross-check.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import StaticEdge, StaticGraph
+from .core import StaticGraph
 from .errors import CyclicGraphError, SizeLimitError
 
 UNREACHABLE = math.inf
@@ -157,52 +157,48 @@ def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:
     return table.value(s, budget) <= deadline
 
 
-def traveller_move(
-    out: Iterable[StaticEdge],
-    table: PiTable,
-    remaining: int,
-    blocked: Mapping[tuple, int],
-) -> Optional[StaticEdge]:
-    """The surviving arc of out minimizing cost-from-head plus weight.
+def traveller_move(arcs: Iterable[tuple], table: PiTable, remaining: int,
+                   decided: Mapping) -> Optional[tuple]:
+    """The surviving arc minimizing cost-from-head plus weight.
 
-    out holds the out-arcs of Traveller's vertex, blocked maps arc key ->
-    copies revealed blocked there, and remaining is the budget Blocker has
-    left. None when no surviving arc keeps a finite guarantee.
+    arcs holds a (head, weight, copies, key) tuple per out-arc of Traveller's
+    vertex, where key is the edge whose status the arc follows, None for an
+    arc nothing blocks; decided maps edge key -> copies revealed blocked, and
+    remaining is the budget Blocker has left. Ties go to the first arc in
+    (head, weight) order. None when no surviving arc keeps a finite guarantee.
     """
     best, best_arc = UNREACHABLE, None
-    for e in sorted(out, key=lambda a: a.key):
-        if e.copies - blocked.get(e.key, 0) < 1:
+    for arc in sorted(arcs, key=lambda a: a[:2]):
+        head, weight, copies, key = arc
+        if key is not None and copies - decided.get(key, 0) < 1:
             continue
-        cand = table.value(e.v, remaining) + e.weight
+        cand = table.value(head, remaining) + weight
         if cand < best:
-            best, best_arc = cand, e
+            best, best_arc = cand, arc
     return best_arc
 
 
-def blocker_move(out: Iterable[StaticEdge], table: PiTable, remaining: int) -> dict:
-    """Copies to block among one vertex's out-arcs (out).
+def blocker_move(arcs: Iterable[tuple], table: PiTable, remaining: int) -> dict:
+    """Copies to block among one vertex's out-arcs, given as in ``traveller_move``.
 
-    Maximizes the survivor Traveller is forced to. Returns {arc key: copies
+    Maximizes the survivor Traveller is forced to. Returns {key: copies
     blocked}; empty when blocking does not help. Ties between block sizes go
-    to the smaller (cheaper) one.
+    to the smaller (cheaper) one, ties between copies to the first arc in
+    (head, weight) order. An arc of key None may be counted; nothing blocks it.
     """
     if not 0 <= remaining <= table.budget:
         raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
-    out = sorted(out, key=lambda a: a.key)
+    arcs = sorted(arcs, key=lambda a: a[:2])
     best_val, best = None, []
     for m in range(remaining + 1):
         # (value, arc index, copy): blocking m copies leaves the (m+1)-th
-        cands = sorted((table.value(e.v, remaining - m) + e.weight, idx, copy)
-                       for idx, e in enumerate(out)
-                       for copy in range(min(e.copies, remaining + 1)))
+        cands = sorted((table.value(head, remaining - m) + weight, idx, copy)
+                       for idx, (head, weight, copies, _) in enumerate(arcs)
+                       for copy in range(min(copies, remaining + 1)))
         val = cands[m][0] if m < len(cands) else UNREACHABLE
         if best_val is None or val > best_val:
             best_val, best = val, cands[:m]
-    blocked: dict = {}
-    for _, idx, _ in best:
-        key = out[idx].key
-        blocked[key] = blocked.get(key, 0) + 1
-    return blocked
+    return dict(Counter(arcs[idx][3] for _, idx, _ in best))
 
 
 _STATES_PER_VERTEX = 20

@@ -12,7 +12,7 @@ Blocking a copy of a time edge removes it in both directions, but the two
 arcs born from the edge leave from two nodes at its departure time, and no
 play stands on both (every arc leads strictly later), so each arc can be
 blocked alone. ``layout`` defines the nodes and departure arcs once, for
-``build_expansion``, the ``u`` budget table and the ``u`` playout.
+``build_expansion`` and the ``u`` table, whose rows the ``u`` playout reads.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def layout(g: TemporalGraph, s: str, t1: int, t2) -> tuple:
     Only time edges with t1 <= tau and tau + d <= t2 take part. nodes lists
     every (vertex, time) node, (s, t1) included, latest first (no arc joins
     two nodes of one time). departs maps a departure node to a (head node,
-    d, copies, time edge) entry per edge leaving it, in g.edges order.
+    d, copies) entry per edge leaving it, in g.edges order.
     """
     departs: dict = {}
     nodes = {(s, t1)}
@@ -55,8 +55,8 @@ def layout(g: TemporalGraph, s: str, t1: int, t2) -> tuple:
         if tau < t1 or arrival > t2:
             continue
         head_v, head_u = (e.v, arrival), (e.u, arrival)
-        departs.setdefault((e.u, tau), []).append((head_v, e.d, e.copies, e))
-        departs.setdefault((e.v, tau), []).append((head_u, e.d, e.copies, e))
+        departs.setdefault((e.u, tau), []).append((head_v, e.d, e.copies))
+        departs.setdefault((e.v, tau), []).append((head_u, e.d, e.copies))
         nodes.add(head_v)
         nodes.add(head_u)
     nodes.update(departs)
@@ -90,7 +90,7 @@ def build_expansion(
     later: dict = {}  # vertex -> time of its next node
     for node in nodes:
         v, tau = node
-        for head, d, copies, _ in departs.get(node, ()):
+        for head, d, copies in departs.get(node, ()):
             copies_of[(node, head, d)] = copies
         nxt = later.get(v)
         if nxt is not None:

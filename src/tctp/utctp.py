@@ -8,11 +8,11 @@ over ``expansion.layout``'s node list in decreasing time: every arc of the
 expansion, departure or wait, leads strictly later, so no graph and no
 topological order is built, and no node stands for the target (a node of t
 is worth 0). The playout policies (``arena.expansion_policies``) read a
-node's arcs from the same layout and play the table as ``dag`` play does. The
-three window optimizers (earliest arrival, latest departure, fastest path)
-read their answers from the one budget table of the unbounded window, and
-``brute_u_game`` replays the game definition directly on tiny instances as
-an independent oracle.
+node's departures off the graph and its wait off the table, and play the
+table with the moves of ``dag`` play. The three window optimizers (earliest
+arrival, latest departure, fastest path) read their answers from the one
+budget table of the unbounded window, and ``brute_u_game`` replays the game
+definition directly on tiny instances as an independent oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ class UDecision:
     t1: int
     t2: Union[int, float]
     guaranteed_arrival: Union[int, float]
-    table: PiTable  # keyed by the expansion's (vertex, time) nodes
+    table: PiTable  # keyed by the expansion's (vertex, time) nodes, latest first
 
     def __bool__(self) -> bool:
         return self.wins
@@ -93,7 +93,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
             gap = nxt[0] - tau
             wait = [x + gap for x in nxt[1]]
             under = []
-            for head, d, copies, _ in departs.get(node, ()):
+            for head, d, copies in departs.get(node, ()):
                 h = values[head]
                 for r in range(width):
                     if h[r] + d < wait[r]:

@@ -18,6 +18,9 @@ reads off a shared table or a pruned pass:
   instance;
 * the DAG game's playout policies as their own traveller and blocker
   bodies, in place of the table game shared with the uninformed game;
+* the table moves of both pairs above as their own bodies over
+  ``StaticEdge`` arcs in arc-key order, in place of ``dagctp``'s moves over
+  (head, weight, copies, key) tuples;
 * the time expansion built through ``StaticGraph.build``, which re-checks
   every endpoint and re-merges every arc;
 * edge merging by summing copies per key into freshly built edges;
@@ -62,14 +65,7 @@ from tctp.core import (
     _name,
     window,
 )
-from tctp.dagctp import (
-    UNREACHABLE,
-    PiTable,
-    blocker_move,
-    compute_pi,
-    topological_order,
-    traveller_move,
-)
+from tctp.dagctp import UNREACHABLE, PiTable, compute_pi, topological_order
 from tctp.errors import STATE_LIMIT, InstanceFormatError, SizeLimitError
 from tctp.expansion import TARGET
 from tctp.knowledge import EMPTY, Knowledge, run
@@ -223,6 +219,40 @@ def full_width_pi_row(arcs: list, width: int) -> tuple:
     return tuple(row)
 
 
+def arc_traveller_move(out, table: PiTable, remaining: int, blocked) -> StaticEdge:
+    """The surviving arc of out minimizing cost-from-head plus weight, the
+    first in arc-key order on a tie; blocked maps arc key -> copies blocked."""
+    best, best_arc = UNREACHABLE, None
+    for e in sorted(out, key=lambda a: a.key):
+        if e.copies - blocked.get(e.key, 0) < 1:
+            continue
+        cand = table.value(e.v, remaining) + e.weight
+        if cand < best:
+            best, best_arc = cand, e
+    return best_arc
+
+
+def arc_blocker_move(out, table: PiTable, remaining: int) -> dict:
+    """{arc key: copies blocked} forcing the worst survivor; ties go to the
+    fewer blocks, then to the candidate first in arc-key order."""
+    if not 0 <= remaining <= table.budget:
+        raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
+    out = sorted(out, key=lambda a: a.key)
+    best_val, best = None, []
+    for m in range(remaining + 1):
+        cands = sorted((table.value(e.v, remaining - m) + e.weight, idx, copy)
+                       for idx, e in enumerate(out)
+                       for copy in range(min(e.copies, remaining + 1)))
+        val = cands[m][0] if m < len(cands) else UNREACHABLE
+        if best_val is None or val > best_val:
+            best_val, best = val, cands[:m]
+    blocked: dict = {}
+    for _, idx, _ in best:
+        key = out[idx].key
+        blocked[key] = blocked.get(key, 0) + 1
+    return blocked
+
+
 def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
     """The [t1, t2] budget table of ``compute_pi`` on the rebuilt expansion,
     less the row of its target node."""
@@ -259,8 +289,8 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
 
     def traveller(view):
         node = (view.position, view.clock)
-        arc = traveller_move(arcs_at(node), table, table.budget - view.spent,
-                             newly_at(node, view.decided))
+        arc = arc_traveller_move(arcs_at(node), table, table.budget - view.spent,
+                                 newly_at(node, view.decided))
         if arc is None:
             return ("resign",)
         origin = origins.get(arc.key, WAIT)
@@ -272,7 +302,7 @@ def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
         node = (view.position, view.clock)
         scope = set(view.undecided)
         out = {}
-        for ak, c in blocker_move(arcs_at(node), table, view.remaining).items():
+        for ak, c in arc_blocker_move(arcs_at(node), table, view.remaining).items():
             origin = origins.get(ak, WAIT)
             if isinstance(origin, TimeEdge) and origin.key in scope:
                 out[origin.key] = c
@@ -293,15 +323,15 @@ def outgoing_read_policies(inst: Instance, table=None) -> tuple:
             c = view.decided.get(e.key, 0)
             if c:
                 newly[e.key] = c
-        arc = traveller_move(g.outgoing(view.position), table,
-                             table.budget - view.spent, newly)
+        arc = arc_traveller_move(g.outgoing(view.position), table,
+                                 table.budget - view.spent, newly)
         if arc is None:
             return ("resign",)
         return ("move", arc.key)
 
     def blocker(view):
         scope = set(view.undecided)
-        mv = blocker_move(g.outgoing(view.position), table, view.remaining)
+        mv = arc_blocker_move(g.outgoing(view.position), table, view.remaining)
         return {k: c for k, c in mv.items() if k in scope}
 
     return traveller, blocker

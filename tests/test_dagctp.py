@@ -26,6 +26,11 @@ def _triple():
     )
 
 
+def _arcs(g, v) -> list:
+    """v's out-arcs as the move functions take them."""
+    return [(e.v, e.weight, e.copies, e.key) for e in g.outgoing(v)]
+
+
 def test_parallel_arcs_climb_the_order():
     g = _triple()
     table = compute_pi(g, "t", 3)
@@ -67,20 +72,20 @@ def test_table_matches_exhaustive_game():
 def test_traveller_move_picks_cheapest_survivor():
     g = _triple()
     table = compute_pi(g, "t", 2)
-    out = g.outgoing("s")
-    assert traveller_move(out, table, 2, {}).weight == 1
-    assert traveller_move(out, table, 1, {("s", "t", 1): 1}).weight == 2
-    assert traveller_move(out, table, 0, {("s", "t", 1): 1}).weight == 2
+    out = _arcs(g, "s")
+    assert traveller_move(out, table, 2, {})[1] == 1
+    assert traveller_move(out, table, 1, {("s", "t", 1): 1})[1] == 2
+    assert traveller_move(out, table, 0, {("s", "t", 1): 1})[1] == 2
 
 
 def test_traveller_move_errors():
     g = StaticGraph.build(["s", "t"], [StaticEdge("s", "t", 1)], directed=True)
     table = compute_pi(g, "t", 1)
     # every arc blocked: no move
-    assert traveller_move(g.outgoing("s"), table, 0, {("s", "t", 1): 1}) is None
+    assert traveller_move(_arcs(g, "s"), table, 0, {("s", "t", 1): 1}) is None
     for remaining in (-1, 2):
         with pytest.raises(ValueError, match="budget index"):
-            traveller_move(g.outgoing("s"), table, remaining, {})
+            traveller_move(_arcs(g, "s"), table, remaining, {})
 
 
 def test_traveller_move_has_no_move_into_a_dead_end():
@@ -90,14 +95,14 @@ def test_traveller_move_has_no_move_into_a_dead_end():
                           directed=True)
     table = compute_pi(g, "t", 1)
     assert table.value("a", 0) == UNREACHABLE
-    assert traveller_move(g.outgoing("s"), table, 0, {("s", "t", 3): 1}) is None
-    assert traveller_move(g.outgoing("s"), table, 1, {}).key == ("s", "t", 3)
+    assert traveller_move(_arcs(g, "s"), table, 0, {("s", "t", 3): 1}) is None
+    assert traveller_move(_arcs(g, "s"), table, 1, {})[3] == ("s", "t", 3)
 
 
 def test_blocker_move_spends_where_it_hurts():
     g = _triple()
     table = compute_pi(g, "t", 2)
-    out = g.outgoing("s")
+    out = _arcs(g, "s")
     assert blocker_move(out, table, 2) == {("s", "t", 1): 1, ("s", "t", 2): 1}
     assert blocker_move(out, table, 1) == {("s", "t", 1): 1}
     assert blocker_move(out, table, 0) == {}
@@ -119,11 +124,10 @@ def test_optimal_playout_realizes_the_table_value():
         finite += 1
         pos, spent, cost = inst.s, 0, 0
         while pos != inst.t:
-            newly = blocker_move(g.outgoing(pos), table, k - spent)
+            newly = blocker_move(_arcs(g, pos), table, k - spent)
             spent += sum(newly.values())
-            arc = traveller_move(g.outgoing(pos), table, k - spent, newly)
-            cost += arc.weight
-            pos = arc.v
+            pos, weight, _, _ = traveller_move(_arcs(g, pos), table, k - spent, newly)
+            cost += weight
         assert cost == want
     assert finite > 25
 

@@ -42,6 +42,7 @@ from tctp.arena import (
     Transcript,
     builtin_policies,
     play,
+    scripted_blocker,
     verify_traveller_strategy,
 )
 from tctp.core import (
@@ -365,7 +366,7 @@ def u_windows(draw):
 def test_layout_is_the_rebuilt_expansion_less_waits_and_sinks(case):
     """layout's nodes are the rebuilt expansion's, less its target, latest
     first; a node's departures are its out-arcs other than the wait and the
-    sink, each with the time edge the arc comes from."""
+    sink."""
     inst, t1, t2 = case
     t1, t2 = window(inst, t1, t2)
     nodes, departs = layout(inst.graph, inst.s, t1, t2)
@@ -376,9 +377,7 @@ def test_layout_is_the_rebuilt_expansion_less_waits_and_sinks(case):
     for node in nodes:
         entries = departs.get(node, [])
         arcs = [a for a in graph.outgoing(node) if origins[a.key] not in (WAIT, SINK)]
-        assert (sorted((head, d, copies) for head, d, copies, _ in entries)
-                == sorted((a.v, a.weight, a.copies) for a in arcs))
-        assert all(origins[(node, head, d)] == e for head, d, _, e in entries)
+        assert sorted(entries) == sorted((a.v, a.weight, a.copies) for a in arcs)
 
 
 # k=2: nodes whose departures never undercut the wait, one that does with
@@ -412,6 +411,25 @@ def test_sweep_table_matches_compute_pi_on_the_expansion(case):
     assert dec.table == expansion_pi_table(inst, t1, dec.t2)
     # no row falls as the budget grows: the wait rule's closed form needs it
     assert all(list(row) == sorted(row) for row in dec.table.values.values())
+    # rows run latest first: the u playout reads each vertex's node times so
+    times = [tau for _, tau in dec.table.values]
+    assert all(a >= b for a, b in zip(times, times[1:]))
+
+
+def test_table_moves_break_ties_by_head_then_weight():
+    """A tie goes to the arc whose (head, weight) sorts first: at (s, 0) of
+    the tied wait the wait's head (s, 1) comes before the edge's (t, 2), and
+    on a DAG where s -> a -> t ties s -> t, s -> a does."""
+    nothing = scripted_blocker([])
+    inst = _tied_wait(1)
+    tr = play(inst, builtin_policies(inst, "u")[0], nothing, "u")
+    assert tr.events[1] == {"type": "WAIT", "at": "s", "until": 1}
+    dag = Instance(StaticGraph.build("ast", [
+        StaticEdge("s", "a", 1), StaticEdge("a", "t", 1), StaticEdge("s", "t", 2)],
+        directed=True), "s", "t", 0)
+    assert compute_pi(dag.graph, "t", 0).value("s", 0) == 2
+    tr = play(dag, builtin_policies(dag, "dag")[0], nothing, "dag")
+    assert tr.moves()[0]["key"] == ("s", "a", 1)
 
 
 def _bytes(transcript):

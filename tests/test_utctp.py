@@ -125,26 +125,30 @@ def test_each_optimizer_builds_one_table(monkeypatch):
 
 def test_decide_u_builds_no_expansion_and_no_dag_table(monkeypatch):
     # neither the decision, the optimizers nor a u playout and its
-    # verification materialize the expansion or run the DAG table
+    # verification materialize the expansion or run the DAG table, and the
+    # u pair lays the expansion out once, in its own sweep
     calls = []
 
     def recorded(name, real):
         return lambda *a, **kw: calls.append(name) or real(*a, **kw)
 
     for mod in (expansion, dagctp, utctp, arena):
-        for name in ("build_expansion", "compute_pi"):
+        for name in ("build_expansion", "compute_pi", "layout"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, recorded(name, getattr(mod, name)))
     rng = random.Random(24)
     for _ in range(20):
         inst = rand_temporal(rng, max_n=8, max_keys=30, max_tau=12, max_k=3)
+        calls.clear()
         decide_u(inst, 1, 9)
         for optimizer in (earliest_arrival, latest_departure, shortest_duration):
             optimizer(inst)
+        assert set(calls) == {"layout"}
+        calls.clear()
         tp, bp = arena.builtin_policies(inst, "u")
         arena.play(inst, tp, bp, "u")
         arena.verify_traveller_strategy(inst, tp, "u")
-    assert calls == []
+        assert calls == ["layout"]
 
 
 def test_pi_row_runs_only_where_two_departures_undercut_the_wait(monkeypatch):
