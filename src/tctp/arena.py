@@ -44,6 +44,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticGraph, TemporalGraph, window
@@ -666,16 +667,20 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     late to be in the table) has only that wait.
     """
     dec = decide_u(inst, t1, t2)
-    g, t2, wide = inst.graph, dec.t2, inst.k + 1
-    times: dict = {}  # vertex -> its node times, ascending
-    for v, tau in reversed(dec.table.values):  # the sweep wrote them latest first
-        times.setdefault(v, []).append(tau)
+    g, t1, t2, wide = inst.graph, dec.t1, dec.t2, inst.k + 1
+
+    @cache
+    def times(v) -> list:
+        """v's node times by ``layout``'s filter, ascending; a wait never
+        enters (s, t1), the one node that may have no edge."""
+        return sorted({x for e in g.incident(v) if t1 <= e.tau and e.arrival <= t2
+                       for x in (e.tau, e.arrival)})
 
     def arcs_at(view) -> list:
         v, clock = view.position, view.clock
         arcs = [((e.other(v), e.arrival), e.d, e.copies, e.key)
                 for e in g.incident(v) if e.tau == clock and e.arrival <= t2]
-        later = times.get(v, ())
+        later = times(v)
         i = bisect_right(later, clock)
         if i < len(later):
             arcs.append(((v, later[i]), later[i] - clock, wide, None))

@@ -57,18 +57,18 @@ class PiTable:
 def pi_row(arcs: list, width: int) -> tuple:
     """One vertex's row of the budget table, from its out-arcs.
 
-    arcs holds (head row, weight, copies capped at width) per out-arc, and
-    width is the budget plus one. Entry i is the guarantee with budget i
-    left: the max over m <= i of the (m+1)-smallest candidate at budget
-    i - m, candidates counted once per copy. With n candidates in all,
-    Blocker removes every one once i >= n, so those entries are
-    unreachable; below n every (m+1)-smallest exists. Head rows never fall
-    as the budget grows (a precondition), so a single arc's max is at
-    m = 0: its row is the head row plus the weight. So is a wide arc's, one
-    with width copies or more, if no other arc's candidate is below its own
-    at any budget: it gives every (m+1)-smallest the row reads, unsorted.
-    No out-arc gives an unreachable row. ``utctp._sweep`` calls this only
-    where two or more departures undercut its wait, and reads other rows off it.
+    arcs holds (head row, weight, copies) per out-arc, and width is the
+    budget plus one. Entry i is the guarantee with budget i left: the max
+    over m <= i of the (m+1)-smallest candidate at budget i - m, candidates
+    counted once per copy. Blocker never removes more than width - 1
+    copies, so only the width smallest candidates matter, and each arc is
+    listed at most width times. With n candidates in all, Blocker removes
+    every one once i >= n, so those entries are unreachable; below n every
+    (m+1)-smallest exists. Head rows never fall as the budget grows (a
+    precondition), so a single arc's max is at m = 0: its row is the head
+    row plus the weight. No out-arc gives an unreachable row.
+    ``utctp._sweep`` calls this only where two or more departures undercut
+    its wait, and reads other rows off it.
     """
     n = 0
     for _, _, copies in arcs:
@@ -78,20 +78,6 @@ def pi_row(arcs: list, width: int) -> tuple:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
-        for arc in arcs:
-            head, weight, copies = arc
-            if copies >= width > 1:  # at width 1 the sort is one min
-                for other in arcs:
-                    if other is not arc:
-                        ohead, oweight = other[0], other[1]
-                        for i in range(width):
-                            if ohead[i] + oweight < head[i] + weight:
-                                break  # other undercuts arc at budget i
-                        else:
-                            continue
-                        break
-                else:
-                    return tuple([head[i] + weight for i in range(width)])
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins
@@ -101,7 +87,7 @@ def pi_row(arcs: list, width: int) -> tuple:
                 if copies == 1:
                     cands.append(head[r] + weight)
                 else:
-                    cands += [head[r] + weight] * copies
+                    cands += [head[r] + weight] * (copies if copies < width else width)
             cands.sort()
             if not r:
                 row = cands[:reach]
@@ -123,13 +109,8 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     counted once per copy and valued at cost-from-head (with budget i-m) plus
     arc weight.
 
-    Each vertex reads (head row, weight, copies capped at k+1) once per
-    out-arc and hands them to ``pi_row``. For every budget index r below
-    the vertex's capped copy count it lists each arc's candidate once per
-    capped copy and sorts the list: Blocker never removes more than k
-    copies, so the first k+1 entries are all the max can reach, and the cap
-    keeps the list at most (k+1) * out-degree long. Entries from the copy
-    count up are unreachable.
+    Each vertex hands (head row, weight, copies) per out-arc to ``pi_row``,
+    which caps the copies at k+1.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
@@ -143,17 +124,16 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
             values[v] = zero
             continue
         values[v] = pi_row(
-            [(values[e.v], e.weight, min(e.copies, width)) for e in g.outgoing(v)],
-            width,
+            [(values[e.v], e.weight, e.copies) for e in g.outgoing(v)], width
         )
     return PiTable(values, k)
 
 
 def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:
     """True iff Traveller can guarantee reaching t from s with cost <= deadline."""
-    table = compute_pi(g, t, budget)
     if s not in g.index:
         raise ValueError(f"unknown source vertex {s!r}")
+    table = compute_pi(g, t, budget)
     return table.value(s, budget) <= deadline
 
 

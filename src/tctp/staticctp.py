@@ -215,7 +215,7 @@ class StaticGame:
             rows = entry[1] = {}
             for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
                 rows[v] = (0,) * width if v == self.inst.t else pi_row(
-                    [(rows[w], weight, min(copies[key], width))
+                    [(rows[w], weight, copies[key])
                      for bit, w, weight, key in self.moves[v]
                      if w in rows and not blocked & bit], width)
         return dist[pos], rows[pos][self.inst.k - spent]

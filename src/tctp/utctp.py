@@ -59,22 +59,22 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     """The budget table of the [t1, t2] time expansion, a row per ``layout``
     node, latest first. A node of t has the zero row. Any other (v, tau)
     node's candidates are the wait to v's next node (k+1 copies, weight the
-    gap) and its ``layout`` departures (weight d, copies capped at k+1, as
-    ``pi_row`` takes them). Every departure node has a wait,
-    since the edge's arrival gives both endpoints a later node. With w the
-    wait's candidate row (the next row plus the gap), ``pi_row``'s entry i,
-    the max over m <= i of the (m+1)-smallest candidate at budget i - m,
-    reads only order statistics that the wait's k+1 copies already hold to
-    at most w. So a departure whose candidate is nowhere below w changes no
-    entry and is dropped; with none left the row is w. With one left, of
-    candidate row x and c capped copies, the (m+1)-smallest at budget r is
-    min(x[r], w[r]) for m < c and w[r] for m >= c; no row falls as the
-    budget grows (a row entry is a max over candidates that do not fall with
-    it), so the max sits at m = 0 or m = c: entry i is max(min(x[i], w[i]),
-    w[i - c]), the second term only when i >= c. Two or more go to
-    ``pi_row`` with the wait. Row for row, the result equals ``compute_pi``
-    on ``build_expansion`` with the same arguments, less the expansion's
-    target node, which is entered only from nodes of t.
+    gap) and its ``layout`` departures (weight d, their copies). Every
+    departure node has a wait, since the edge's arrival gives both endpoints
+    a later node. With w the wait's candidate row (the next row plus the
+    gap), ``pi_row``'s entry i, the max over m <= i of the (m+1)-smallest
+    candidate at budget i - m, reads only order statistics that the wait's
+    k+1 copies already hold to at most w. So a departure whose candidate is
+    nowhere below w changes no entry and is dropped; with none left the row
+    is w. With one left, of candidate row x and c copies, the
+    (m+1)-smallest at budget r is min(x[r], w[r]) for m < c and w[r] for
+    m >= c; no row falls as the budget grows (a row entry is a max over
+    candidates that do not fall with it), so the max sits at m = 0 or
+    m = c: entry i is max(min(x[i], w[i]), w[i - c]), the second term only
+    when i >= c, so never when c > k. Two or more go to ``pi_row`` with the
+    wait. Row for row, the result equals ``compute_pi`` on
+    ``build_expansion`` with the same arguments, less the expansion's target
+    node, which is entered only from nodes of t.
     """
     width = k + 1
     nodes, departs = layout(g, s, t1, t2)
@@ -97,7 +97,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
                 h = values[head]
                 for r in range(width):
                     if h[r] + d < wait[r]:
-                        under.append((h, d, copies if copies < width else width))
+                        under.append((h, d, copies))
                         break
             if not under:
                 row = tuple(wait)

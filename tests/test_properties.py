@@ -318,13 +318,24 @@ def row_arcs(draw):
 @example(([((0, 0, 0), 0, 2), ((5, 5, 5), 0, 1)], 3))
 def test_budget_cut_row_matches_the_full_width_row(case):
     """No out-arc, width 1, a single arc, and copies at or past the width.
-    Then the wide-arc rule: a wide arc that others only tie or exceed, a
-    narrow arc below it at budget 0 only, two wide arcs of which only the
-    second is never undercut, a wide arc that ends unreachable beside a
-    finite narrow one, a wide arc with copies past the width, and an arc
+    Then wide arcs (width copies or more) beside others: one that others
+    only tie or exceed, a narrow arc below it at budget 0 only, two of
+    which only the second is never undercut, one that ends unreachable
+    beside a finite narrow arc, one with copies past the width, and an arc
     one copy short of wide that nothing undercuts."""
     arcs, width = case
     assert pi_row(arcs, width) == full_width_pi_row(arcs, width)
+
+
+@SETTINGS
+@given(row_arcs())
+def test_pi_row_caps_copies_at_the_width(case):
+    """Callers pass raw copy counts: a count at or past the width reads as
+    the width, however large, and is never expanded."""
+    arcs, width = case
+    huge = [(head, weight, 2**63 if copies >= width else copies)
+            for head, weight, copies in arcs]
+    assert pi_row(huge, width) == pi_row(arcs, width)
 
 
 @SETTINGS
