@@ -353,6 +353,8 @@ def _pick_traveller(ns, builtin):
             raise ValueError("--traveller transcript needs --transcript FILE")
         with open(ns.transcript, "r", encoding="utf-8") as fh:
             return transcript_traveller_policy(Transcript.from_json_lines(fh.read()))
+    if ns.transcript is not None:
+        raise ValueError("--transcript FILE needs --traveller transcript")
     return builtin()[0]
 
 

@@ -171,15 +171,16 @@ class LiGame:
 
     An edge that departs before the clock, or arrives after t2, is dead: no
     walk from here can use it. Edge bits are numbered in (tau, key) order,
-    so the edges departing before a time are the low bits. A reveal, in the
-    search and in the Blocker policy alike, treats the dead edges as
-    settled, so Blocker never spends budget on one, and the memo keys a
-    position on its bits from the first feasible departure up, so positions
-    that differ only in dead edges share one entry. Dropping the dead
-    reveals keeps the Blocker policy's moves: a losing reveal that blocks a
-    dead edge has a cheaper twin without it that comes first and loses too.
-    A memo value is the Traveller policy's move: the key of the first
-    departure, in (tau, key) order, that wins against every reveal, else False.
+    so the edges departing before time x are the low bisect_left(taus, x)
+    bits. A reveal, in the search and in the Blocker policy alike, treats
+    the dead edges as settled, so Blocker never spends budget on one, and
+    the memo keys a position on its bits from the first feasible departure
+    up, so positions that differ only in dead edges share one entry.
+    Dropping the dead reveals keeps the Blocker policy's moves: a losing
+    reveal that blocks a dead edge has a cheaper twin without it that comes
+    first and loses too. A memo value is the Traveller policy's move: the
+    key of the first departure, in (tau, key) order, that wins against
+    every reveal, else False.
     Both policies read the memo and search only positions it lacks.
     """
 
@@ -192,13 +193,6 @@ class LiGame:
         self.memo: dict = {}
         edges = sorted(g.edges, key=lambda e: (e.tau, e.key))  # edge i is bit i
         self.taus = taus = [e.tau for e in edges]
-        # time -> how many edges depart before it (the bits' dead prefix), one merge
-        past, n = {}, 0
-        for x in sorted({*taus, *[e.tau + e.d for e in edges], self.t1}):
-            while n < len(taus) and taus[n] < x:
-                n += 1
-            past[x] = n
-        self.past_t1 = past[self.t1]
         self.know = know = Knowledge([(e.key, e.copies) for e in edges], {}, inst.k, state_limit)
         # departures arriving inside the window, in (tau, key) order:
         # (tau, arrival, bit, head, key, edges departing before tau, and before arrival)
@@ -213,7 +207,7 @@ class LiGame:
             if arrival > t2:
                 self.late |= bit
                 continue
-            dead, dead_on_arrival = past[tau], past[arrival]
+            dead, dead_on_arrival = bisect_left(taus, tau), bisect_left(taus, arrival)
             departures[u].append((tau, arrival, bit, v, key, dead, dead_on_arrival))
             departures[v].append((tau, arrival, bit, u, key, dead, dead_on_arrival))
         know.scoped(local)
@@ -268,7 +262,7 @@ class LiGame:
     @cached_property
     def wins(self) -> bool:
         """The answer from s at t1, searched at first read."""
-        return run(self._reveal_wins(self.inst.s, self.t1, self.past_t1, EMPTY))
+        return run(self._reveal_wins(self.inst.s, self.t1, bisect_left(self.taus, self.t1), EMPTY))
 
     def __bool__(self) -> bool:
         return self.wins

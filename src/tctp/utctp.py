@@ -132,8 +132,6 @@ def _source_arrivals(inst: Instance) -> list:
 
 def earliest_arrival(inst: Instance) -> Optional[int]:
     """Least t2 with a (0, t2) win; None when no window works."""
-    if inst.s == inst.t:
-        return 0
     dec = decide_u(inst, 0, math.inf)
     return dec.guaranteed_arrival if dec.wins else None
 

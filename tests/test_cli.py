@@ -313,6 +313,13 @@ def test_play_writes_a_replayable_transcript(tmp_path, sep_file):
                          "--traveller", "transcript"])
     assert code == 2 and "--transcript FILE" in err
 
+    garbage = tmp_path / "garbage.tr"
+    garbage.write_text("not json\n")
+    for cmd in ("play", "verify"):
+        code, out, err = _run([cmd, sep_file, "--model", "li", "--transcript", str(garbage)])
+        assert (code, out) == (2, "")
+        assert "--transcript FILE needs --traveller transcript" in err
+
 
 def test_verify_certifies_the_informed_walker(sep_file):
     code, out, _ = _run(["verify", sep_file, "--model", "li"])

@@ -2,10 +2,12 @@
 
 Each fast path answers from one shared table or a pruned pass; the oracles in
 ``oracles.py`` recompute the same answers naively on generated instances.
+The cross-model laws need no oracle, so they run on larger games.
 """
 import dataclasses
 import json
 import math
+import random
 from bisect import bisect_left
 from unittest import mock
 
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
+from generators import rand_temporal
 from oracles import (
     FullStateLiGame,
     SINK,
@@ -240,6 +243,26 @@ def test_memo_read_policies_match_the_replaying_reference(case):
         assert _bytes(play(inst, traveller, bp, "li", t1, t2)) == _bytes(
             play(inst, traveller, ref_bp, "li", t1, t2))
     assert [a for a, _ in seen] == [b for _, b in seen]
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_cross_model_laws_hold_past_the_oracle_sizes(seed):
+    """On games of up to 30 vertices and 150 keys, no oracle needed: a ``u``
+    win is an ``li`` win, neither model turns a loss into a win as k grows,
+    and ``solve_k1`` agrees with ``exact_li`` at k = 1."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    base = rand_temporal(rng, n, 5 * n, n, k=0)
+    u_won = li_won = True
+    for k in range(4):
+        inst = dataclasses.replace(base, k=k)
+        u_wins, li_wins = decide_u(inst).wins, exact_li(inst).wins
+        assert li_wins or not u_wins, k
+        assert (u_won or not u_wins) and (li_won or not li_wins), k
+        if k == 1:
+            assert solve_k1(inst).wins == li_wins
+        u_won, li_won = u_wins, li_wins
 
 
 @st.composite
