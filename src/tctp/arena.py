@@ -39,6 +39,7 @@ its view and keeps none past the branch it was made in.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from bisect import bisect_right
@@ -49,7 +50,7 @@ from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
-from .errors import STATE_LIMIT, VERIFY_LIMIT, SizeLimitError
+from .errors import STATE_LIMIT, VERIFY_LIMIT, CyclicGraphError, SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame
@@ -689,13 +690,25 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     return _table_pair(dec.table, arcs_at)
 
 
-def table_policies(inst: Instance, table: Optional[PiTable] = None) -> tuple:
+def table_policies(inst: Instance, table: PiTable) -> tuple:
     """Both sides of the directed blocking game, guided by the budget table."""
-    g = inst.graph
-    if table is None:
-        table = compute_pi(g, inst.t, inst.k)
     return _table_pair(table, lambda view: [(e.v, e.weight, e.copies, e.key)
-                                            for e in g.outgoing(view.position)])
+                                            for e in inst.graph.outgoing(view.position)])
+
+
+def solve_weighted(inst: Instance, state_limit: int = STATE_LIMIT) -> tuple:
+    """(value, traveller, blocker): the budget table of a DAG, cut at min(k, C) for C
+    the copies of the arcs k can block whole, if its ``pi_row`` steps (min(n, width)^2
+    per n out-copies) stay within the search's default STATE_LIMIT; else the search."""
+    g, k = inst.graph, inst.k
+    width = min(k, sum(e.copies for e in g.edges if e.copies <= k)) + 1
+    if g.directed and sum(min(sum(e.copies for e in g.outgoing(v)), width) ** 2 + width
+                          for v in g.vertices) <= STATE_LIMIT:
+        with contextlib.suppress(CyclicGraphError):
+            table = PiTable(compute_pi(g, inst.t, width - 1).values, k)
+            return table.value(inst.s, k), *table_policies(inst, table)
+    game = StaticGame(inst, "out" if g.directed else "incident", state_limit)
+    return game.entry_value(), game.traveller_policy(), game.blocker_policy()
 
 
 def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None,
@@ -704,13 +717,13 @@ def builtin_policies(inst: Instance, model: str, t1: int = 0, t2=None,
 
     The model's input checks run first, so an instance of the wrong kind is
     a ValueError here, as in ``play`` and ``verify_traveller_strategy``.
-    ``state_limit`` bounds the exact searches of ``li`` and ``static``.
+    ``state_limit`` bounds the exact searches of ``li``, ``static`` and ``dag``.
     """
     _rules(inst, model, t1, t2)
     if model == "u":
         return expansion_policies(inst, t1, t2)
     if model == "dag":
-        return table_policies(inst)
+        return solve_weighted(inst, state_limit)[1:]
     game = (exact_li(inst, t1, t2, state_limit) if model == "li"
             else StaticGame(inst, "incident", state_limit))
     return game.traveller_policy(), game.blocker_policy()

@@ -22,6 +22,7 @@ from .arena import (
     Transcript,
     builtin_policies,
     play,
+    solve_weighted,
     transcript_traveller_policy,
     verify_traveller_strategy,
 )
@@ -31,7 +32,6 @@ from .errors import STATE_LIMIT, VERIFY_LIMIT, InstanceFormatError, SizeLimitErr
 from .expansion import build_expansion
 from .gadgets import QbfFormula, gen_li_np, gen_li_pspace, gen_static_np, parse_dimacs
 from .litctp import NEVER, exact_li, solve_k1
-from .staticctp import StaticGame
 from .utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 
@@ -304,17 +304,15 @@ def cmd_solve_static(ns) -> int:
         raise ValueError("solve-static needs a weighted-graph instance")
     if ns.deadline is not None and ns.deadline < 0:
         raise ValueError("deadline must be >= 0")
-    discovery = "out" if inst.graph.directed else "incident"
-    game = StaticGame(inst, discovery=discovery, state_limit=_limit(ns, STATE_LIMIT))
-    val = game.entry_value()
+    val, traveller, blocker = solve_weighted(inst, _limit(ns, STATE_LIMIT))
     deadline = ns.deadline if ns.deadline is not None else inst.deadline
     wins = val != UNREACHABLE and (deadline is None or val <= deadline)
     obj = {"value": _finite(val), "deadline": deadline, "wins": wins}
     lines = ["value " + ("UNREACHABLE" if val == UNREACHABLE else str(val))]
     out = _Out(ns)
     if val != UNREACHABLE:
-        tr = play(inst, game.traveller_policy(), game.blocker_policy(),
-                  "dag" if inst.graph.directed else "static")
+        tr = play(inst, traveller, blocker,
+                  "dag" if inst.graph.directed else "static", 0, ns.deadline)
         out.transcript(tr, obj, lines)
     else:
         out.result(obj, lines)

@@ -43,7 +43,7 @@ def topological_order(g: StaticGraph) -> list:
 
 @dataclass(frozen=True)
 class PiTable:
-    """table.value(v, i): guaranteed cost from v with blocker budget i left."""
+    """table.value(v, i): guaranteed cost from v, budget i left; short rows repeat their end."""
 
     values: Mapping[object, tuple]
     budget: int
@@ -51,7 +51,7 @@ class PiTable:
     def value(self, v, i: int):
         if not 0 <= i <= self.budget:
             raise ValueError(f"budget index {i} outside 0..{self.budget}")
-        return self.values[v][i]
+        return self.values[v][min(i, len(self.values[v]) - 1)]
 
 
 def pi_row(arcs: list, width: int) -> tuple:
@@ -169,12 +169,14 @@ def blocker_move(arcs: Iterable[tuple], table: PiTable, remaining: int) -> dict:
     if not 0 <= remaining <= table.budget:
         raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
     arcs = sorted(arcs, key=lambda a: a[:2])
+    # a block past the copies of the arcs it can empty never forces a dearer survivor
+    top = min(remaining, sum(c for _, _, c, _ in arcs if c <= remaining))
     best_val, best = None, []
-    for m in range(remaining + 1):
+    for m in range(top + 1):
         # (value, arc index, copy): blocking m copies leaves the (m+1)-th
         cands = sorted((table.value(head, remaining - m) + weight, idx, copy)
                        for idx, (head, weight, copies, _) in enumerate(arcs)
-                       for copy in range(min(copies, remaining + 1)))
+                       for copy in range(min(copies, top + 1)))
         val = cands[m][0] if m < len(cands) else UNREACHABLE
         if best_val is None or val > best_val:
             best_val, best = val, cands[:m]

@@ -9,12 +9,13 @@ from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
 
 
 def rand_dag(rng: random.Random, max_n: int = 8, max_arcs: int = 14,
-             max_w: int = 9, max_copies: int = 3, max_k: int = 3) -> Instance:
+             max_w: int = 9, max_copies: int = 3, max_k: int = 3,
+             min_n: int = 2, min_arcs: int = 1) -> Instance:
     """Random weighted DAG instance; arcs always go index-upward."""
-    n = rng.randint(2, max_n)
+    n = rng.randint(min_n, max_n)
     names = [f"n{i}" for i in range(n)]
     arcs = []
-    for _ in range(rng.randint(1, max_arcs)):
+    for _ in range(rng.randint(min_arcs, max_arcs)):
         i = rng.randrange(n - 1)
         j = rng.randrange(i + 1, n)
         arcs.append(StaticEdge(names[i], names[j], rng.randint(1, max_w),

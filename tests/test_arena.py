@@ -407,7 +407,7 @@ def test_verify_certifies_and_refutes_the_parallel_arcs():
                           [StaticEdge("s", "t", w) for w in (1, 2, 5)],
                           directed=True)
     inst = Instance(g, "s", "t", 2)
-    tpol, _ = table_policies(inst)
+    tpol, _ = table_policies(inst, compute_pi(g, "t", 2))
 
     assert verify_traveller_strategy(inst, tpol, "dag", deadline=5).ok
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import rand_temporal
+from generators import layered_dag, rand_temporal
 from tctp import arena, cli
-from tctp.arena import TRAVELLER_WIN, Transcript
+from tctp.arena import BLOCKER_WIN, TRAVELLER_WIN, Transcript
 from tctp.cli import dispatch
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, \
     parse_instance, serialize_instance
@@ -262,13 +262,89 @@ def test_solve_static_value_and_deadline(tmp_path):
     tr = Transcript.from_json_lines("\n".join(out.splitlines()[1:]))
     assert tr.outcome == TRAVELLER_WIN and tr.final_time == 4
 
-    code, out, _ = _run(["solve-static", path, "--deadline", "3"])
-    assert code == 3 and out.splitlines()[0] == "value 4"
-
     code, out, _ = _run(["solve-static", path, "--format", "json"])
     obj = json.loads(out)
     assert obj["value"] == 4 and obj["wins"] is True
     assert obj["transcript"]["footer"]["outcome"] == TRAVELLER_WIN
+
+    # the playout runs to --deadline, on the search and on the budget table
+    arcs = _write(tmp_path, "arcs.ctp", Instance(
+        StaticGraph.build(g.vertices, g.edges, directed=True), "u0", "u2", 1))
+    for path in (path, arcs):
+        code, out, _ = _run(["solve-static", path, "--deadline", "3"])
+        head, played = out.split("\n", 1)
+        assert (code, head) == (3, "value 4")
+        tr = Transcript.from_json_lines(played)
+        assert (tr.t2, tr.outcome, tr.final_time) == (3, BLOCKER_WIN, 4)
+
+
+_CYCLIC = ("model dag\nvertices s a b t\ns s\nt t\nk 1\nedge s a 1\nedge a b 1\n"
+           "edge b a 1\nedge b t 1\nedge a t 3\nedge s t 9\n")
+
+
+def test_solve_static_and_the_dag_pair_pick_the_solver_from_the_input(tmp_path):
+    """A directed acyclic graph gets the budget table, which no --limit
+    bounds, at any k; a cyclic one, or a table of more steps than STATE_LIMIT,
+    gets the search. ``solve-static`` prints the playout of the builtin
+    ``dag`` pair either way."""
+    for inst, want in ((layered_dag(28, 4, 1), (0, "value 56")),
+                       (layered_dag(12, 6, 2), (3, "value UNREACHABLE"))):
+        path = _write(tmp_path, "layered.ctp", inst)
+        code, out, err = _run(["solve-static", path, "--limit", "1"])
+        head, _, played = out.partition("\n")
+        assert (code, head, err) == (*want, "")
+        if played:
+            assert _run(["play", path, "--model", "dag", "--limit", "1"]) == (0, played, "")
+    # at k = its arc count and past sys.maxsize, too big for the search: the
+    # table stops at the copies k can block whole, and only a bypass of 10^21
+    # copies survives
+    inst = layered_dag(28, 4, 0)
+    bypass = StaticGraph.build(inst.graph.vertices, (*inst.graph.edges, StaticEdge(
+        inst.s, inst.t, 999, copies=10**21)), directed=True)
+    for k in (len(inst.graph.edges), 10**20):
+        path = _write(tmp_path, "bypass.ctp", Instance(bypass, inst.s, inst.t, k))
+        code, out, err = _run(["solve-static", path, "--limit", "1"])
+        head, played = out.split("\n", 1)
+        assert (code, head, err) == (0, "value 999", ""), k
+        assert _run(["play", path, "--model", "dag", "--limit", "1"]) == (0, played, "")
+        tr = Transcript.from_json_lines(played)
+        assert (tr.outcome, tr.final_time) == (TRAVELLER_WIN, 999)
+    cyclic = tmp_path / "cyclic.ctp"
+    cyclic.write_text(_CYCLIC)
+    code, out, err = _run(["solve-static", str(cyclic)])
+    head, played = out.split("\n", 1)
+    assert (code, head, err) == (0, "value 9", "")
+    assert _run(["play", str(cyclic), "--model", "dag"]) == (0, played, "")
+    (tmp_path / "cyclic.tr").write_text(played)
+    assert _run(["play", str(cyclic), "--model", "dag", "--traveller", "transcript",
+                 "--transcript", str(tmp_path / "cyclic.tr")]) == (0, played, "")
+    code, out, err = _run(["verify", str(cyclic), "--model", "dag"])
+    assert code == 0 and out.startswith("verified: ") and err == ""
+    # a budget past sys.maxsize: the Blocker cuts every route
+    huge = tmp_path / "huge.ctp"
+    huge.write_text(_CYCLIC.replace("k 1", "k 99999999999999999999")
+                    .replace("edge b a 1\n", ""))
+    assert _run(["solve-static", str(huge)]) == (3, "value UNREACHABLE\n", "")
+    for cmd in ("play", "verify"):
+        assert _run([cmd, str(huge), "--model", "dag"])[::2] == (3, ""), cmd
+    # a copy count past it is never blocked whole, so it adds no column
+    wide = tmp_path / "wide.ctp"
+    wide.write_text("model dag\nvertices s t\ns s\nt t\nk 99999999999999999999\n"
+                    "edge s t 1 100000000000000000000\n")
+    code, out, err = _run(["solve-static", str(wide), "--limit", "1"])
+    head, played = out.split("\n", 1)
+    assert (code, head, err) == (0, "value 1", "")
+    assert _run(["play", str(wide), "--model", "dag"]) == (0, played, "")
+    # two arcs of 4,000 copies at k 4,000 would take a table of 4,001
+    # columns and 4,001^2 steps at s: the search answers, and --limit bounds it
+    fat = tmp_path / "fat.ctp"
+    fat.write_text("model dag\nvertices s t\ns s\nt t\nk 4000\n"
+                   "edge s t 1 4000\nedge s t 2 4000\n")
+    code, out, err = _run(["solve-static", str(fat)])
+    head, played = out.split("\n", 1)
+    assert (code, head, err) == (0, "value 2", "")
+    assert _run(["play", str(fat), "--model", "dag"]) == (0, played, "")
+    assert _run(["solve-static", str(fat), "--limit", "1"])[0] == 4
 
 
 def test_gen_round_trips_through_solve_li(tmp_path):

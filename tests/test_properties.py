@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
-from generators import rand_temporal
+from generators import rand_dag, rand_temporal
 from oracles import (
     FullStateLiGame,
     SINK,
@@ -46,6 +46,7 @@ from tctp.arena import (
     builtin_policies,
     play,
     scripted_blocker,
+    solve_weighted,
     verify_traveller_strategy,
 )
 from tctp.core import (
@@ -263,6 +264,20 @@ def test_cross_model_laws_hold_past_the_oracle_sizes(seed):
         if k == 1:
             assert solve_k1(inst).wins == li_wins
         u_won, li_won = u_wins, li_wins
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_dag_laws_hold_past_the_oracle_sizes(seed):
+    """On DAGs of 10-15 vertices and 30-50 arcs, past ``brute_dag_game``'s
+    reach, the budget table equals the exact search over out-arcs at
+    k = 0..2, and the value never falls as k grows."""
+    base = rand_dag(random.Random(seed), max_n=15, max_arcs=50, max_k=0,
+                    min_n=10, min_arcs=30)
+    values = [StaticGame(dataclasses.replace(base, k=k), "out").entry_value()
+              for k in range(3)]
+    assert values == list(compute_pi(base.graph, base.t, 2).values[base.s])
+    assert values == sorted(values)
 
 
 @st.composite
@@ -496,32 +511,43 @@ def test_u_policies_match_the_expansion_reading_reference(case):
 
 @st.composite
 def dag_games(draw):
-    """A random DAG instance with parallel copies and dead ends, and a deadline."""
+    """A random DAG with dead ends, zero and equal weights, names out of
+    topological order and 1-3 copies per arc, and a deadline. k is 0-2, one
+    below the number of arcs, that number, or past the summed copies (where
+    ``solve_weighted``'s table stops)."""
     n = draw(st.integers(2, 7))
-    names = [f"n{i}" for i in range(n)]
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
     arcs = [StaticEdge(names[i], names[j], w, copies=c)
             for i, j, w, c in draw(st.lists(
                 st.tuples(st.integers(0, n - 2), st.integers(1, n - 1),
-                          st.integers(0, 4), st.integers(1, 3)).filter(
+                          st.sampled_from((0, 1, 1, 2, 3, 4)), st.integers(1, 3)).filter(
                     lambda a: a[0] < a[1]),
                 max_size=12))]
     g = StaticGraph.build(names, arcs, directed=True)
-    inst = Instance(g, names[0], draw(st.sampled_from(names)), draw(st.integers(0, 2)))
+    arcs, copies = len(g.edges), sum(e.copies for e in g.edges)
+    k = draw(st.integers(0, 2) | st.sampled_from((max(arcs - 1, 0), arcs, copies + 2)))
+    inst = Instance(g, names[0], draw(st.sampled_from(names)), k)
     return inst, draw(st.none() | st.integers(0, 12))
 
 
 @SETTINGS
 @given(dag_games())
 def test_dag_policies_match_the_outgoing_reading_reference(case):
+    """The builtin ``dag`` pair, on ``solve_weighted``'s table, plays and
+    verifies as the full-width table read off the graph and as the exact
+    search over out-arcs, whose value ``solve_weighted`` returns."""
     inst, deadline = case
     got = builtin_policies(inst, "dag")
-    want = outgoing_read_policies(inst)
-    assert (_bytes(play(inst, *got, "dag", t2=deadline))
-            == _bytes(play(inst, *want, "dag", t2=deadline)))
-    mine, ref = (verify_traveller_strategy(inst, tp, "dag", deadline=deadline)
-                 for tp, _ in (got, want))
-    assert mine.explored == ref.explored
-    assert _bytes(mine.counterexample) == _bytes(ref.counterexample)
+    game = StaticGame(inst, "out")
+    assert solve_weighted(inst)[0] == game.entry_value()
+    for want in (outgoing_read_policies(inst),
+                 (game.traveller_policy(), game.blocker_policy())):
+        assert (_bytes(play(inst, *got, "dag", t2=deadline))
+                == _bytes(play(inst, *want, "dag", t2=deadline)))
+        mine, ref = (verify_traveller_strategy(inst, tp, "dag", deadline=deadline)
+                     for tp, _ in (got, want))
+        assert (mine.ok, mine.explored) == (ref.ok, ref.explored)
+        assert _bytes(mine.counterexample) == _bytes(ref.counterexample)
 
 
 @st.composite
