@@ -49,7 +49,7 @@ from functools import cache
 from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticGraph, TemporalGraph, window
-from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
+from .dagctp import PiTable, blocker_move, compute_pi, table_width, traveller_move
 from .errors import STATE_LIMIT, VERIFY_LIMIT, CyclicGraphError, SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
@@ -621,7 +621,10 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
             raise SizeLimitError(
                 f"verification explored more than {limit} reveal states", limit)
         mark = st.mark()
-        for choice in _choices(stop, rules.inst.k - st.spent):
+        for tried, choice in enumerate(_choices(stop, rules.inst.k - st.spent)):
+            if tried >= limit:
+                raise SizeLimitError(f"verification tried more than {limit} count vectors "
+                                     "at one reveal", limit)
             st.reveal(stop, choice)
             sub = yield line()
             st.undo(mark)
@@ -697,15 +700,14 @@ def table_policies(inst: Instance, table: PiTable) -> tuple:
 
 
 def solve_weighted(inst: Instance, state_limit: int = STATE_LIMIT) -> tuple:
-    """(value, traveller, blocker): the budget table of a DAG, cut at min(k, C) for C
-    the copies of the arcs k can block whole, if its ``pi_row`` steps (min(n, width)^2
-    per n out-copies) stay within the search's default STATE_LIMIT; else the search."""
+    """(value, traveller, blocker) by the budget table of a DAG that passes ``table_width``
+    with at most STATE_LIMIT ``pi_row`` steps (min(n, width)^2 per n out-copies), else search."""
     g, k = inst.graph, inst.k
-    width = min(k, sum(e.copies for e in g.edges if e.copies <= k)) + 1
-    if g.directed and sum(min(sum(e.copies for e in g.outgoing(v)), width) ** 2 + width
-                          for v in g.vertices) <= STATE_LIMIT:
-        with contextlib.suppress(CyclicGraphError):
-            table = PiTable(compute_pi(g, inst.t, width - 1).values, k)
+    with contextlib.suppress(CyclicGraphError, SizeLimitError):
+        width = table_width([e.copies for e in g.edges], k)
+        if g.directed and sum(min(sum(e.copies for e in g.outgoing(v)), width) ** 2 + width
+                              for v in g.vertices) <= STATE_LIMIT:
+            table = compute_pi(g, inst.t, k)
             return table.value(inst.s, k), *table_policies(inst, table)
     game = StaticGame(inst, "out" if g.directed else "incident", state_limit)
     return game.entry_value(), game.traveller_policy(), game.blocker_policy()

@@ -28,7 +28,7 @@ from .arena import (
 )
 from .core import Instance, StaticGraph, TemporalGraph, parse_instance, serialize_instance
 from .dagctp import UNREACHABLE, compute_pi
-from .errors import STATE_LIMIT, VERIFY_LIMIT, InstanceFormatError, SizeLimitError
+from .errors import STATE_LIMIT, TABLE_CELLS, VERIFY_LIMIT, InstanceFormatError, SizeLimitError
 from .expansion import build_expansion
 from .gadgets import QbfFormula, gen_li_np, gen_li_pspace, gen_static_np, parse_dimacs
 from .litctp import NEVER, exact_li, solve_k1
@@ -213,6 +213,8 @@ def cmd_dag_solve(ns) -> int:
     inst = _load(ns.instance)
     if inst.model != "dag":
         raise ValueError("dag-solve needs a dag instance")
+    if ns.table and len(inst.graph.vertices) * (inst.k + 1) > TABLE_CELLS:
+        raise ValueError(f"--table prints k + 1 columns a vertex, at most {TABLE_CELLS} cells")
     table = compute_pi(inst.graph, inst.t, inst.k)
     val = table.value(inst.s, inst.k)
     obj = {"source": str(inst.s), "k": inst.k, "value": _finite(val)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import StaticGraph
-from .errors import CyclicGraphError, SizeLimitError
+from .errors import ROW_STEPS, TABLE_CELLS, CyclicGraphError, SizeLimitError
 
 UNREACHABLE = math.inf
 
@@ -54,19 +54,30 @@ class PiTable:
         return self.values[v][min(i, len(self.values[v]) - 1)]
 
 
+def table_width(copies: Iterable[int], k: int, rows: int = 0) -> int:
+    """min(k, C) + 1 budget columns, C the summed copies that k can block whole: with C
+    left Blocker blocks them all, so no row changes past C. SizeLimitError past TABLE_CELLS."""
+    width = min(k, sum([c for c in copies if c <= k])) + 1
+    if rows * width > TABLE_CELLS:
+        raise SizeLimitError(f"budget table of {rows} rows x {width} columns exceeded "
+                             f"{TABLE_CELLS} cells", TABLE_CELLS)
+    return width
+
+
 def pi_row(arcs: list, width: int) -> tuple:
     """One vertex's row of the budget table, from its out-arcs.
 
     arcs holds (head row, weight, copies) per out-arc, and width is the
-    budget plus one. Entry i is the guarantee with budget i left: the max
-    over m <= i of the (m+1)-smallest candidate at budget i - m, candidates
-    counted once per copy. Blocker never removes more than width - 1
+    table's columns (``table_width``). Entry i is the guarantee with budget
+    i left: the max over m <= i of the (m+1)-smallest candidate at budget
+    i - m, candidates counted once per copy. Blocker never removes more than width - 1
     copies, so only the width smallest candidates matter, and each arc is
     listed at most width times. With n candidates in all, Blocker removes
     every one once i >= n, so those entries are unreachable; below n every
     (m+1)-smallest exists. Head rows never fall as the budget grows (a
     precondition), so a single arc's max is at m = 0: its row is the head
-    row plus the weight. No out-arc gives an unreachable row.
+    row plus the weight. No out-arc gives an unreachable row. More arcs take
+    a sorted candidate list per column: SizeLimitError past ROW_STEPS.
     ``utctp._sweep`` calls this only where two or more departures undercut
     its wait, and reads other rows off it.
     """
@@ -78,6 +89,11 @@ def pi_row(arcs: list, width: int) -> tuple:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
+        if reach * n > ROW_STEPS:  # n bounds the candidates listed: count them only then
+            listed = sum([c if c < width else width for _, _, c in arcs])
+            if reach * listed > ROW_STEPS:
+                raise SizeLimitError(f"budget table row of {reach} columns x {listed} "
+                                     f"candidates exceeded {ROW_STEPS} steps", ROW_STEPS)
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins
@@ -103,20 +119,15 @@ def pi_row(arcs: list, width: int) -> tuple:
 def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     """Worst-case guaranteed cost per (vertex, remaining blocker budget).
 
-    With budget i at vertex v, Blocker may remove m <= i of v's outgoing arc
-    copies on arrival; Traveller then takes the best survivor. The guarantee
-    is therefore the max over m of the (m+1)-smallest candidate, candidates
-    counted once per copy and valued at cost-from-head (with budget i-m) plus
-    arc weight.
-
-    Each vertex hands (head row, weight, copies) per out-arc to ``pi_row``,
-    which caps the copies at k+1.
+    With budget i at v, Blocker may remove m <= i of v's out-arc copies on
+    arrival and Traveller takes the best survivor: v's row is ``pi_row`` of
+    its out-arcs' (head row, weight, copies), ``table_width`` columns wide.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
     order = topological_order(g)
     k = budget
-    width = k + 1
+    width = table_width([e.copies for e in g.edges], k, len(order))
     zero = (0,) * width
     values: dict = {}
     for v in reversed(order):
@@ -169,18 +180,22 @@ def blocker_move(arcs: Iterable[tuple], table: PiTable, remaining: int) -> dict:
     if not 0 <= remaining <= table.budget:
         raise ValueError(f"remaining budget {remaining} outside 0..{table.budget}")
     arcs = sorted(arcs, key=lambda a: a[:2])
-    # a block past the copies of the arcs it can empty never forces a dearer survivor
-    top = min(remaining, sum(c for _, _, c, _ in arcs if c <= remaining))
-    best_val, best = None, []
+    top = table_width([c for _, _, c, _ in arcs], remaining) - 1  # a larger block buys nothing
+    best_val, best = None, Counter()
     for m in range(top + 1):
-        # (value, arc index, copy): blocking m copies leaves the (m+1)-th
-        cands = sorted((table.value(head, remaining - m) + weight, idx, copy)
-                       for idx, (head, weight, copies, _) in enumerate(arcs)
-                       for copy in range(min(copies, top + 1)))
-        val = cands[m][0] if m < len(cands) else UNREACHABLE
+        # blocking m copies, cheapest (value, arc index) first, leaves the (m+1)-th
+        val, left, blocked = UNREACHABLE, m, Counter()
+        for cand, idx in sorted((table.value(head, remaining - m) + weight, idx)
+                                for idx, (head, weight, _, _) in enumerate(arcs)):
+            _, _, copies, key = arcs[idx]
+            blocked[key] += min(left, copies)
+            if left < copies:
+                val = cand
+                break
+            left -= copies
         if best_val is None or val > best_val:
-            best_val, best = val, cands[:m]
-    return dict(Counter(arcs[idx][3] for _, idx, _ in best))
+            best_val, best = val, blocked
+    return dict(+best)  # no zero counts
 
 
 _STATES_PER_VERTEX = 20

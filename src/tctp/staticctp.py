@@ -11,13 +11,14 @@ UNREACHABLE when the blocker can cut every route.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
-from .dagctp import UNREACHABLE, pi_row
-from .errors import STATE_LIMIT
+from .dagctp import UNREACHABLE, PiTable, pi_row, table_width
+from .errors import STATE_LIMIT, SizeLimitError
 from .knowledge import EMPTY, Knowledge, run
 
 
@@ -70,8 +71,11 @@ class StaticGame:
             for b, w, weight, _ in moves:
                 self.into[w].append((v, weight, b))
         self.bounded = discovery == "incident"
-        # blocked mask -> [distance to t over the rest, down-table rows or
-        # None until ``bounds`` first needs them]
+        self.width = None  # down-table columns; None past the table limits: no pruning
+        with contextlib.suppress(SizeLimitError):
+            self.width = table_width(self.know.copies.values(), inst.k, len(g.vertices))
+        # blocked mask -> [distance to t over the rest, down table (``width``
+        # columns for every mask) or None until ``bounds`` first needs it]
         self._tables: dict = {}
         # threshold bands: (pos, state) -> [largest losing slack, smallest
         # winning slack or None]; sound because winning is monotone in slack
@@ -202,23 +206,27 @@ class StaticGame:
         gone, edges settled open can no longer be cut, and a down arc is
         settled when the walker first stands at its upper end, as in the
         table, or earlier. Both bounds are UNREACHABLE when G - B cuts pos
-        from t.
+        from t, and the upper one where the table limits leave no table.
         """
         blocked, spent = state[1], state[2]
         entry = self._table(blocked)
         dist, rows = entry
         if pos not in dist:
             return UNREACHABLE, UNREACHABLE
-        if rows is None:
+        if rows is None and self.width:
             # in order, each vertex reads the rows of its arcs' heads so far
-            idx, width, copies = self.g.index, self.inst.k + 1, self.know.copies
-            rows = entry[1] = {}
-            for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
-                rows[v] = (0,) * width if v == self.inst.t else pi_row(
-                    [(rows[w], weight, copies[key])
-                     for bit, w, weight, key in self.moves[v]
-                     if w in rows and not blocked & bit], width)
-        return dist[pos], rows[pos][self.inst.k - spent]
+            idx, width, copies = self.g.index, self.width, self.know.copies
+            rows = {}
+            try:
+                for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
+                    rows[v] = (0,) * width if v == self.inst.t else pi_row(
+                        [(rows[w], weight, copies[key])
+                         for bit, w, weight, key in self.moves[v]
+                         if w in rows and not blocked & bit], width)
+                rows = entry[1] = PiTable(rows, self.inst.k)
+            except SizeLimitError:  # a row past ROW_STEPS: no mask gets a table
+                self.width = None
+        return dist[pos], rows.value(pos, self.inst.k - spent) if self.width else UNREACHABLE
 
     # -- threshold search --------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan, window
-from .dagctp import UNREACHABLE, PiTable, pi_row
+from .dagctp import UNREACHABLE, PiTable, pi_row, table_width
 from .errors import SizeLimitError
 from .expansion import layout
 
@@ -58,26 +58,26 @@ def decide_u(
 def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     """The budget table of the [t1, t2] time expansion, a row per ``layout``
     node, latest first. A node of t has the zero row. Any other (v, tau)
-    node's candidates are the wait to v's next node (k+1 copies, weight the
-    gap) and its ``layout`` departures (weight d, their copies). Every
+    node's candidates are the wait to v's next node (width copies, weight
+    the gap) and its ``layout`` departures (weight d, their copies). Every
     departure node has a wait, since the edge's arrival gives both endpoints
     a later node. With w the wait's candidate row (the next row plus the
     gap), ``pi_row``'s entry i, the max over m <= i of the (m+1)-smallest
     candidate at budget i - m, reads only order statistics that the wait's
-    k+1 copies already hold to at most w. So a departure whose candidate is
+    width copies already hold to at most w. So a departure whose candidate is
     nowhere below w changes no entry and is dropped; with none left the row
     is w. With one left, of candidate row x and c copies, the
     (m+1)-smallest at budget r is min(x[r], w[r]) for m < c and w[r] for
     m >= c; no row falls as the budget grows (a row entry is a max over
     candidates that do not fall with it), so the max sits at m = 0 or
     m = c: entry i is max(min(x[i], w[i]), w[i - c]), the second term only
-    when i >= c, so never when c > k. Two or more go to ``pi_row`` with the
-    wait. Row for row, the result equals ``compute_pi`` on
-    ``build_expansion`` with the same arguments, less the expansion's target
-    node, which is entered only from nodes of t.
+    when i >= c, so never when c >= width. Two or more go to ``pi_row`` with the
+    wait. The departures are the expansion's only blockable arcs, so the
+    width is ``compute_pi``'s on ``build_expansion`` with the same arguments,
+    and row for row the tables agree, less the expansion's target node.
     """
-    width = k + 1
     nodes, departs = layout(g, s, t1, t2)
+    width = table_width([c for arcs in departs.values() for _, _, c in arcs], k, len(nodes))
     zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
@@ -124,8 +124,8 @@ def _source_arrivals(inst: Instance) -> list:
     """
     dec = decide_u(inst, 0, math.inf)
     return sorted(
-        (node[1], node[1] + row[inst.k])
-        for node, row in dec.table.values.items()
+        (node[1], node[1] + dec.table.value(node, inst.k))
+        for node in dec.table.values
         if node[0] == inst.s
     )
 

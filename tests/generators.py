@@ -5,7 +5,19 @@ sizes default to the ranges the brute-force oracles can handle.
 """
 import random
 
+from hypothesis import strategies as st
+
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
+
+# the numbers a file may write: none, one, just past a table row's ROW_STEPS
+# (10^4 copies) and a table's TABLE_CELLS (10^7), the 32- and 64-bit edges and past them
+MAGNITUDES = (0, 1, 10**4, 10**7, 2**31, 2**63 - 1, 2**63, 10**20)
+
+
+def magnitudes(low: int = 0):
+    """A k, copy count, weight, tau, d or deadline of any magnitude, at least
+    low: one of MAGNITUDES, or a small value (2 to 5)."""
+    return st.sampled_from([m for m in MAGNITUDES if m >= low]) | st.integers(max(low, 2), 5)
 
 
 def rand_dag(rng: random.Random, max_n: int = 8, max_arcs: int = 14,

@@ -497,8 +497,8 @@ def _after(st: _State, scope, choice) -> _State:
 def stacked_refute(rules, tp, limit) -> tuple:
     """``arena._refute`` on an explicit stack of open reveals: (script,
     explored), the same losing script and count, raising SizeLimitError
-    at the same reveal state."""
-    stack: list = []  # open reveals: [state, scope, choices, choice tried]
+    at the same reveal state or count vector."""
+    stack: list = []  # open reveals: [state, scope, choices, choice tried, vectors tried]
     explored = 0
     st = _State(rules.inst.s, rules.t1)
     stop = rules.walk(st, tp, [])
@@ -512,15 +512,21 @@ def stacked_refute(rules, tp, limit) -> tuple:
                     f"verification explored more than {limit} reveal states",
                     limit,
                 )
-            stack.append([st, stop, _choices(stop, rules.inst.k - st.spent), None])
+            stack.append([st, stop, _choices(stop, rules.inst.k - st.spent), None, 0])
             result = None
         # a losing line closes its reveal; a won one moves on to the next choice
         while stack:
             top = stack[-1]
-            state, scope, choices, choice = top
+            state, scope, choices, choice, _ = top
             if result is None:
                 top[3] = choice = next(choices, None)
                 if choice is not None:
+                    top[4] += 1
+                    if top[4] > limit:
+                        raise SizeLimitError(
+                            f"verification tried more than {limit} count vectors at one reveal",
+                            limit,
+                        )
                     st = _after(state, scope, choice)
                     stop = rules.walk(st, tp, [])
                     break

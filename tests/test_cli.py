@@ -6,15 +6,16 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from generators import layered_dag, rand_temporal
+from generators import layered_dag, magnitudes, rand_temporal
 from tctp import arena, cli
 from tctp.arena import BLOCKER_WIN, TRAVELLER_WIN, Transcript
 from tctp.cli import dispatch
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge, \
     parse_instance, serialize_instance
+from tctp.errors import ROW_STEPS, TABLE_CELLS
 from tctp.litctp import exact_li
 from tctp.samples import separating_instance
 from tctp.utctp import decide_u
@@ -347,6 +348,145 @@ def test_solve_static_and_the_dag_pair_pick_the_solver_from_the_input(tmp_path):
     assert _run(["solve-static", str(fat), "--limit", "1"])[0] == 4
 
 
+def _answer(out: str) -> str:
+    """out with the budget left out: a transcript header's k and the pi_k of
+    dag-solve."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            row = json.loads(line)
+            row.pop("k", None)
+            line = json.dumps(row, sort_keys=True)
+        elif line.startswith("pi_"):
+            line = line.split("(", 1)[1]
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_budgets_past_sys_maxsize_answer_as_at_the_summed_copies(tmp_path):
+    """Past C, the summed copies of the edges k can block whole, no budget
+    adds a Blocker move: each table stops at C, and every command answers at
+    2^31, 2^63 - 1 and 10^20 as at C. A bypass of 10^21 copies stays open. The
+    verifier also tries each partial block of it, so past --limit 1000 count
+    vectors at one reveal, or knowledge states of the builtin search, it exits 4."""
+    files = {
+        "temporal": ("model temporal\nvertices a b c\ns a\nt c\nk {}\nedge a b 0 1\n"
+                     "edge b c 1 1 2\nedge a c 0 5 1000000000000000000000\n", 6),
+        "static": ("model static\nvertices s a t\ns s\nt t\nk {}\nedge s a 1\n"
+                   "edge a t 1 2\nedge s t 5 1000000000000000000000\n", 3),
+        "dag": ("model dag\nvertices s a t\ns s\nt t\nk {}\nedge s a 1\nedge a t 1 2\n"
+                "edge s t 5 1000000000000000000000\n", 3),
+    }
+    commands = {"temporal": [["solve-u"], ["play", "--model", "u"], ["verify", "--model", "u"]],
+                "static": [["solve-static"], ["play", "--model", "static"],
+                           ["verify", "--model", "static"]],
+                "dag": [["dag-solve"], ["solve-static"], ["play", "--model", "static"],
+                        ["verify", "--model", "static"], ["play", "--model", "dag"],
+                        ["verify", "--model", "dag"]]}
+    for kind, (text, copies) in files.items():
+        for args in commands[kind]:
+            answers = []
+            for k in (copies, 2**31, 2**63 - 1, 10**20):
+                path = tmp_path / f"{kind}.ctp"
+                path.write_text(text.format(k))
+                code, out, err = _run(args[:1] + [str(path)] + args[1:] + ["--limit", "1000"])
+                if code == 4 and args[0] == "verify" and k > copies:
+                    assert err.startswith("tctp: state limit: "), args
+                    continue
+                assert err == "", (args, k)
+                answers.append((code, _answer(out)))
+            assert answers[0][0] == 0 and len(set(answers)) == 1, (args, answers)
+
+
+def test_dag_solve_table_prints_at_most_the_cell_limit(tmp_path):
+    """--table prints k + 1 columns a vertex whatever the width the table
+    stops at; past TABLE_CELLS cells it is a usage error in either format."""
+    path = tmp_path / "arc.ctp"
+    path.write_text("model dag\nvertices s t\ns s\nt t\nk 4\nedge s t 1 2\n")
+    assert _run(["dag-solve", str(path), "--table"]) == (
+        3, "pi_4(s) = UNREACHABLE\nvertex\tpi_0\tpi_1\tpi_2\tpi_3\tpi_4\n"
+           "s\t1\t1\tinf\tinf\tinf\nt\t0\t0\t0\t0\t0\n", "")
+    for k in (TABLE_CELLS // 2, 10**20):
+        path.write_text(f"model dag\nvertices s t\ns s\nt t\nk {k}\nedge s t 1 2\n")
+        for fmt in ("text", "json"):
+            assert _run(["dag-solve", str(path), "--table", "--format", fmt]) == (
+                2, "", f"tctp: --table prints k + 1 columns a vertex, at most "
+                       f"{TABLE_CELLS} cells\n")
+        assert _run(["dag-solve", str(path)]) == (3, f"pi_{k}(s) = UNREACHABLE\n", "")
+
+
+def test_a_table_past_its_limits_exits_four_or_goes_to_the_search(tmp_path):
+    """At k = 10^20 the Blocker can block every arc below, so each table is
+    as wide as their summed copies: past TABLE_CELLS cells, or a row past
+    ROW_STEPS, the table commands exit 4 at once, and the directed and
+    undirected games answer by the search as at k = C: an undirected
+    graph's search prunes by no down table then, whether the cells or a
+    row's steps rule the tables out."""
+    path = tmp_path / "fat.ctp"
+    path.write_text("model temporal\nvertices a b\ns a\nt b\nk 100000000000000000000\n"
+                    "edge a b 0 1 2147483648\n")
+    for argv in (["solve-u", str(path)], ["play", str(path), "--model", "u"]):
+        assert _run(argv) == (4, "", "tctp: state limit: budget table of 4 rows x 4294967297 "
+                                     f"columns exceeded {TABLE_CELLS} cells\n"), argv
+    dags = {("model dag\nvertices s t x1 x2 x3 x4 x5 x6 x7 x8 x9\ns s\nt t\nk {}\n"
+             "edge s t 1 99999999\n", 99999999):
+                "budget table of 11 rows x 100000000 columns exceeded "
+                f"{TABLE_CELLS} cells",
+            ("model dag\nvertices s t\ns s\nt t\nk {}\nedge s t 1 10000\n"
+             "edge s t 2 10000\n", 20000):
+                f"budget table row of 20000 columns x 20000 candidates exceeded "
+                f"{ROW_STEPS} steps"}
+    for (text, _), why in dags.items():
+        path.write_text(text.format(10**20))
+        assert _run(["dag-solve", str(path)]) == (4, "", f"tctp: state limit: {why}\n")
+    undirected = [("model static\nvertices s a t\ns s\nt t\nk {}\nedge s a 1 2147483648\n"
+                   "edge a t 1\nedge s t 5\n", 2147483650),
+                  ("model static\nvertices s a t\ns s\nt t\nk {}\nedge s a 1 10000\n"
+                   "edge a t 1\nedge s t 5 10000\n", 20001)]
+    for text, copies in (*dags, *undirected):
+        for args in (["solve-static"], ["play", "--model", "static"]):
+            answers = set()
+            for k in (copies, 10**20):
+                path.write_text(text.format(k))
+                code, out, err = _run(args[:1] + [str(path)] + args[1:])
+                assert err == "", (args, k)
+                answers.add((code, _answer(out)))
+            assert len(answers) == 1, (text, args, answers)
+
+
+def test_the_verifier_bounds_the_count_vectors_of_one_reveal(tmp_path):
+    """One arc of 10^20 copies at k = 10^20 - 1: the table answers at once,
+    and the verifier stops after --limit count vectors at its one reveal."""
+    path = tmp_path / "arc.ctp"
+    path.write_text("model dag\nvertices s t\ns s\nt t\nk 99999999999999999999\n"
+                    "edge s t 1 100000000000000000000\n")
+    assert _run(["dag-solve", str(path)]) == (0, "pi_99999999999999999999(s) = 1\n", "")
+    for argv in (["verify", str(path), "--model", "dag"],
+                 ["play", str(path), "--model", "dag", "--blocker", "exhaustive"]):
+        assert _run(argv + ["--limit", "10"]) == (
+            4, "", "tctp: state limit: verification tried more than 10 count vectors "
+                   "at one reveal\n"), argv
+    path.write_text("model dag\nvertices s t\ns s\nt t\nk 3\nedge s t 1 4\n")
+    code, out, err = _run(["verify", str(path), "--model", "dag", "--limit", "4"])
+    assert (code, out, err) == (0, "verified: wins every blocker line (1 reveal states)\n", "")
+    assert _run(["verify", str(path), "--model", "dag", "--limit", "3"])[0] == 4
+
+
+def test_solve_u_memory_follows_the_copies_not_k(tmp_path):
+    """A 2-edge file at k = 10^6 builds a table of min(k, C) + 1 = 5 columns."""
+    path = tmp_path / "two.ctp"
+    path.write_text("model temporal\nvertices a b c\ns a\nt c\nk 1000000\n"
+                    "edge a b 0 1\nedge b c 1 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(["solve-u", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "Blocker wins window [0, inf]\n", "")
+    assert peak < 2 ** 20
+
+
 def test_gen_round_trips_through_solve_li(tmp_path):
     sat = tmp_path / "true.cnf"
     sat.write_text("p cnf 2 2\n1 2 2 0\n1 -2 -2 0\n")
@@ -486,42 +626,61 @@ def test_static_models_reject_a_temporal_instance(sep_file):
 
 
 @st.composite
-def model_instances(draw):
-    """A small valid instance of a random model, in a random format."""
+def model_instances(draw, number=st.integers):
+    """A small valid instance of a random model, in a random format, with no
+    extra flags. ``number(low, high)`` draws each number field (k, copies,
+    weight, tau, d, deadline), low its least valid value and high a small top."""
     model = draw(st.sampled_from(("temporal", "static", "dag")))
     names = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
     pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))
                           .filter(lambda p: p[0] != p[1]), max_size=6))
     if model == "temporal":
-        edges = [TimeEdge(u, v, draw(st.integers(0, 4)), draw(st.integers(1, 2)),
-                          draw(st.integers(1, 2))) for u, v in pairs]
+        edges = [TimeEdge(u, v, draw(number(0, 4)), draw(number(1, 2)),
+                          draw(number(1, 2))) for u, v in pairs]
         graph = TemporalGraph.build(names, edges)
     else:
-        edges = [StaticEdge(*sorted((u, v)), draw(st.integers(0, 3)),
-                            draw(st.integers(1, 2))) for u, v in pairs]
+        edges = [StaticEdge(*sorted((u, v)), draw(number(0, 3)),
+                            draw(number(1, 2))) for u, v in pairs]
         graph = StaticGraph.build(names, edges, directed=model == "dag")
     inst = Instance(graph, draw(st.sampled_from(names)), draw(st.sampled_from(names)),
-                    draw(st.integers(0, 2)), draw(st.none() | st.integers(0, 6)))
-    return inst, draw(st.sampled_from(("text", "json")))
+                    draw(number(0, 2)), draw(st.none() | number(0, 6)))
+    return inst, draw(st.sampled_from(("text", "json"))), []
 
 
-CONTRACT_ARGS = [["expand"], ["dag-solve"], ["solve-u"], ["solve-li"],
-                 ["solve-static"], ["gen", "sat4"]] + [
+def _magnitude_instances():
+    """model_instances with every number field of any magnitude, run under
+    --limit 2000 as the fuzzed inputs are."""
+    return model_instances(lambda low, high: magnitudes(low)).map(
+        lambda case: (*case[:2], ["--limit", "2000"]))
+
+
+# one arc of 10^20 copies at k = 10^20 - 1: it is never blocked whole, so the
+# table has one column, but one reveal has 10^20 count vectors
+_HUGE_ARC = (Instance(StaticGraph.build(["s", "t"], [StaticEdge("s", "t", 1, 10**20)],
+                                        directed=True), "s", "t", 10**20 - 1), "text",
+             ["--limit", "2000"])
+
+
+CONTRACT_ARGS = [["expand"], ["dag-solve"], ["dag-solve", "--table"], ["solve-u"],
+                 ["solve-li"], ["solve-static"], ["gen", "sat4"],
+                 ["play", "--model", "dag", "--blocker", "exhaustive"]] + [
     [cmd, "--model", model] for cmd in ("play", "verify")
     for model in ("li", "u", "static", "dag")]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(model_instances())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model_instances() | _magnitude_instances())
+@example(_HUGE_ARC)
 def test_every_command_keeps_the_exit_contract(tmp_path_factory, case):
     """Any valid instance, any command and model: a contract exit code and no
-    traceback, whether or not the model fits the instance."""
-    inst, fmt = case
+    traceback, whether or not the model fits the instance, and whatever the
+    magnitude of its numbers."""
+    inst, fmt, flags = case
     path = tmp_path_factory.mktemp("contract") / f"inst.{fmt}"
     path.write_text(serialize_instance(inst, fmt))
     for args in CONTRACT_ARGS:
         at = 2 if args[0] == "gen" else 1
-        code, _, err = _run(args[:at] + [str(path)] + args[at:])
+        code, _, err = _run(args[:at] + [str(path)] + args[at:] + flags)
         assert code in (0, 2, 3, 4), args
         assert "Traceback" not in err, args
 
@@ -603,7 +762,7 @@ _REPLAYS = [(inst, model, arena.play(inst, *arena.builtin_policies(inst, model),
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(model_instances().flatmap(lambda case: st.tuples(
-           st.just(case[1]), _fuzzed(serialize_instance(*case).encode()))),
+           st.just(case[1]), _fuzzed(serialize_instance(*case[:2]).encode()))),
        _fuzzed(_CNF), st.sampled_from(range(len(_REPLAYS))).flatmap(
            lambda i: st.tuples(st.just(i), _transcript_bytes(_REPLAYS[i][2]))))
 def test_fuzzed_inputs_keep_the_exit_contract(tmp_path_factory, instance, cnf, replay):

@@ -59,7 +59,7 @@ from tctp.core import (
     serialize_instance,
     window,
 )
-from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row
+from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row, table_width
 from tctp.errors import SizeLimitError
 from tctp.expansion import TARGET, build_expansion, layout
 from tctp.gadgets import CnfFormula, QbfFormula, gen_li_np, gen_li_pspace, gen_static_np
@@ -306,7 +306,8 @@ def test_budget_table_matches_exhaustive_play(case):
 
 @st.composite
 def weighted_dags(draw):
-    """A random DAG with zero weights, copies past any budget and dead ends."""
+    """A random DAG with zero weights, copies past any budget and dead ends,
+    at a budget up to three past the summed copies of its arcs."""
     n = draw(st.integers(2, 8))
     names = [f"n{i}" for i in range(n)]
     arcs = [StaticEdge(names[i], names[j], w, copies=c)
@@ -316,14 +317,24 @@ def weighted_dags(draw):
                     lambda a: a[0] < a[1]),
                 max_size=20))]
     g = StaticGraph.build(names, arcs, directed=True)
-    return g, draw(st.sampled_from(names)), draw(st.integers(0, 8))
+    k = draw(st.integers(0, 8) | st.integers(0, sum(a.copies for a in arcs) + 3))
+    return g, draw(st.sampled_from(names)), k
 
 
 @SETTINGS
 @given(weighted_dags())
+@example((StaticGraph.build(["n0", "n1"], [StaticEdge("n0", "n1", 1, copies=3)],
+                            directed=True), "n1", 3))
 def test_sorted_budget_table_matches_nsmallest(case):
+    """The table is table_width columns wide, and read at every budget up to
+    k it is the full-width, k + 1 column table; an arc of k copies counts
+    toward the width."""
     g, target, k = case
-    assert compute_pi(g, target, k).values == nsmallest_pi_values(g, target, k)
+    table = compute_pi(g, target, k)
+    width = table_width([e.copies for e in g.edges], k)
+    assert all(len(row) == width for row in table.values.values())
+    full = nsmallest_pi_values(g, target, k)
+    assert {v: tuple(table.value(v, i) for i in range(k + 1)) for v in table.values} == full
 
 
 @st.composite
@@ -463,6 +474,34 @@ def test_sweep_table_matches_compute_pi_on_the_expansion(case):
     # rows run latest first: the u playout reads each vertex's node times so
     times = [tau for _, tau in dec.table.values]
     assert all(a >= b for a, b in zip(times, times[1:]))
+
+
+@st.composite
+def u_windows_past_the_copies(draw):
+    """(instance, t1, t2) with up to six time edges and k up to three past
+    2C, C their summed copies: each is two blockable arcs of the expansion."""
+    inst, t1, t2 = draw(u_windows())
+    edges = inst.graph.edges[:6]
+    k = draw(st.integers(0, 2 * sum(e.copies for e in edges) + 3))
+    return dataclasses.replace(inst, graph=TemporalGraph.build(inst.graph.vertices, edges),
+                               k=k), t1, t2
+
+
+@SETTINGS
+@given(u_windows_past_the_copies())
+def test_capped_sweep_reads_as_the_full_width_expansion_table(case):
+    """The sweep's rows are table_width over the layout's departures wide,
+    and read at every budget up to k they are the k + 1 column table of the
+    rebuilt expansion."""
+    inst, t1, t2 = case
+    dec = decide_u(inst, t1, t2)
+    departs = layout(inst.graph, inst.s, dec.t1, dec.t2)[1]
+    width = table_width([c for arcs in departs.values() for _, _, c in arcs], inst.k)
+    assert all(len(row) == width for row in dec.table.values.values())
+    graph, _ = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
+    full = nsmallest_pi_values(graph, TARGET, inst.k)
+    for node in dec.table.values:
+        assert tuple(dec.table.value(node, i) for i in range(inst.k + 1)) == full[node]
 
 
 def test_table_moves_break_ties_by_head_then_weight():
@@ -867,6 +906,24 @@ def test_blocked_set_bounds_bracket_every_reference_value(inst):
         assert (lower == UNREACHABLE) == (not _reaches_t(inst, pos, blocked))
 
 
+@SETTINGS
+@given(blocking_games().flatmap(lambda inst: st.integers(
+    0, sum(e.copies for e in inst.graph.edges[:5]) + 3).map(lambda k: dataclasses.replace(
+        inst, graph=StaticGraph.build(inst.graph.vertices, inst.graph.edges[:5],
+                                      directed=inst.graph.directed), k=k))))
+def test_capped_bounds_match_the_full_width_bounds(inst):
+    """Past the summed copies the down tables stop at table_width columns,
+    and every state's bounds are those of k + 1 column tables."""
+    want = unbounded_static_game(inst, "incident")
+    want.entry_value()
+    game = StaticGame(inst, "incident")
+    assert game.width == table_width([e.copies for e in inst.graph.edges], inst.k)
+    full = StaticGame(inst, "incident")
+    full.width = inst.k + 1
+    for pos, state in want._values:
+        assert game.bounds(pos, state) == full.bounds(pos, state)
+
+
 @st.composite
 def reveal_scopes(draw):
     """(knowledge, state): vertex v's scope is up to 10 of the game's edges in
@@ -1031,5 +1088,7 @@ def test_generator_verifier_matches_the_stacked_reference(case, cut):
             # the guard trips at the same reveal state, after the same consults
             limit = cut % explored
             tripped = _refuted(stacked_refute, rules, policy, limit)
-            assert tripped[0] == f"verification explored more than {limit} reveal states"
+            assert tripped[0] in (f"verification explored more than {limit} reveal states",
+                                  f"verification tried more than {limit} count vectors "
+                                  "at one reveal")
             assert _refuted(arena._refute, rules, policy, limit) == tripped

@@ -166,22 +166,27 @@ def test_pi_row_runs_only_where_two_departures_undercut_the_wait(monkeypatch):
         decide_u(inst)
         xd = expansion.build_expansion(inst.graph, inst.s, inst.t, inst.k)
         origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k)[1]
-        table = dagctp.compute_pi(xd.graph, xd.target, inst.k).values
+        table = dagctp.compute_pi(xd.graph, xd.target, inst.k)
+
+        def row(v):
+            return [table.value(v, i) for i in range(inst.k + 1)]
+
         want = 0
         for node in xd.non_target_nodes():
             out = xd.graph.outgoing(node)
             waits = [e for e in out if origins[e.key] == WAIT]
             if node[0] == inst.t or not waits:  # a vertex's last node has no departure
                 continue
-            wait = [x + waits[0].weight for x in table[waits[0].v]]
+            wait = [x + waits[0].weight for x in row(waits[0].v)]
             under = [e for e in out if e not in waits
-                     and any(x + e.weight < y for x, y in zip(table[e.v], wait))]
+                     and any(x + e.weight < y for x, y in zip(row(e.v), wait))]
             want += len(under) >= 2
         assert len(calls) == want
-        for arcs, width in calls:
+        width = dagctp.table_width([e.copies for e in xd.graph.edges], inst.k)
+        for arcs, called in calls:
             wait_row, gap, copies = arcs[-1]
             wait = [x + gap for x in wait_row]
-            assert copies == width == inst.k + 1 and len(arcs) >= 3
+            assert copies == called == width and len(arcs) >= 3
             assert all(any(x + d < y for x, y in zip(head, wait)) for head, d, _ in arcs[:-1])
         total += want
     assert total > 0
