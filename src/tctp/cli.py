@@ -35,13 +35,24 @@ from .litctp import NEVER, exact_li, solve_k1
 from .utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 
+def _state_count(text: str) -> int:
+    """``--limit``'s value: a count of states, so never negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _common_flags() -> argparse.ArgumentParser:
     # SUPPRESS keeps a flag given before the subcommand from being clobbered
     # by the subparser's default
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                    help="output style (default text)")
-    p.add_argument("--limit", type=int, default=argparse.SUPPRESS, metavar="STATES",
+    p.add_argument("--limit", type=_state_count, default=argparse.SUPPRESS, metavar="STATES",
                    help="override the exhaustive-search state guard")
     p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                    help="no stdout; the exit code carries the answer")

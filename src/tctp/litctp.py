@@ -1,10 +1,13 @@
 """Locally-informed temporal game: statuses of every edge incident to a
 vertex surface on first arrival there, future departures included.
 
-``solve_k1`` decides the single-block case in polynomial time with a
-Dijkstra-like pass over latest-safe-departure values. ``exact_li`` decides
-any budget by memoized minimax over knowledge states and yields playable
-strategies for both sides.
+``solve_k1`` decides the single-block case in polynomial time: one
+latest-departure label pass, then for each sole witness (a single-copy edge
+that alone supports a vertex's label) a rescan of the edges of that
+vertex's dominator subtree, then a Dijkstra-like pass over
+latest-safe-departure values. A deep dominator chain still makes the
+rescans O(|V| |E|). ``exact_li`` decides any budget by memoized minimax
+over knowledge states and yields playable strategies for both sides.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Dict, Mapping, Optional
 
 from .core import Instance, TemporalGraph, window
@@ -47,22 +51,71 @@ def latest_departure_labels(
     return labels
 
 
-def _sole_witnesses(g: TemporalGraph, t, base: Mapping) -> list:
-    """Single-copy edge keys that alone support some vertex's base label.
+def _sole_witness_labels(g: TemporalGraph, t, base: Mapping) -> dict:
+    """x0's label in G - e, for each vertex x0 whose base label only a
+    single-copy edge e supports (its sole witness).
 
     Removing a copy of any other edge leaves every label unchanged: each
     label is still attained by a surviving edge whose far endpoint keeps its
-    (later) label, by induction on decreasing label. So only these keys
-    need a label pass of their own, at most one per vertex.
+    (later) label, by induction on decreasing label. In G - e, labels above
+    e.tau stay, and so does every label with a witness path to t that avoids
+    x0; witness labels rise strictly along a path, so the witness DAG (x to
+    y for each witness edge) has a dominator tree toward t, built in one pass
+    in decreasing label order, and only x0's subtree can change. Each rerun
+    scans that subtree's usable departures latest first and stops when x0 is
+    labelled, since a label is final when first set. A deep dominator chain
+    still costs O(|V| |E|).
     """
     witnesses: dict = {}
     for e in g.edges:
-        for x, y in ((e.u, e.v), (e.v, e.u)):
-            if x != t and e.tau == base[x] and e.arrival <= base[y]:
-                witnesses.setdefault(x, []).append(e)
-    return sorted(
-        ws[0].key for ws in witnesses.values() if len(ws) == 1 and ws[0].copies == 1
-    )
+        if e.tau == base[e.u] and e.tau + e.d <= base[e.v]:
+            witnesses.setdefault(e.u, []).append(e)
+        elif e.tau == base[e.v] and e.tau + e.d <= base[e.u]:
+            witnesses.setdefault(e.v, []).append(e)
+    sole = [x for x, ws in witnesses.items() if len(ws) == 1 and ws[0].copies == 1]
+    if not sole:
+        return {}
+
+    # a dominator's label is above its subtree's, so the lower of two
+    # fingers is never the other's dominator and may step up
+    idom, children = {}, {t: []}
+    for x in sorted(witnesses, key=base.__getitem__, reverse=True):
+        a, *ys = [e.other(x) for e in witnesses[x]]
+        for b in ys:
+            while a != b:
+                if base[a] < base[b]:
+                    a = idom[a]
+                else:
+                    b = idom[b]
+        idom[x], children[x] = a, []
+        children[a].append(x)
+
+    # departures by which x could still reach y in time, latest first
+    usable: dict = {x: [] for x in witnesses}
+    for e in g.latest_first:
+        u, v, tau, arrival = e.u, e.v, e.tau, e.tau + e.d
+        if tau <= base[u] and arrival <= base[v] and u in usable:
+            usable[u].append((tau, arrival, u, v))
+        if tau <= base[v] and arrival <= base[u] and v in usable:
+            usable[v].append((tau, arrival, v, u))
+    relabelled = {}
+    for x0 in sole:
+        labels = {x0: NEVER}
+        scan = usable[x0][1:]  # the first is the witness itself
+        stack = children[x0][:] if scan else []  # else x0 has no other way out
+        while stack:
+            v = stack.pop()
+            labels[v] = NEVER
+            scan += usable[v]
+            stack += children[v]
+        scan.sort(key=itemgetter(0), reverse=True)
+        for tau, arrival, x, y in scan:
+            if tau > labels[x] and arrival <= (labels[y] if y in labels else base[y]):
+                labels[x] = tau
+                if x == x0:
+                    break
+        relabelled[x0] = labels[x0]
+    return relabelled
 
 
 @dataclass
@@ -91,6 +144,11 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
     over edges into already-settled vertices u arriving by pi1(u). Vertices
     settle in order of decreasing pi1 = min(lam1, nu). Traveller wins iff
     standing at s at time 0 is safe, i.e. pi1(s) >= 0.
+
+    Cost: one label pass; then, per sole witness, a rescan of the edges of
+    its dominator subtree (``_sole_witness_labels``); then the settling
+    heap. Random graphs give shallow subtrees, but a deep dominator chain
+    still makes the rescans O(|V| |E|).
     """
     g = inst.graph
     if not isinstance(g, TemporalGraph):
@@ -100,15 +158,8 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
     _, T = window(inst, 0, T)
 
     base = latest_departure_labels(g, inst.t, T)
-    cache = {
-        key: latest_departure_labels(g, inst.t, T, skip_one=key)
-        for key in _sole_witnesses(g, inst.t, base)
-    }
-    lam1 = {
-        v: min((cache[e.key][v] if e.key in cache else base[v]
-                for e in g.incident(v)), default=math.inf)
-        for v in g.vertices if v != inst.t
-    }
+    lam1 = {v: base[v] for v in g.vertices if v != inst.t}
+    lam1.update(_sole_witness_labels(g, inst.t, base))
 
     pi1: Dict[object, float] = {inst.t: T}
     nu: Dict[object, float] = dict.fromkeys(lam1, NEVER)
@@ -117,8 +168,10 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
         if e.tau + e.d <= T and e.tau > nu[other]:
             nu[other] = e.tau
     # max-heap on (value, then smallest name); values only rise, so a
-    # vertex's current entry pops before its stale ones
-    heap = [(-min(lam1[v], nu[v]), v) for v in nu]
+    # vertex's current entry pops before its stale ones. A vertex at NEVER
+    # stays off it: the ones left when it empties settle last, by name, as
+    # they would pop, and settling them changes nothing
+    heap = [(-val, v) for v in nu if (val := min(lam1[v], nu[v])) > NEVER]
     heapq.heapify(heap)
     while heap:
         neg, best_v = heapq.heappop(heap)
@@ -127,10 +180,12 @@ def solve_k1(inst: Instance, T=None) -> K1Result:
         best_val = -neg
         pi1[best_v] = best_val
         for e in g.incident(best_v):
-            other = e.other(best_v)
+            other = e.v if e.u == best_v else e.u
             if other not in pi1 and e.tau + e.d <= best_val and e.tau > nu[other]:
                 nu[other] = e.tau
-                heapq.heappush(heap, (-min(lam1[other], nu[other]), other))
+                if lam1[other] > NEVER:
+                    heapq.heappush(heap, (-min(lam1[other], e.tau), other))
+    pi1.update((v, NEVER) for v in sorted(nu.keys() - pi1.keys()))
     return K1Result(pi1[inst.s] >= 0, pi1, T, inst)
 
 

@@ -37,17 +37,42 @@ def rand_dag(rng: random.Random, max_n: int = 8, max_arcs: int = 14,
 
 
 def rand_temporal(rng: random.Random, max_n: int = 6, max_keys: int = 12,
-                  max_tau: int = 5, max_k: int = 2, k=None, max_d: int = 2) -> Instance:
-    n = rng.randint(2, max_n)
+                  max_tau: int = 5, max_k: int = 2, k=None, max_d: int = 2,
+                  min_n: int = 2, min_keys: int = 1) -> Instance:
+    n = rng.randint(min_n, max_n)
     names = [f"v{i}" for i in range(n)]
     edges = []
-    for _ in range(rng.randint(1, max_keys)):
+    for _ in range(rng.randint(min_keys, max_keys)):
         u, v = rng.sample(names, 2)
         edges.append(TimeEdge(u, v, rng.randint(0, max_tau), rng.randint(1, max_d),
                               copies=rng.randint(1, 3)))
     g = TemporalGraph.build(names, edges)
     budget = rng.randint(0, max_k) if k is None else k
     return Instance(g, names[0], names[-1], budget)
+
+
+def witness_chains(rng: random.Random, n: int, bypasses: int) -> Instance:
+    """Single-copy paths into t with a few random bypasses, at k = 1.
+
+    Vertex i leaves at 3i along a single-copy edge to a vertex at most three
+    places on, arriving by that vertex's own departure, so the paths form a
+    deep in-tree toward t, and each path edge is its tail's sole witness
+    unless a bypass offers a later departure. Half the vertices fork to two
+    such vertices at once, so their dominator is a meet of two paths.
+    Random draws give shallow dominator subtrees of the witness DAG; these
+    give deep ones.
+    """
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(n - 1):
+        ahead = range(i + 1, min(n - 1, i + 3) + 1)
+        for j in rng.sample(ahead, 2 if len(ahead) > 1 and rng.random() < 0.5 else 1):
+            edges.append(TimeEdge(names[i], names[j], 3 * i, rng.randint(1, 3)))
+    for _ in range(bypasses):
+        u, v = rng.sample(names, 2)
+        edges.append(TimeEdge(u, v, rng.randint(0, 3 * n), rng.randint(1, 3),
+                              copies=rng.randint(1, 2)))
+    return Instance(TemporalGraph.build(names, edges), names[0], names[-1], 1)
 
 
 def rand_static(rng: random.Random, max_n: int = 6, max_w: int = 5,

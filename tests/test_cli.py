@@ -685,6 +685,18 @@ def test_every_command_keeps_the_exit_contract(tmp_path_factory, case):
         assert "Traceback" not in err, args
 
 
+def test_a_negative_limit_exits_two_on_every_command(sep_file):
+    for args in CONTRACT_ARGS:
+        at = 2 if args[0] == "gen" else 1
+        for argv in (args[:at] + [sep_file] + args[at:] + ["--limit", "-1"],
+                     ["--limit", "-1"] + args[:at] + [sep_file] + args[at:]):
+            code, out, err = _run(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith("error: argument --limit: must be >= 0, got -1\n"), argv
+            assert "Traceback" not in err, argv
+    assert _run(["solve-li", "--exact", sep_file, "--limit", "0"])[0] == 4
+
+
 def test_malformed_transcripts_exit_two(tmp_path, sep_file):
     """A transcript row that is not an object, or lacks a field the replay
     reads, is an input error and not a traceback."""

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arena_golden import greedy_static, greedy_temporal, wanderer
-from generators import rand_dag, rand_temporal
+from generators import rand_dag, rand_temporal, witness_chains
 from oracles import (
     FullStateLiGame,
     SINK,
@@ -105,6 +105,24 @@ def test_sole_witness_k1_matches_per_edge_reruns(inst):
     assert res.wins == (want[inst.s] >= 0)
     # same values, settled in the same order
     assert list(res.pi1.items()) == list(want.items())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_k1_matches_per_edge_reruns_at_hundreds_of_edges(seed, chains, timed):
+    """Random draws of 100-600 edges, and deep dominator chains, with and
+    without a deadline: the sole-witness rescans give the per-edge reruns'
+    table, settled in the same order."""
+    rng = random.Random(seed)
+    if chains:
+        n = rng.randint(100, 300)
+        inst = witness_chains(rng, n, rng.randint(0, n // 2))
+    else:
+        n = rng.randint(25, 150)
+        inst = rand_temporal(rng, n, 600, n, k=1, min_n=25, min_keys=100)
+    if timed:
+        inst = dataclasses.replace(inst, deadline=rng.randint(0, 3 * n))
+    assert list(solve_k1(inst).pi1.items()) == list(per_edge_k1_table(inst).items())
 
 
 @SETTINGS
