@@ -49,7 +49,7 @@ from functools import cache
 from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticGraph, TemporalGraph, window
-from .dagctp import PiTable, blocker_move, compute_pi, table_width, traveller_move
+from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
 from .errors import STATE_LIMIT, VERIFY_LIMIT, CyclicGraphError, SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
@@ -700,13 +700,11 @@ def table_policies(inst: Instance, table: PiTable) -> tuple:
 
 
 def solve_weighted(inst: Instance, state_limit: int = STATE_LIMIT) -> tuple:
-    """(value, traveller, blocker) by the budget table of a DAG that passes ``table_width``
-    with at most STATE_LIMIT ``pi_row`` steps (min(n, width)^2 per n out-copies), else search."""
+    """(value, traveller, blocker) by the budget table of a DAG, else (an undirected or
+    cyclic graph, or a table past TABLE_STEPS) by the search."""
     g, k = inst.graph, inst.k
-    with contextlib.suppress(CyclicGraphError, SizeLimitError):
-        width = table_width([e.copies for e in g.edges], k)
-        if g.directed and sum(min(sum(e.copies for e in g.outgoing(v)), width) ** 2 + width
-                              for v in g.vertices) <= STATE_LIMIT:
+    if g.directed:
+        with contextlib.suppress(CyclicGraphError, SizeLimitError):
             table = compute_pi(g, inst.t, k)
             return table.value(inst.s, k), *table_policies(inst, table)
     game = StaticGame(inst, "out" if g.directed else "incident", state_limit)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import StaticGraph
-from .errors import ROW_STEPS, TABLE_CELLS, CyclicGraphError, SizeLimitError
+from .errors import TABLE_STEPS, CyclicGraphError, SizeLimitError
 
 UNREACHABLE = math.inf
 
@@ -54,17 +54,27 @@ class PiTable:
         return self.values[v][min(i, len(self.values[v]) - 1)]
 
 
-def table_width(copies: Iterable[int], k: int, rows: int = 0) -> int:
+def table_width(copies: Iterable[int], k: int) -> int:
     """min(k, C) + 1 budget columns, C the summed copies that k can block whole: with C
-    left Blocker blocks them all, so no row changes past C. SizeLimitError past TABLE_CELLS."""
-    width = min(k, sum([c for c in copies if c <= k])) + 1
-    if rows * width > TABLE_CELLS:
-        raise SizeLimitError(f"budget table of {rows} rows x {width} columns exceeded "
-                             f"{TABLE_CELLS} cells", TABLE_CELLS)
-    return width
+    left Blocker blocks them all, so no row changes past C."""
+    return min(k, sum([c for c in copies if c <= k])) + 1
 
 
-def pi_row(arcs: list, width: int) -> tuple:
+class TableSteps:
+    """One budget table's step count: a step per cell before its first row, then reach x
+    listed candidates per ``pi_row`` row of two or more arcs. SizeLimitError past TABLE_STEPS."""
+
+    def __init__(self, cells: int):
+        self.steps = 0
+        self.charge(cells)
+
+    def charge(self, n: int) -> None:
+        self.steps += n
+        if self.steps > TABLE_STEPS:
+            raise SizeLimitError(f"budget table exceeded {TABLE_STEPS} steps", TABLE_STEPS)
+
+
+def pi_row(arcs: list, width: int, steps: TableSteps) -> tuple:
     """One vertex's row of the budget table, from its out-arcs.
 
     arcs holds (head row, weight, copies) per out-arc, and width is the
@@ -77,23 +87,20 @@ def pi_row(arcs: list, width: int) -> tuple:
     (m+1)-smallest exists. Head rows never fall as the budget grows (a
     precondition), so a single arc's max is at m = 0: its row is the head
     row plus the weight. No out-arc gives an unreachable row. More arcs take
-    a sorted candidate list per column: SizeLimitError past ROW_STEPS.
+    a sorted candidate list per column, charged to the table's ``steps``.
     ``utctp._sweep`` calls this only where two or more departures undercut
     its wait, and reads other rows off it.
     """
-    n = 0
+    n = listed = 0
     for _, _, copies in arcs:
         n += copies
+        listed += copies if copies < width else width
     reach = n if n < width else width
     if len(arcs) == 1:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
-        if reach * n > ROW_STEPS:  # n bounds the candidates listed: count them only then
-            listed = sum([c if c < width else width for _, _, c in arcs])
-            if reach * listed > ROW_STEPS:
-                raise SizeLimitError(f"budget table row of {reach} columns x {listed} "
-                                     f"candidates exceeded {ROW_STEPS} steps", ROW_STEPS)
+        steps.charge(reach * listed)
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins
@@ -126,8 +133,8 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
     order = topological_order(g)
-    k = budget
-    width = table_width([e.copies for e in g.edges], k, len(order))
+    width = table_width([e.copies for e in g.edges], budget)
+    steps = TableSteps(len(order) * width)
     zero = (0,) * width
     values: dict = {}
     for v in reversed(order):
@@ -135,9 +142,9 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
             values[v] = zero
             continue
         values[v] = pi_row(
-            [(values[e.v], e.weight, e.copies) for e in g.outgoing(v)], width
+            [(values[e.v], e.weight, e.copies) for e in g.outgoing(v)], width, steps
         )
-    return PiTable(values, k)
+    return PiTable(values, budget)
 
 
 def decide_dag(g: StaticGraph, s, t, budget: int, deadline) -> bool:

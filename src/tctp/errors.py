@@ -2,8 +2,8 @@
 
 STATE_LIMIT = 10**7  # states of an exact knowledge-state search
 VERIFY_LIMIT = 200_000  # reveal states the verifier explores
-TABLE_CELLS = 2 * 10**7  # cells of one budget table, up to 35 bytes each
-ROW_STEPS = 10**8  # pi_row steps (columns x candidates) of one row, 40-95 ns each
+TABLE_STEPS = 10**7  # steps of one budget table (cells, then pi_row's candidates), 40-95 ns each
+TABLE_CELLS = 2 * 10**7  # cells that dag-solve --table prints
 
 
 class InstanceFormatError(ValueError):

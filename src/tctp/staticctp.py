@@ -11,13 +11,12 @@ UNREACHABLE when the blocker can cut every route.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import math
 from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
-from .dagctp import UNREACHABLE, PiTable, pi_row, table_width
+from .dagctp import UNREACHABLE, PiTable, TableSteps, pi_row, table_width
 from .errors import STATE_LIMIT, SizeLimitError
 from .knowledge import EMPTY, Knowledge, run
 
@@ -26,23 +25,21 @@ class StaticGame:
     """Minimax engine over knowledge states (position, settled statuses).
 
     discovery="incident" settles every edge at a vertex on the walker's first
-    arrival there; discovery="out" settles only departing arcs, which is the
-    mode used to cross-check the layered-graph table on directed acyclic
-    inputs.  Accumulated cost is not part of the state: costs are additive, so
-    the cost-to-go from a knowledge state is a single number.
+    arrival there; discovery="out" settles only departing arcs, the game of
+    the layered-graph table, on any directed graph.  Accumulated cost is not
+    part of the state: costs are additive, so the cost-to-go from a knowledge
+    state is a single number.
 
     One search, ``_win`` (is the cost-to-go within a slack?), with one table,
     ``_bands``, answers decisions and, by probes over the slack, values
     (MTD(f)'s null-window probes over a table of bounds); the play helpers
     read portal and reveal values from ``value``.
 
-    In incident mode, ``bounds`` brackets every cost-to-go from tables kept
+    In both modes ``bounds`` brackets every cost-to-go from tables kept
     once per blocked set B, however many states share it: the distance to
     t over G - B below, and the budget table of a Traveller who only moves
     down the order of that distance above. A probe outside the bracket is
-    answered without a search. The out mode keeps the everything-open
-    distance as its only bound: it is the oracle that the budget table of
-    ``dagctp`` is checked against, so it reads no table.
+    answered without a search.
     """
 
     def __init__(self, inst: Instance, discovery: str = "incident",
@@ -70,10 +67,8 @@ class StaticGame:
         for v, moves in self.moves.items():
             for b, w, weight, _ in moves:
                 self.into[w].append((v, weight, b))
-        self.bounded = discovery == "incident"
-        self.width = None  # down-table columns; None past the table limits: no pruning
-        with contextlib.suppress(SizeLimitError):
-            self.width = table_width(self.know.copies.values(), inst.k, len(g.vertices))
+        # down-table columns; None once a table passes TABLE_STEPS: no upper bounds
+        self.width = table_width(self.know.copies.values(), inst.k)
         # blocked mask -> [distance to t over the rest, down table (``width``
         # columns for every mask) or None until ``bounds`` first needs it]
         self._tables: dict = {}
@@ -188,14 +183,13 @@ class StaticGame:
 
     def floor(self, blocked: int) -> dict:
         """Lower bounds on the cost-to-go of every state whose blocked mask
-        is ``blocked``, a vertex missing where it is UNREACHABLE: in
-        incident mode the distance to t over the rest of the graph, in out
-        mode the everything-open distance, ``floor(0)``. They prune the
-        threshold search and the play sweeps and start the value search."""
-        return self._table(blocked if self.bounded else 0)[0]
+        is ``blocked``, a vertex missing where it is UNREACHABLE: the
+        distance to t over the rest of the graph. They prune the threshold
+        search and the play sweeps and start the value search."""
+        return self._table(blocked)[0]
 
     def bounds(self, pos, state) -> tuple:
-        """(lower, upper) on the cost-to-go at pos in incident mode.
+        """(lower, upper) on the cost-to-go at pos.
 
         Let B be the edges blocked in ``state``. The lower bound is the
         distance to t over G - B. Order the vertices that reach t by (that
@@ -206,7 +200,7 @@ class StaticGame:
         gone, edges settled open can no longer be cut, and a down arc is
         settled when the walker first stands at its upper end, as in the
         table, or earlier. Both bounds are UNREACHABLE when G - B cuts pos
-        from t, and the upper one where the table limits leave no table.
+        from t, and the upper one once a table has passed TABLE_STEPS.
         """
         blocked, spent = state[1], state[2]
         entry = self._table(blocked)
@@ -218,13 +212,14 @@ class StaticGame:
             idx, width, copies = self.g.index, self.width, self.know.copies
             rows = {}
             try:
+                steps = TableSteps(len(dist) * width)
                 for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
                     rows[v] = (0,) * width if v == self.inst.t else pi_row(
                         [(rows[w], weight, copies[key])
                          for bit, w, weight, key in self.moves[v]
-                         if w in rows and not blocked & bit], width)
+                         if w in rows and not blocked & bit], width, steps)
                 rows = entry[1] = PiTable(rows, self.inst.k)
-            except SizeLimitError:  # a row past ROW_STEPS: no mask gets a table
+            except SizeLimitError:  # past TABLE_STEPS: no mask gets a table
                 self.width = None
         return dist[pos], rows.value(pos, self.inst.k - spent) if self.width else UNREACHABLE
 
@@ -243,7 +238,7 @@ class StaticGame:
         key = (pos, state)
         band = self._bands.get(key)
         if band is None:
-            upper = self.bounds(pos, state)[1] if self.bounded else UNREACHABLE
+            upper = self.bounds(pos, state)[1]
             if upper == UNREACHABLE:
                 upper = None
             elif slack >= upper:
@@ -364,9 +359,8 @@ def decide_static(inst: Instance, T=None, discovery: str = "incident",
                   state_limit: int = STATE_LIMIT) -> bool:
     """True iff the guaranteed cost is at most T (default: inst.deadline).
 
-    One probe of the threshold search, with everything-open distances as an
-    exact pruning bound; exact_static_value finds the value by probes of
-    this same search.
+    One probe of the threshold search, pruned by ``StaticGame.bounds``;
+    exact_static_value finds the value by probes of this same search.
     """
     if T is None:
         T = inst.deadline

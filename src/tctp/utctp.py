@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan, window
-from .dagctp import UNREACHABLE, PiTable, pi_row, table_width
+from .dagctp import UNREACHABLE, PiTable, TableSteps, pi_row, table_width
 from .errors import SizeLimitError
 from .expansion import layout
 
@@ -77,7 +77,8 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     and row for row the tables agree, less the expansion's target node.
     """
     nodes, departs = layout(g, s, t1, t2)
-    width = table_width([c for arcs in departs.values() for _, _, c in arcs], k, len(nodes))
+    width = table_width([c for arcs in departs.values() for _, _, c in arcs], k)
+    steps = TableSteps(len(nodes) * width)
     zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
@@ -108,7 +109,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
                 row = tuple(low[:c] + [x if x > y else y for x, y in zip(low[c:], wait)])
             else:
                 under.append((nxt[1], gap, width))
-                row = pi_row(under, width)
+                row = pi_row(under, width, steps)
         values[node] = row
         later[v] = (tau, row)
     return PiTable(values, k)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from tctp.core import Instance, StaticEdge, StaticGraph, TemporalGraph, TimeEdge
 
-# the numbers a file may write: none, one, just past a table row's ROW_STEPS
-# (10^4 copies) and a table's TABLE_CELLS (10^7), the 32- and 64-bit edges and past them
+# the numbers a file may write: none, one, 10^4 copies (two such arcs make a row
+# past TABLE_STEPS) and 10^7 (a table whose cells alone pass it), the 32- and 64-bit
+# edges and past them
 MAGNITUDES = (0, 1, 10**4, 10**7, 2**31, 2**63 - 1, 2**63, 10**20)
 
 

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_left
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ from oracles import (
     summed_edges,
     unbounded_static_game,
 )
-from tctp import arena
+from tctp import arena, dagctp, utctp
 from tctp.arena import (
     TRAVELLER_WIN,
     Transcript,
@@ -59,7 +60,7 @@ from tctp.core import (
     serialize_instance,
     window,
 )
-from tctp.dagctp import UNREACHABLE, brute_dag_game, compute_pi, pi_row, table_width
+from tctp.dagctp import UNREACHABLE, TableSteps, brute_dag_game, compute_pi, pi_row, table_width
 from tctp.errors import SizeLimitError
 from tctp.expansion import TARGET, build_expansion, layout
 from tctp.gadgets import CnfFormula, QbfFormula, gen_li_np, gen_li_pspace, gen_static_np
@@ -288,13 +289,30 @@ def test_cross_model_laws_hold_past_the_oracle_sizes(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_dag_laws_hold_past_the_oracle_sizes(seed):
     """On DAGs of 10-15 vertices and 30-50 arcs, past ``brute_dag_game``'s
-    reach, the budget table equals the exact search over out-arcs at
+    reach, the budget table equals the unbounded search over out-arcs at
     k = 0..2, and the value never falls as k grows."""
     base = rand_dag(random.Random(seed), max_n=15, max_arcs=50, max_k=0,
                     min_n=10, min_arcs=30)
-    values = [StaticGame(dataclasses.replace(base, k=k), "out").entry_value()
+    values = [unbounded_static_game(dataclasses.replace(base, k=k), "out").entry_value()
               for k in range(3)]
     assert values == list(compute_pi(base.graph, base.t, 2).values[base.s])
+    assert values == sorted(values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_static_values_never_fall_as_k_grows(seed, directed):
+    """On games of 10-15 vertices, undirected (n to 2n edges, incident mode)
+    or directed with cycles (2n to 3n arcs, out mode), a larger budget never
+    lowers the value the walker can guarantee."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 15)
+    names = [f"u{i}" for i in range(n)]
+    edges = [StaticEdge(*rng.sample(names, 2), rng.randint(0, 5), copies=rng.randint(1, 2))
+             for _ in range(rng.randint(n, 2 * n) + (n if directed else 0))]
+    g = StaticGraph.build(names, edges, directed=directed)
+    values = [StaticGame(Instance(g, names[0], names[-1], k),
+                         "out" if directed else "incident").entry_value() for k in range(4)]
     assert values == sorted(values)
 
 
@@ -391,7 +409,7 @@ def test_budget_cut_row_matches_the_full_width_row(case):
     beside a finite narrow arc, one with copies past the width, and an arc
     one copy short of wide that nothing undercuts."""
     arcs, width = case
-    assert pi_row(arcs, width) == full_width_pi_row(arcs, width)
+    assert pi_row(arcs, width, TableSteps(0)) == full_width_pi_row(arcs, width)
 
 
 @SETTINGS
@@ -402,7 +420,7 @@ def test_pi_row_caps_copies_at_the_width(case):
     arcs, width = case
     huge = [(head, weight, 2**63 if copies >= width else copies)
             for head, weight, copies in arcs]
-    assert pi_row(huge, width) == pi_row(arcs, width)
+    assert pi_row(huge, width, TableSteps(0)) == pi_row(arcs, width, TableSteps(0))
 
 
 @SETTINGS
@@ -522,6 +540,69 @@ def test_capped_sweep_reads_as_the_full_width_expansion_table(case):
         assert tuple(dec.table.value(node, i) for i in range(inst.k + 1)) == full[node]
 
 
+@st.composite
+def crowded_u_windows(draw):
+    """(instance, 0, None) on 2-3 vertices with 6-14 edges that depart at
+    times 0-2, so that two or more departures often undercut a node's wait."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    names = [f"v{i}" for i in range(n)]
+    records = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2),
+                  st.integers(1, 2), st.integers(1, k + 2)).filter(lambda r: r[0] != r[1]),
+        min_size=6, max_size=14,
+    ))
+    edges = [TimeEdge(names[a], names[b], tau, d, copies)
+             for a, b, tau, d, copies in records]
+    return Instance(TemporalGraph.build(names, edges), names[0], names[-1], k), 0, None
+
+
+# three hops of two parallel 3-copy arcs at a budget past their copies: three
+# rows of 36 steps each, every one far below the table's 184
+_PARALLEL_HOPS = (StaticGraph.build(["s", "a", "b", "t"], [
+    StaticEdge(u, v, w, copies=3) for u, v in (("s", "a"), ("a", "b"), ("b", "t"))
+    for w in (1, 2)], directed=True), "t", 100)
+
+
+@SETTINGS
+@given(weighted_dags() | u_windows() | crowded_u_windows())
+@example(_PARALLEL_HOPS)
+def test_a_table_answers_within_its_direct_step_count(case):
+    """Each table counts D steps: a cell per row and column, then reach x
+    listed candidates per ``pi_row`` row of two or more arcs, reach the
+    columns its copies can fill and listed their copies, each at most the
+    width. With TABLE_STEPS at D the DAG table and the ``u`` sweep answer
+    as without a limit; at D - 1 they raise, however many rows share D."""
+    if isinstance(case[0], StaticGraph):
+        g, target, k = case
+        width = table_width([e.copies for e in g.edges], k)
+        cells = len(g.vertices) * width
+        rows = [[e.copies for e in g.outgoing(v)] for v in g.vertices if v != target]
+
+        def build():
+            return compute_pi(g, target, k)
+        want = build()
+    else:
+        inst, t1, t2 = case
+        t1, t2 = window(inst, t1, t2)
+        nodes, departs = layout(inst.graph, inst.s, t1, t2)
+        width = table_width([c for arcs in departs.values() for _, _, c in arcs], inst.k)
+        cells = len(nodes) * width
+
+        def build():
+            return decide_u(inst, t1, t2)
+        rows = []
+        with mock.patch.object(utctp, "pi_row", lambda arcs, w, steps: rows.append(
+                [c for _, _, c in arcs]) or pi_row(arcs, w, steps)):
+            want = build()
+    d = cells + sum(min(sum(row), width) * sum(min(c, width) for c in row)
+                    for row in rows if len(row) >= 2)
+    with mock.patch.object(dagctp, "TABLE_STEPS", d):
+        assert build() == want
+    with mock.patch.object(dagctp, "TABLE_STEPS", d - 1):
+        with pytest.raises(SizeLimitError, match=f"^budget table exceeded {d - 1} steps$"):
+            build()
+
+
 def test_table_moves_break_ties_by_head_then_weight():
     """A tie goes to the arc whose (head, weight) sorts first: at (s, 0) of
     the tied wait the wait's head (s, 1) comes before the edge's (t, 2), and
@@ -591,11 +672,11 @@ def dag_games(draw):
 @given(dag_games())
 def test_dag_policies_match_the_outgoing_reading_reference(case):
     """The builtin ``dag`` pair, on ``solve_weighted``'s table, plays and
-    verifies as the full-width table read off the graph and as the exact
+    verifies as the full-width table read off the graph and as the unbounded
     search over out-arcs, whose value ``solve_weighted`` returns."""
     inst, deadline = case
     got = builtin_policies(inst, "dag")
-    game = StaticGame(inst, "out")
+    game = unbounded_static_game(inst, "out")
     assert solve_weighted(inst)[0] == game.entry_value()
     for want in (outgoing_read_policies(inst),
                  (game.traveller_policy(), game.blocker_policy())):
@@ -836,16 +917,16 @@ def test_parse_matches_the_reference_reader(text):
 
 @st.composite
 def blocking_games(draw):
-    """A static or dag instance with zero weights, copies past the budget,
-    dead ends and vertices that cannot reach t, s and t anywhere, with or
-    without a deadline."""
+    """A static or directed instance with zero weights, copies past the
+    budget, dead ends and vertices that cannot reach t, s and t anywhere,
+    with or without a deadline; a directed one may have cycles."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 6))
     names = [f"u{i}" for i in range(n)]
     records = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 5),
                   st.integers(1, 4)).filter(
-            lambda r: r[0] < r[1] if directed else r[0] != r[1]),
+            lambda r: r[0] != r[1]),
         max_size=12,
     ))
     edges = [StaticEdge(names[a], names[b], w, copies=c) for a, b, w, c in records]
@@ -883,13 +964,16 @@ def test_bounded_static_sweeps_match_the_unbounded_reference(inst):
             assert got.know.state(decided) == state
             assert got.plan_move(pos, decided) == want.plan_move(pos, decided)
             assert got.best_reveal(pos, decided) == want.best_reveal(pos, decided)
-    # the playout of solve-static: each model's own discovery mode
+    # the playout of solve-static and the verifier: each model's own discovery mode
     discovery, model = ("out", "dag") if inst.graph.directed else ("incident", "static")
-    plays = []
+    plays, verdicts = [], []
     for game in (StaticGame(inst, discovery), unbounded_static_game(inst, discovery)):
         tr = play(inst, game.traveller_policy(), game.blocker_policy(), model)
         plays.append(_bytes(tr))
+        res = verify_traveller_strategy(inst, game.traveller_policy(), model)
+        verdicts.append((res.ok, res.explored, _bytes(res.counterexample)))
     assert plays[0] == plays[1]
+    assert verdicts[0] == verdicts[1]
 
 
 def _reaches_t(inst, pos, blocked) -> bool:
@@ -911,17 +995,18 @@ def _reaches_t(inst, pos, blocked) -> bool:
 @given(blocking_games())
 @example(_DETOUR)
 def test_blocked_set_bounds_bracket_every_reference_value(inst):
-    """At every state the reference values in incident mode, the bounds of
-    its blocked set hold the value, and the lower one is unreachable exactly
-    when the blocked edges cut pos from t."""
-    want = unbounded_static_game(inst, "incident")
-    want.entry_value()
-    game = StaticGame(inst, "incident")
-    for (pos, state), value in list(want._values.items()):
-        lower, upper = game.bounds(pos, state)
-        assert lower <= value <= upper
-        blocked = {key for key, bit in want.know.bit.items() if state[1] & bit}
-        assert (lower == UNREACHABLE) == (not _reaches_t(inst, pos, blocked))
+    """At every state the reference values, in either discovery mode, the
+    bounds of its blocked set hold the value, and the lower one is
+    unreachable exactly when the blocked edges cut pos from t."""
+    for discovery in ("incident", "out"):
+        want = unbounded_static_game(inst, discovery)
+        want.entry_value()
+        game = StaticGame(inst, discovery)
+        for (pos, state), value in list(want._values.items()):
+            lower, upper = game.bounds(pos, state)
+            assert lower <= value <= upper
+            blocked = {key for key, bit in want.know.bit.items() if state[1] & bit}
+            assert (lower == UNREACHABLE) == (not _reaches_t(inst, pos, blocked))
 
 
 @SETTINGS

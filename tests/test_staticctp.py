@@ -6,6 +6,7 @@ import random
 import pytest
 
 from generators import rand_dag
+from oracles import unbounded_static_game
 from tctp import staticctp
 from tctp.arena import TRAVELLER_WIN, builtin_policies, play
 from tctp.core import Instance, StaticEdge, StaticGraph
@@ -208,26 +209,26 @@ def test_out_discovery_reproduces_the_layered_table():
     triple = StaticGraph.build(
         ["s", "t"], [StaticEdge("s", "t", w) for w in (1, 2, 5)], directed=True
     )
-    assert exact_static_value(Instance(triple, "s", "t", 2), discovery="out") == 5
+    assert unbounded_static_game(Instance(triple, "s", "t", 2), "out").entry_value() == 5
     rng = random.Random(909)
     for _ in range(40):
         inst = rand_dag(rng, max_n=6, max_arcs=10)
-        got = exact_static_value(inst, discovery="out")
+        got = unbounded_static_game(inst, "out").entry_value()
         assert got == compute_pi(inst.graph, inst.t, inst.k).value(inst.s, inst.k)
 
 
 def test_out_discovery_reads_no_budget_table(monkeypatch):
-    """The out mode cross-checks ``compute_pi``, so it must not read a row of
-    that table itself: a game with the row kernel removed still solves and
-    plays every DAG."""
-    def no_row(arcs, width):
-        raise AssertionError("the out mode read a budget-table row")
+    """The unbounded out-mode reference cross-checks ``compute_pi``, so it
+    must not read a row of that table itself: with the row kernel removed it
+    still solves and plays every DAG."""
+    def no_row(arcs, width, steps):
+        raise AssertionError("the out-mode reference read a budget-table row")
     monkeypatch.setattr(staticctp, "pi_row", no_row)
     assert not hasattr(staticctp, "compute_pi")
     rng = random.Random(4242)
     for _ in range(40):
         inst = rand_dag(rng, max_n=6, max_arcs=10)
-        game = StaticGame(inst, discovery="out")
+        game = unbounded_static_game(inst, "out")
         assert game.entry_value() == compute_pi(inst.graph, inst.t, inst.k).value(
             inst.s, inst.k)
         play(inst, game.traveller_policy(), game.blocker_policy(), "dag")

@@ -156,8 +156,8 @@ def test_pi_row_runs_only_where_two_departures_undercut_the_wait(monkeypatch):
     # departure arcs below their wait arc are counted on the expansion
     calls = []
     monkeypatch.setattr(utctp, "pi_row",
-                        lambda arcs, width: calls.append((arcs, width))
-                        or dagctp.pi_row(arcs, width))
+                        lambda arcs, width, steps: calls.append((arcs, width))
+                        or dagctp.pi_row(arcs, width, steps))
     rng = random.Random(25)
     total = 0
     for _ in range(40):
