@@ -668,7 +668,9 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
     the table: a departure per edge leaving there at that instant and
     arriving by t2, and the wait to the vertex's next node in the table. A
     position between two nodes (a wait woken by an edge that arrives too
-    late to be in the table) has only that wait.
+    late to be in the table) has only that wait. Every arc weighs 0: an arc's
+    cost is its head's arrival in the table less the clock, the same for every
+    arc at a position, so moves and (head, weight) ties are the cost table's.
     """
     dec = decide_u(inst, t1, t2)
     g, t1, t2, wide = inst.graph, dec.t1, dec.t2, inst.k + 1
@@ -682,12 +684,12 @@ def expansion_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
 
     def arcs_at(view) -> list:
         v, clock = view.position, view.clock
-        arcs = [((e.other(v), e.arrival), e.d, e.copies, e.key)
+        arcs = [((e.other(v), e.arrival), 0, e.copies, e.key)
                 for e in g.incident(v) if e.tau == clock and e.arrival <= t2]
         later = times(v)
         i = bisect_right(later, clock)
         if i < len(later):
-            arcs.append(((v, later[i]), later[i] - clock, wide, None))
+            arcs.append(((v, later[i]), 0, wide, None))
         return arcs
 
     return _table_pair(dec.table, arcs_at)

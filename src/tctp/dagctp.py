@@ -43,7 +43,8 @@ def topological_order(g: StaticGraph) -> list:
 
 @dataclass(frozen=True)
 class PiTable:
-    """table.value(v, i): guaranteed cost from v, budget i left; short rows repeat their end."""
+    """table.value(v, i): guaranteed cost from v, budget i left (the ``u`` sweep's: arrival
+    time); short rows repeat their end."""
 
     values: Mapping[object, tuple]
     budget: int
@@ -61,8 +62,9 @@ def table_width(copies: Iterable[int], k: int) -> int:
 
 
 class TableSteps:
-    """One budget table's step count: a step per cell before its first row, then reach x
-    listed candidates per ``pi_row`` row of two or more arcs. SizeLimitError past TABLE_STEPS."""
+    """One budget table's step count: a step per cell before its first row, and
+    ``row_steps`` per ``pi_row`` row before that row is built (``compute_pi`` charges
+    them all with its cells). SizeLimitError past TABLE_STEPS."""
 
     def __init__(self, cells: int):
         self.steps = 0
@@ -74,7 +76,16 @@ class TableSteps:
             raise SizeLimitError(f"budget table exceeded {TABLE_STEPS} steps", TABLE_STEPS)
 
 
-def pi_row(arcs: list, width: int, steps: TableSteps) -> tuple:
+def row_steps(copies: list, width: int) -> int:
+    """``pi_row``'s steps for a row of arcs with these copies: reach x listed candidates
+    with two or more arcs, reach the columns the copies fill and listed the copies, each
+    copy count at most the width; none for one arc."""
+    if len(copies) < 2:
+        return 0
+    return min(sum(copies), width) * sum([c if c < width else width for c in copies])
+
+
+def pi_row(arcs: list, width: int, steps: Optional[TableSteps]) -> tuple:
     """One vertex's row of the budget table, from its out-arcs.
 
     arcs holds (head row, weight, copies) per out-arc, and width is the
@@ -87,7 +98,8 @@ def pi_row(arcs: list, width: int, steps: TableSteps) -> tuple:
     (m+1)-smallest exists. Head rows never fall as the budget grows (a
     precondition), so a single arc's max is at m = 0: its row is the head
     row plus the weight. No out-arc gives an unreachable row. More arcs take
-    a sorted candidate list per column, charged to the table's ``steps``.
+    a sorted candidate list per column, charged to the table's ``steps``
+    (``row_steps``) unless that is None, the row charged already.
     ``utctp._sweep`` calls this only where two or more departures undercut
     its wait, and reads other rows off it.
     """
@@ -100,7 +112,8 @@ def pi_row(arcs: list, width: int, steps: TableSteps) -> tuple:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
-        steps.charge(reach * listed)
+        if steps is not None:
+            steps.charge(reach * listed)
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins
@@ -129,21 +142,19 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     With budget i at v, Blocker may remove m <= i of v's out-arc copies on
     arrival and Traveller takes the best survivor: v's row is ``pi_row`` of
     its out-arcs' (head row, weight, copies), ``table_width`` columns wide.
+    Every row's ``row_steps`` is known from the copies and the width, so the
+    table charges them all with its cells before it builds a row.
     """
     if target not in g.index:
         raise ValueError(f"unknown target vertex {target!r}")
     order = topological_order(g)
     width = table_width([e.copies for e in g.edges], budget)
-    steps = TableSteps(len(order) * width)
-    zero = (0,) * width
-    values: dict = {}
-    for v in reversed(order):
-        if v == target:
-            values[v] = zero
-            continue
-        values[v] = pi_row(
-            [(values[e.v], e.weight, e.copies) for e in g.outgoing(v)], width, steps
-        )
+    rows = [(v, g.outgoing(v)) for v in reversed(order) if v != target]
+    TableSteps(len(order) * width  # raises here, before any row, past TABLE_STEPS
+               + sum([row_steps([e.copies for e in out], width) for _, out in rows]))
+    values: dict = {target: (0,) * width}
+    for v, out in rows:
+        values[v] = pi_row([(values[e.v], e.weight, e.copies) for e in out], width, None)
     return PiTable(values, budget)
 
 

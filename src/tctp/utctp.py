@@ -4,15 +4,16 @@ Blocker reveals the status of a time edge exactly when Traveller stands at
 one of its endpoints at its departure time. This is the blocked-arc game
 of ``dagctp`` on the time expansion, whose (vertex, time) nodes form a DAG.
 Deciding a window is a budget table over those nodes, filled by one sweep
-over ``expansion.layout``'s node list in decreasing time: every arc of the
-expansion, departure or wait, leads strictly later, so no graph and no
-topological order is built, and no node stands for the target (a node of t
-is worth 0). The playout policies (``arena.expansion_policies``) read a
-node's departures off the graph and its wait off the table, and play the
-table with the moves of ``dag`` play. The three window optimizers (earliest
-arrival, latest departure, fastest path) read their answers from the one
-budget table of the unbounded window, and ``brute_u_game`` replays the game
-definition directly on tiny instances as an independent oracle.
+over ``expansion.layout``'s node list in decreasing time: every arc leads
+strictly later, so no graph and no topological order is built, and no node
+stands for the target. The table holds guaranteed arrival times (a node's
+cost plus its time), so each arc's weight cancels against its head's time
+and a wait shares its next node's row (``_sweep``). The playout policies
+(``arena.expansion_policies``) read a node's departures off the graph and
+its wait off the table, and play it with the moves of ``dag`` play. The
+window optimizers (earliest arrival, latest departure, fastest path) read
+the one table of the unbounded window, and ``brute_u_game`` replays the
+game definition on tiny instances as an independent oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class UDecision:
     t1: int
     t2: Union[int, float]
     guaranteed_arrival: Union[int, float]
-    table: PiTable  # keyed by the expansion's (vertex, time) nodes, latest first
+    table: PiTable  # guaranteed arrivals by expansion (vertex, time) node, latest first
 
     def __bool__(self) -> bool:
         return self.wins
@@ -50,68 +51,66 @@ def decide_u(
         raise ValueError("uninformed solver needs a temporal instance")
     t1, t2 = window(inst, t1, t2)
     table = _sweep(g, inst.s, inst.t, inst.k, t1, t2)
-    cost = table.value((inst.s, t1), inst.k)
-    wins = cost != UNREACHABLE
-    return UDecision(wins, t1, t2, t1 + cost if wins else UNREACHABLE, table)
+    arrival = table.value((inst.s, t1), inst.k)
+    return UDecision(arrival != UNREACHABLE, t1, t2, arrival, table)
 
 
 def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
-    """The budget table of the [t1, t2] time expansion, a row per ``layout``
-    node, latest first. A node of t has the zero row. Any other (v, tau)
-    node's candidates are the wait to v's next node (width copies, weight
-    the gap) and its ``layout`` departures (weight d, their copies). Every
-    departure node has a wait, since the edge's arrival gives both endpoints
-    a later node. With w the wait's candidate row (the next row plus the
-    gap), ``pi_row``'s entry i, the max over m <= i of the (m+1)-smallest
-    candidate at budget i - m, reads only order statistics that the wait's
-    width copies already hold to at most w. So a departure whose candidate is
-    nowhere below w changes no entry and is dropped; with none left the row
-    is w. With one left, of candidate row x and c copies, the
-    (m+1)-smallest at budget r is min(x[r], w[r]) for m < c and w[r] for
-    m >= c; no row falls as the budget grows (a row entry is a max over
-    candidates that do not fall with it), so the max sits at m = 0 or
-    m = c: entry i is max(min(x[i], w[i]), w[i - c]), the second term only
-    when i >= c, so never when c >= width. Two or more go to ``pi_row`` with the
-    wait. The departures are the expansion's only blockable arcs, so the
-    width is ``compute_pi``'s on ``build_expansion`` with the same arguments,
-    and row for row the tables agree, less the expansion's target node.
+    """The budget table of the [t1, t2] time expansion in arrival times (a
+    node's cost plus its time), a row per ``layout`` node, latest first. A
+    node of t has the row of its own time. Any other (v, tau) node's
+    candidates are the wait to v's next node (width copies) and its
+    ``layout`` departures (their copies); every departure node has a wait,
+    since the edge's arrival gives both endpoints a later node. A wait's gap
+    and a departure's d cancel against its head's time, so each candidate
+    row is its head's row as stored. With w the next row, ``pi_row``'s entry
+    i, the max over m <= i of the (m+1)-smallest candidate at budget i - m,
+    reads only order statistics that the wait's width copies hold to at most
+    w. So a departure whose head row is nowhere below w changes no entry and
+    is dropped; with none left the node shares the row w. With one left, of
+    head row h and c copies, the (m+1)-smallest at budget r is
+    min(h[r], w[r]) for m < c and w[r] for m >= c; no row falls as the budget
+    grows, so the max sits at m = 0 or m = c: entry i is
+    max(min(h[i], w[i]), w[i - c]), the second only when i >= c (c < width).
+    Two or more go to ``pi_row`` with the wait, every weight 0: order
+    statistics do not move when all candidates shift by tau. The departures
+    are the expansion's only blockable arcs, so the width is
+    ``compute_pi``'s on ``build_expansion`` with the same arguments, and
+    row for row the tables agree, less tau and the expansion's target.
     """
     nodes, departs = layout(g, s, t1, t2)
     width = table_width([c for arcs in departs.values() for _, _, c in arcs], k)
     steps = TableSteps(len(nodes) * width)
-    zero = (0,) * width
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
-    later: dict = {}  # v -> (time, row) of v's next node in time
+    later: dict = {}  # v -> the row of v's next node in time
     for node in nodes:
         v, tau = node
-        nxt = later.get(v)
+        wait = later.get(v)
         if v == t:
-            row = zero
-        elif nxt is None:
+            row = (tau,) * width
+        elif wait is None:
             row = unreachable
         else:
-            gap = nxt[0] - tau
-            wait = [x + gap for x in nxt[1]]
             under = []
-            for head, d, copies in departs.get(node, ()):
+            for head, _, copies in departs.get(node, ()):
                 h = values[head]
-                for r in range(width):
-                    if h[r] + d < wait[r]:
-                        under.append((h, d, copies))
+                for x, y in zip(h, wait):
+                    if x < y:
+                        under.append((h, 0, copies))
                         break
             if not under:
-                row = tuple(wait)
+                row = wait
             elif len(under) == 1:
-                h, d, c = under[0]
-                # entry i is max(min(x[i], w[i]), w[i - c]), the second only for i >= c
-                low = [x + d if x + d < y else y for x, y in zip(h, wait)]
+                h, _, c = under[0]
+                # entry i is max(min(h[i], w[i]), w[i - c]), the second only for i >= c
+                low = [x if x < y else y for x, y in zip(h, wait)]
                 row = tuple(low[:c] + [x if x > y else y for x, y in zip(low[c:], wait)])
             else:
-                under.append((nxt[1], gap, width))
+                under.append((wait, 0, width))
                 row = pi_row(under, width, steps)
         values[node] = row
-        later[v] = (tau, row)
+        later[v] = row
     return PiTable(values, k)
 
 
@@ -124,11 +123,8 @@ def _source_arrivals(inst: Instance) -> list:
     arrival is at most t2, so one table answers every window.
     """
     dec = decide_u(inst, 0, math.inf)
-    return sorted(
-        (node[1], node[1] + dec.table.value(node, inst.k))
-        for node in dec.table.values
-        if node[0] == inst.s
-    )
+    return sorted((node[1], dec.table.value(node, inst.k))
+                  for node in dec.table.values if node[0] == inst.s)
 
 
 def earliest_arrival(inst: Instance) -> Optional[int]:

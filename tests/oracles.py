@@ -263,11 +263,11 @@ def expansion_pi_table(inst: Instance, t1: int, t2) -> PiTable:
 
 
 def expansion_read_policies(inst: Instance, t1: int = 0, t2=None) -> tuple:
-    """Both sides of the ``u`` playout, reading out-arcs from the rebuilt
-    expansion."""
-    dec = decide_u(inst, t1, t2)
-    g, origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
-    table = dec.table
+    """Both sides of the ``u`` playout, reading out-arcs and their weights
+    from the rebuilt expansion and playing its own cost table."""
+    t1, t2 = window(inst, t1, t2)
+    g, origins = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, t1, t2)
+    table = expansion_pi_table(inst, t1, t2)
 
     def arcs_at(node) -> tuple:
         """The node's out-arcs, or between two nodes the wait to the next."""

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from generators import rand_dag
+from tctp import dagctp
 from tctp.core import StaticEdge, StaticGraph
 from tctp.dagctp import (
     UNREACHABLE,
@@ -11,6 +12,7 @@ from tctp.dagctp import (
     brute_dag_game,
     compute_pi,
     decide_dag,
+    pi_row,
     topological_order,
     traveller_move,
 )
@@ -177,3 +179,19 @@ def test_exhaustive_search_guard():
         brute_dag_game(g, "s", "t", 3)
     assert brute_dag_game(g, "s", "t", 3, unlimited=True) == 5
     assert compute_pi(g, "t", 3).value("s", 3) == 5
+
+
+def test_a_table_past_its_steps_builds_no_row(monkeypatch):
+    """At k = 7,105 the width is 7,106. n3's row (2,004 x 2,004 steps) and
+    n2's (1,050 x 1,050) fit, but n0's (4,001 x 4,001) takes the table past
+    TABLE_STEPS: every row is charged with the cells, before the first is built."""
+    arcs = [StaticEdge(u, v, w, copies=c) for u, v, w, c in (
+        ("n0", "n2", 8, 4000), ("n0", "n3", 7, 1), ("n1", "n2", 8, 50),
+        ("n2", "n3", 1, 50), ("n2", "n3", 8, 1000), ("n3", "n4", 0, 3),
+        ("n3", "n4", 5, 1000), ("n3", "n4", 9, 1001))]
+    g = StaticGraph.build([f"n{i}" for i in range(5)], arcs, directed=True)
+    built = []
+    monkeypatch.setattr(dagctp, "pi_row", lambda *args: built.append(args) or pi_row(*args))
+    with pytest.raises(SizeLimitError, match="^budget table exceeded 10000000 steps$"):
+        compute_pi(g, "n4", 7105)
+    assert built == []

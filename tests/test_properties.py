@@ -285,6 +285,46 @@ def test_cross_model_laws_hold_past_the_oracle_sizes(seed):
         u_won, li_won = u_wins, li_wins
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_u_window_laws_hold_past_the_oracle_sizes(seed):
+    """On games of 30-150 time edges, no oracle needed: a ``u`` win never
+    turns into a loss as t2 grows or t1 falls; ``earliest_arrival`` e wins
+    [0, e] and loses [0, e - 1]; ``latest_departure`` L wins [L, inf) and
+    loses [L + 1, inf); ``shortest_duration``'s window wins, no narrower
+    window wins, and none as narrow starts earlier."""
+    rng = random.Random(seed)
+    inst = rand_temporal(rng, max_n=20, max_keys=150, max_tau=20, max_k=3, max_d=3,
+                         min_n=6, min_keys=30)
+
+    def wins(t1, t2=math.inf):
+        return decide_u(inst, t1, t2).wins
+
+    end = max(e.tau for e in inst.graph.edges)
+    starts = sorted(rng.sample(range(end + 1), 4))
+    ends = sorted(rng.sample(range(end + 4), 4)) + [math.inf]
+    grid = {(t1, t2): wins(t1, t2) for t1 in starts for t2 in ends if t1 <= t2}
+    for (t1, t2), won in grid.items():
+        assert not won or all(grid[a, b] for a, b in grid if a <= t1 and b >= t2), (t1, t2)
+    unbounded = wins(0)
+    e = earliest_arrival(inst)
+    assert (e is not None) == unbounded
+    if e is not None:
+        assert wins(0, e) and (e == 0 or not wins(0, e - 1))
+    latest = latest_departure(inst)
+    assert (latest is not None) == unbounded
+    if latest is not None and latest != math.inf:
+        assert wins(latest) and not wins(latest + 1)
+    best = shortest_duration(inst)
+    assert (best is not None) == unbounded
+    if best is not None:
+        t1, t2 = best
+        assert wins(t1, t2)
+        for start in range(end + 1):
+            assert t2 == t1 or not wins(start, start + t2 - t1 - 1), start
+            assert start >= t1 or not wins(start, start + t2 - t1), start
+
+
 @SETTINGS
 @given(st.integers(0, 2**32 - 1))
 def test_dag_laws_hold_past_the_oracle_sizes(seed):
@@ -497,14 +537,19 @@ def _tied_wait(k: int) -> Instance:
 @example((_WAIT_RULE, 0, None))
 @example((_tied_wait(0), 0, None))
 @example((_tied_wait(1), 0, None))
+@example((_WAIT_RULE, 1, None))
 def test_sweep_table_matches_compute_pi_on_the_expansion(case):
     """Each branch of the sweep's wait rule: no departure below the wait,
     one below it with fewer or with width copies, a tie, an unreachable head
-    row, two below it, and k = 0."""
+    row, two below it, k = 0, and a window opening after time 0."""
     inst, t1, t2 = case
     dec = decide_u(inst, t1, t2)
-    # the whole table: every (v, tau) row and the budget
-    assert dec.table == expansion_pi_table(inst, t1, dec.t2)
+    # the whole table: every (v, tau) row, an arrival time per entry, is the
+    # expansion's cost row plus tau; and the budget
+    want = expansion_pi_table(inst, t1, dec.t2)
+    assert dec.table.values == {node: tuple(x + node[1] for x in row)
+                                for node, row in want.values.items()}
+    assert dec.table.budget == want.budget
     # no row falls as the budget grows: the wait rule's closed form needs it
     assert all(list(row) == sorted(row) for row in dec.table.values.values())
     # rows run latest first: the u playout reads each vertex's node times so
@@ -528,7 +573,7 @@ def u_windows_past_the_copies(draw):
 def test_capped_sweep_reads_as_the_full_width_expansion_table(case):
     """The sweep's rows are table_width over the layout's departures wide,
     and read at every budget up to k they are the k + 1 column table of the
-    rebuilt expansion."""
+    rebuilt expansion, each entry plus the node's time."""
     inst, t1, t2 = case
     dec = decide_u(inst, t1, t2)
     departs = layout(inst.graph, inst.s, dec.t1, dec.t2)[1]
@@ -537,7 +582,8 @@ def test_capped_sweep_reads_as_the_full_width_expansion_table(case):
     graph, _ = rebuilt_expansion(inst.graph, inst.s, inst.t, inst.k, dec.t1, dec.t2)
     full = nsmallest_pi_values(graph, TARGET, inst.k)
     for node in dec.table.values:
-        assert tuple(dec.table.value(node, i) for i in range(inst.k + 1)) == full[node]
+        assert (tuple(dec.table.value(node, i) for i in range(inst.k + 1))
+                == tuple(x + node[1] for x in full[node]))
 
 
 @st.composite
