@@ -64,10 +64,10 @@ class TimeEdge(_Edge):
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1 on {self.u}-{self.v}")
         if self.v < self.u:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
-        object.__setattr__(self, "key", (self.u, self.v, self.tau, self.d))
+            u = self.u
+            _TU(self, self.v)
+            _TV(self, u)
+        _TKEY(self, (self.u, self.v, self.tau, self.d))
 
     @property
     def arrival(self) -> int:
@@ -92,17 +92,22 @@ class StaticEdge(_Edge):
             raise ValueError(f"negative weight on {self.u}-{self.v}")
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1 on {self.u}-{self.v}")
-        object.__setattr__(self, "key", (self.u, self.v, self.weight))
+        _SKEY(self, (self.u, self.v, self.weight))
+
+
+# each edge slot's own setter, bound once: it writes past the frozen __setattr__
+_TU, _TV, _TTAU, _TD, _TCOPIES, _TKEY = (vars(TimeEdge)[n].__set__ for n in TimeEdge.__slots__)
+_SU, _SV, _SWEIGHT, _SCOPIES, _SKEY = (vars(StaticEdge)[n].__set__ for n in StaticEdge.__slots__)
 
 
 def _sums(vset: set, keyed) -> dict:
     """Copies summed per canonical key over keyed's (key, u, v, copies)
-    records; an endpoint outside vset is a ValueError."""
+    records, each key probed once; an endpoint outside vset is a ValueError."""
     merged: dict[tuple, int] = {}
     for key, u, v, copies in keyed:
         if u not in vset or v not in vset:
             raise ValueError(f"edge endpoint {u if u not in vset else v!r} not in vertex list")
-        merged[key] = merged.get(key, 0) + copies
+        merged[key] = merged[key] + copies if key in merged else copies
     return merged
 
 
@@ -278,8 +283,8 @@ def _json_list(items: list) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse either serialization; text errors carry the offending line number.
 
-    Each edge record is checked once, its copies are summed under its
-    canonical key, and the graph takes its sorted edges from those sums.
+    Each edge record is checked once, its copies are summed under its canonical
+    key with one probe, and ``_graph`` writes the sorted edges slot by slot.
     """
     if text.lstrip().startswith("{"):
         try:
@@ -330,7 +335,6 @@ def _parse_text(text: str) -> Instance:
 
     # the loops only tell sound records from faulty ones; _record_error names the fault
     merged: dict[tuple, int] = {}
-    get = merged.get
     if model == "temporal":
         for tokens, lineno in zip(records, linenos):
             try:
@@ -341,7 +345,7 @@ def _parse_text(text: str) -> Instance:
             if u not in vset or v not in vset or u == v or tau < 0 or d < 1 or copies < 1:
                 raise _record_error(tokens, lineno, model, vset)
             key = (u, v, tau, d) if u < v else (v, u, tau, d)
-            merged[key] = get(key, 0) + copies
+            merged[key] = merged[key] + copies if key in merged else copies
     else:
         for tokens, lineno in zip(records, linenos):
             try:
@@ -352,7 +356,7 @@ def _parse_text(text: str) -> Instance:
             if u not in vset or v not in vset or u == v or weight < 0 or copies < 1:
                 raise _record_error(tokens, lineno, model, vset)
             key = (v, u, weight) if v < u and model == "static" else (u, v, weight)
-            merged[key] = get(key, 0) + copies
+            merged[key] = merged[key] + copies if key in merged else copies
     return Instance(_graph(model, vertices, merged), fields["s"][0], fields["t"][0], k, deadline)
 
 
@@ -391,21 +395,27 @@ def _record_error(tokens: list, lineno: int, model: str, vset: set) -> InstanceF
 def _graph(model: str, vertices: Iterable, merged: dict) -> Graph:
     """The graph over vertices whose edges are merged's (key, copies) items.
     Every key was range-checked and put in canonical order before it got here,
-    so each edge is set field by field, past the checks of its constructor."""
+    so each slot is written by its own setter, past the constructor's checks."""
     vs = tuple(sorted(set(vertices)))
-    new, put = object.__new__, object.__setattr__
-    edges = []
+    new, edges = object.__new__, []
     if model == "temporal":
         for key in sorted(merged):  # keys alone sort faster than (key, copies) items
             e = new(TimeEdge)
-            put(e, "u", key[0]), put(e, "v", key[1]), put(e, "tau", key[2]), put(e, "d", key[3])
-            put(e, "copies", merged[key]), put(e, "key", key)
+            _TU(e, key[0])
+            _TV(e, key[1])
+            _TTAU(e, key[2])
+            _TD(e, key[3])
+            _TCOPIES(e, merged[key])
+            _TKEY(e, key)
             edges.append(e)
         return TemporalGraph(vs, tuple(edges))
     for key in sorted(merged):
         e = new(StaticEdge)
-        put(e, "u", key[0]), put(e, "v", key[1]), put(e, "weight", key[2])
-        put(e, "copies", merged[key]), put(e, "key", key)
+        _SU(e, key[0])
+        _SV(e, key[1])
+        _SWEIGHT(e, key[2])
+        _SCOPIES(e, merged[key])
+        _SKEY(e, key)
         edges.append(e)
     return StaticGraph(vs, tuple(edges), model == "dag")
 

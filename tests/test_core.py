@@ -1,4 +1,5 @@
 """Edge and graph types, instance validation, and instance format round trips."""
+import dataclasses
 import json
 import random
 
@@ -16,6 +17,7 @@ from tctp.core import (
     serialize_instance,
 )
 from tctp.errors import InstanceFormatError
+from tctp.expansion import build_expansion
 from tctp.samples import separating_instance
 
 
@@ -80,6 +82,58 @@ def test_undirected_static_edges_canonicalize():
     assert d.edges[0].key == ("b", "a", 2)
     assert d.outgoing("a") == ()
     assert g.outgoing("a") == g.edges
+
+
+def _the_constructors_edge(e, fields: tuple) -> None:
+    """e is the edge its class's constructor makes from fields: each field
+    reads back, none can be assigned, and ==, hash and repr agree."""
+    made = type(e)(*fields)
+    assert type(e) in (TimeEdge, StaticEdge)
+    for f in dataclasses.fields(made):
+        assert getattr(e, f.name) == getattr(made, f.name), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, f.name, getattr(made, f.name))
+    assert (e, hash(e), repr(e)) == (made, hash(made), repr(made))
+
+
+_LOOSE = {  # model -> records, reversed and parallel ones among them, and the merged edges
+    "temporal": ([("b", "a", 0, 1, 1), ("a", "b", 0, 1, 2), ("c", "b", 2, 1, 1)],
+                 [("a", "b", 0, 1, 3), ("b", "c", 2, 1, 1)]),
+    "static": ([("b", "a", 1, 1), ("a", "b", 1, 2), ("c", "b", 0, 1)],
+               [("a", "b", 1, 3), ("b", "c", 0, 1)]),
+    "dag": ([("b", "a", 1, 1), ("a", "b", 1, 2), ("b", "c", 0, 1)],
+            [("a", "b", 1, 2), ("b", "a", 1, 1), ("b", "c", 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_LOOSE))
+def test_edges_from_every_construction_path_are_the_constructors_edges(model):
+    """Both parses, both graph builds and the time expansion write every slot
+    of every edge they make, so each is the edge the constructor makes."""
+    records, merged = _LOOSE[model]
+    cls = TimeEdge if model == "temporal" else StaticEdge
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    vertices = ["c", "b", "a"]
+    text = f"model {model}\nvertices c b a\ns a\nt c\nk 1\n" + "".join(
+        "edge " + " ".join(map(str, r)) + "\n" for r in records)
+    as_json = {"model": model, "vertices": vertices, "s": "a", "t": "c", "k": 1,
+               "edges": [dict(zip(names, r)) for r in records]}
+    edges = [cls(*r) for r in records]
+    if model == "temporal":
+        built = TemporalGraph.build(vertices, edges)
+    else:
+        built = StaticGraph.build(vertices, edges, directed=model == "dag")
+    for g in (parse_instance(text).graph, parse_instance(json.dumps(as_json)).graph, built):
+        assert len(g.edges) == len(merged)
+        for e, want in zip(g.edges, merged):
+            _the_constructors_edge(e, want)
+    for e in edges:
+        _the_constructors_edge(e, (*e.key, e.copies))
+    if model == "temporal":  # 4 departure arcs, 5 waits and 2 arcs into the target
+        arcs = build_expansion(built, "a", "c", 1).graph.edges
+        assert len(arcs) == 11
+        for e in arcs:
+            _the_constructors_edge(e, (*e.key, e.copies))
 
 
 def test_lifespan():

@@ -60,13 +60,21 @@ from tctp.core import (
     serialize_instance,
     window,
 )
-from tctp.dagctp import UNREACHABLE, TableSteps, brute_dag_game, compute_pi, pi_row, table_width
+from tctp.dagctp import (
+    UNREACHABLE,
+    TableSteps,
+    brute_dag_game,
+    compute_pi,
+    decide_dag,
+    pi_row,
+    table_width,
+)
 from tctp.errors import SizeLimitError
 from tctp.expansion import TARGET, build_expansion, layout
 from tctp.gadgets import CnfFormula, QbfFormula, gen_li_np, gen_li_pspace, gen_static_np
 from tctp.knowledge import EMPTY, Knowledge, Ledger
 from tctp.litctp import LiGame, exact_li, solve_k1
-from tctp.staticctp import StaticGame
+from tctp.staticctp import StaticGame, decide_static
 from tctp.utctp import decide_u, earliest_arrival, latest_departure, shortest_duration
 
 # derandomized so that every run of the suite checks the same examples
@@ -323,6 +331,31 @@ def test_u_window_laws_hold_past_the_oracle_sizes(seed):
         for start in range(end + 1):
             assert t2 == t1 or not wins(start, start + t2 - t1 - 1), start
             assert start >= t1 or not wins(start, start + t2 - t1), start
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_li_and_dag_wins_survive_a_looser_bound(seed):
+    """On games of 30-150 edges, no oracle needed: an ``li`` win never turns
+    into a loss as t2 grows or t1 falls (nor at k = 1 through ``solve_k1`` as
+    t2 grows), and a ``dag`` win never does as the deadline grows, by the
+    budget table and by the threshold search alike."""
+    rng = random.Random(seed)
+    inst = rand_temporal(rng, max_n=20, max_keys=150, max_tau=20, max_k=3, max_d=3,
+                         min_n=6, min_keys=30)
+    end = max(e.tau for e in inst.graph.edges)
+    starts = sorted(rng.sample(range(end + 1), 4))
+    ends = sorted(rng.sample(range(end + 4), 4)) + [math.inf]
+    grid = {(t1, t2): exact_li(inst, t1, t2).wins for t1 in starts for t2 in ends if t1 <= t2}
+    for (t1, t2), won in grid.items():
+        assert not won or all(grid[a, b] for a, b in grid if a <= t1 and b >= t2), (t1, t2)
+    k1 = dataclasses.replace(inst, k=1)
+    by_t2 = [solve_k1(k1, t2).wins for t2 in ends]
+    assert by_t2 == sorted(by_t2), ends
+    dag = rand_dag(rng, max_n=30, max_arcs=150, max_k=3, min_n=10, min_arcs=30)
+    table = [decide_dag(dag.graph, dag.s, dag.t, dag.k, T) for T in range(25)]
+    assert table == sorted(table)
+    assert [decide_static(dag, T, "out") for T in range(25)] == table
 
 
 @SETTINGS
