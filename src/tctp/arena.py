@@ -50,7 +50,7 @@ from typing import AbstractSet, Callable, Optional
 
 from .core import Instance, StaticGraph, TemporalGraph, window
 from .dagctp import PiTable, blocker_move, compute_pi, traveller_move
-from .errors import STATE_LIMIT, VERIFY_LIMIT, CyclicGraphError, SizeLimitError
+from .errors import STATE_LIMIT, VERIFY_LIMIT, CyclicGraphError, Meter, SizeLimitError
 from .knowledge import Ledger, Snapshot, run
 from .litctp import exact_li
 from .staticctp import StaticGame
@@ -581,8 +581,8 @@ def verify_traveller_strategy(
     Enumerates every legal reveal (all count vectors, partial blocks
     included) and follows the policy's deterministic replies. On failure the
     losing Blocker script is replayed through ``play`` so the counterexample
-    is an ordinary transcript. Raises SizeLimitError beyond ``limit``
-    explored reveal states (``math.inf`` lifts the guard).
+    is an ordinary transcript. Raises SizeLimitError beyond ``limit`` reveal
+    states, or count vectors at one reveal (``math.inf`` lifts the guard).
     """
     rules = _rules(inst, model, t1, deadline)
     script, explored = _refute(rules, traveller_policy, limit)
@@ -607,24 +607,19 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
     ``knowledge.run`` drives, so deep games need no recursion; all share
     ``st`` and undo their reveals.
     """
-    explored = 0
+    explored = Meter("verifier reveal states", limit)
     st = _State(rules.inst.s, rules.t1)
 
     def line():
         """The losing script from ``st`` on, or None when the policy wins."""
-        nonlocal explored
         stop = rules.walk(st, tp, [])
         if not isinstance(stop, list):
             return None if stop == TRAVELLER_WIN else ()
-        explored += 1
-        if explored > limit:
-            raise SizeLimitError(
-                f"verification explored more than {limit} reveal states", limit)
+        explored.charge()
+        tried = Meter("verifier count vectors at one reveal", limit)
         mark = st.mark()
-        for tried, choice in enumerate(_choices(stop, rules.inst.k - st.spent)):
-            if tried >= limit:
-                raise SizeLimitError(f"verification tried more than {limit} count vectors "
-                                     "at one reveal", limit)
+        for choice in _choices(stop, rules.inst.k - st.spent):
+            tried.charge()
             st.reveal(stop, choice)
             sub = yield line()
             st.undo(mark)
@@ -632,7 +627,7 @@ def _refute(rules: _Rules, tp: Policy, limit) -> tuple:
                 return (choice, sub)
         return None
 
-    return run(line()), explored
+    return run(line()), explored.used
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import StaticGraph
-from .errors import TABLE_STEPS, CyclicGraphError, SizeLimitError
+from .errors import TABLE_STEPS, CyclicGraphError, Meter, SizeLimitError
 
 UNREACHABLE = math.inf
 
@@ -61,19 +61,13 @@ def table_width(copies: Iterable[int], k: int) -> int:
     return min(k, sum([c for c in copies if c <= k])) + 1
 
 
-class TableSteps:
-    """One budget table's step count: a step per cell before its first row, and
-    ``row_steps`` per ``pi_row`` row before that row is built (``compute_pi`` charges
-    them all with its cells). SizeLimitError past TABLE_STEPS."""
-
-    def __init__(self, cells: int):
-        self.steps = 0
-        self.charge(cells)
-
-    def charge(self, n: int) -> None:
-        self.steps += n
-        if self.steps > TABLE_STEPS:
-            raise SizeLimitError(f"budget table exceeded {TABLE_STEPS} steps", TABLE_STEPS)
+def table_meter(cells: int) -> Meter:
+    """One budget table's step meter, charged a step per cell before its first
+    row; each ``pi_row`` row charges ``row_steps`` before it is built
+    (``compute_pi`` charges them all with the cells). SizeLimitError past TABLE_STEPS."""
+    meter = Meter("budget table steps", TABLE_STEPS)
+    meter.charge(cells)
+    return meter
 
 
 def row_steps(copies: list, width: int) -> int:
@@ -85,7 +79,7 @@ def row_steps(copies: list, width: int) -> int:
     return min(sum(copies), width) * sum([c if c < width else width for c in copies])
 
 
-def pi_row(arcs: list, width: int, steps: Optional[TableSteps]) -> tuple:
+def pi_row(arcs: list, width: int, meter: Optional[Meter]) -> tuple:
     """One vertex's row of the budget table, from its out-arcs.
 
     arcs holds (head row, weight, copies) per out-arc, and width is the
@@ -98,7 +92,7 @@ def pi_row(arcs: list, width: int, steps: Optional[TableSteps]) -> tuple:
     (m+1)-smallest exists. Head rows never fall as the budget grows (a
     precondition), so a single arc's max is at m = 0: its row is the head
     row plus the weight. No out-arc gives an unreachable row. More arcs take
-    a sorted candidate list per column, charged to the table's ``steps``
+    a sorted candidate list per column, charged to the table's ``meter``
     (``row_steps``) unless that is None, the row charged already.
     ``utctp._sweep`` calls this only where two or more departures undercut
     its wait, and reads other rows off it.
@@ -112,8 +106,8 @@ def pi_row(arcs: list, width: int, steps: Optional[TableSteps]) -> tuple:
         head, weight, _ = arcs[0]
         row = [head[i] + weight for i in range(reach)]
     else:
-        if steps is not None:
-            steps.charge(reach * listed)
+        if meter is not None:
+            meter.charge(reach * listed)
         row = []
         for r in range(reach):
             # the sorted candidates at budget r; the (m+1)-smallest joins
@@ -150,8 +144,8 @@ def compute_pi(g: StaticGraph, target, budget: int) -> PiTable:
     order = topological_order(g)
     width = table_width([e.copies for e in g.edges], budget)
     rows = [(v, g.outgoing(v)) for v in reversed(order) if v != target]
-    TableSteps(len(order) * width  # raises here, before any row, past TABLE_STEPS
-               + sum([row_steps([e.copies for e in out], width) for _, out in rows]))
+    table_meter(len(order) * width  # raises here, before any row, past TABLE_STEPS
+                + sum([row_steps([e.copies for e in out], width) for _, out in rows]))
     values: dict = {target: (0,) * width}
     for v, out in rows:
         values[v] = pi_row([(values[e.v], e.weight, e.copies) for e in out], width, None)
@@ -254,10 +248,7 @@ def brute_dag_game(g: StaticGraph, s, t, budget: int, unlimited: bool = False):
         if not unlimited:
             n = states_per_vertex.get(v, 0) + 1
             if n > _STATES_PER_VERTEX:
-                raise SizeLimitError(
-                    f"more than {_STATES_PER_VERTEX} information states at {v!r}",
-                    _STATES_PER_VERTEX,
-                )
+                raise SizeLimitError(f"oracle information states at {v!r}", n, _STATES_PER_VERTEX)
             states_per_vertex[v] = n
         dmap = dict(decided)
         spent = sum(dmap.values())

@@ -1,4 +1,4 @@
-"""Shared exception types and the default limits a SizeLimitError reports."""
+"""Shared exception types, the work ``Meter`` and the default limits it meters."""
 
 STATE_LIMIT = 10**7  # states of an exact knowledge-state search
 VERIFY_LIMIT = 200_000  # reveal states the verifier explores
@@ -20,11 +20,27 @@ class InstanceFormatError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """An exhaustive search exceeded its configured state budget."""
+    """A phase of work went past its limit: ``phase`` names the work,
+    ``reached`` is the count that passed ``limit``."""
 
-    def __init__(self, message: str, limit: int | None = None):
-        self.limit = limit
-        super().__init__(message)
+    def __init__(self, phase: str, reached: int, limit):
+        self.phase, self.reached, self.limit = phase, reached, limit
+        super().__init__(f"{phase} exceeded {limit} (reached {reached})")
+
+
+class Meter:
+    """Work ``used`` in one phase; ``charge`` raises SizeLimitError once it
+    passes ``limit`` (``math.inf`` never does)."""
+
+    __slots__ = ("phase", "limit", "used")
+
+    def __init__(self, phase: str, limit):
+        self.phase, self.limit, self.used = phase, limit, 0
+
+    def charge(self, n: int = 1) -> None:
+        self.used += n
+        if self.used > self.limit:
+            raise SizeLimitError(self.phase, self.used, self.limit)
 
 
 class CyclicGraphError(ValueError):

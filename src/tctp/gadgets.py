@@ -105,8 +105,7 @@ _EVAL_LIMIT = 20
 def eval_qbf(f: QbfFormula) -> bool:
     """Truth of the alternating formula by exhaustive game-tree evaluation."""
     if f.n > _EVAL_LIMIT:
-        raise SizeLimitError("formula too wide for brute-force evaluation",
-                             limit=_EVAL_LIMIT)
+        raise SizeLimitError("brute-force formula variables", f.n, _EVAL_LIMIT)
     assignment = [False] * f.n
 
     def turn(i: int) -> bool:
@@ -129,8 +128,7 @@ def eval_qbf(f: QbfFormula) -> bool:
 def eval_cnf_sat(f: CnfFormula) -> SatResult:
     """Exhaustive satisfiability test; carries a witness when satisfiable."""
     if f.n > _EVAL_LIMIT:
-        raise SizeLimitError("formula too wide for brute-force evaluation",
-                             limit=_EVAL_LIMIT)
+        raise SizeLimitError("brute-force formula variables", f.n, _EVAL_LIMIT)
     for bits in itertools.product((False, True), repeat=f.n):
         if f.satisfied_by(bits):
             return SatResult(True, bits)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import SizeLimitError
+from .errors import Meter
 
 EMPTY = (0, 0, 0)
 
@@ -92,7 +92,7 @@ class Snapshot(Mapping):
 
 
 class Knowledge:
-    """Edge bits, reveal scopes and state counter of one game. ``edges`` are
+    """Edge bits, reveal scopes and state meter of one game. ``edges`` are
     its (key, copies) pairs, edge i on bit i; ``scopes`` lists each vertex's
     edge numbers in the game's local order, or is empty and ``scoped`` sets them."""
 
@@ -105,8 +105,7 @@ class Knowledge:
         self.copies = dict(edges)
         self.scoped({v: [entries[i] for i in es] for v, es in scopes.items()})
         self.k = k
-        self.state_limit = state_limit
-        self.states = 0
+        self.meter = Meter("knowledge states", state_limit)
         self._spends: dict = {}
         # (snapshot, its state): the last one folded, and one per GAP entries below
         self._folded: list = []
@@ -115,13 +114,6 @@ class Knowledge:
         """Set each vertex's scope: ``local[v]``, its entries in local order."""
         self.local = local
         self.scope = {v: sum(map(itemgetter(0), loc)) for v, loc in local.items()}
-
-    def count(self) -> None:
-        """Book one more knowledge state; past the limit, raise."""
-        self.states += 1
-        if self.states > self.state_limit:
-            raise SizeLimitError(
-                f"knowledge-state count exceeded {self.state_limit}", self.state_limit)
 
     def state(self, decided: Mapping) -> tuple:
         """The state of a ``{edge key: blocked copies}`` mapping. A snapshot

@@ -287,7 +287,7 @@ class LiGame:
         options, at, hit = self._recall(pos, clock, state)
         if hit is not None:
             return hit
-        self.know.count()
+        self.know.meter.charge()
         win = False
         for _tau, arrival, _bit, head, key, _n, past in options:
             if (yield self._reveal_wins(head, arrival, past, state)):
@@ -324,7 +324,7 @@ class LiGame:
 
     @property
     def states(self) -> int:
-        return self.know.states
+        return self.know.meter.used
 
     def traveller_policy(self):
         """The memo's move, searched on a miss, else resign; late edges settled as searched."""

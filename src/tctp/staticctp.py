@@ -16,7 +16,7 @@ import math
 from typing import Mapping, Optional
 
 from .core import Instance, StaticGraph
-from .dagctp import UNREACHABLE, PiTable, TableSteps, pi_row, table_width
+from .dagctp import UNREACHABLE, PiTable, pi_row, table_meter, table_width
 from .errors import STATE_LIMIT, SizeLimitError
 from .knowledge import EMPTY, Knowledge, run
 
@@ -78,7 +78,7 @@ class StaticGame:
 
     @property
     def states(self) -> int:
-        return self.know.states
+        return self.know.meter.used
 
     def reveal_choices(self, v, state) -> list:
         """Blocker reveals at v as child states, cheapest spend first."""
@@ -212,12 +212,12 @@ class StaticGame:
             idx, width, copies = self.g.index, self.width, self.know.copies
             rows = {}
             try:
-                steps = TableSteps(len(dist) * width)
+                meter = table_meter(len(dist) * width)
                 for v in sorted(dist, key=lambda v: (dist[v], idx[v])):
                     rows[v] = (0,) * width if v == self.inst.t else pi_row(
                         [(rows[w], weight, copies[key])
                          for bit, w, weight, key in self.moves[v]
-                         if w in rows and not blocked & bit], width, steps)
+                         if w in rows and not blocked & bit], width, meter)
                 rows = entry[1] = PiTable(rows, self.inst.k)
             except SizeLimitError:  # past TABLE_STEPS: no mask gets a table
                 self.width = None
@@ -243,7 +243,7 @@ class StaticGame:
                 upper = None
             elif slack >= upper:
                 return True
-            self.know.count()
+            self.know.meter.charge()
             band = self._bands[key] = [-math.inf, upper]
         if slack <= band[0]:
             return False

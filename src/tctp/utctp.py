@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Instance, TemporalGraph, lifespan, window
-from .dagctp import UNREACHABLE, PiTable, TableSteps, pi_row, table_width
+from .dagctp import UNREACHABLE, PiTable, pi_row, table_meter, table_width
 from .errors import SizeLimitError
 from .expansion import layout
 
@@ -80,7 +80,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
     """
     nodes, departs = layout(g, s, t1, t2)
     width = table_width([c for arcs in departs.values() for _, _, c in arcs], k)
-    steps = TableSteps(len(nodes) * width)
+    meter = table_meter(len(nodes) * width)
     unreachable = (UNREACHABLE,) * width
     values: dict = {}
     later: dict = {}  # v -> the row of v's next node in time
@@ -108,7 +108,7 @@ def _sweep(g: TemporalGraph, s: str, t: str, k: int, t1: int, t2) -> PiTable:
                 row = tuple(low[:c] + [x if x > y else y for x, y in zip(low[c:], wait)])
             else:
                 under.append((wait, 0, width))
-                row = pi_row(under, width, steps)
+                row = pi_row(under, width, meter)
         values[node] = row
         later[v] = row
     return PiTable(values, k)
@@ -183,12 +183,12 @@ def brute_u_game(
     if not isinstance(g, TemporalGraph):
         raise ValueError("uninformed solver needs a temporal instance")
     t1, t2 = window(inst, t1, t2)
-    if not override and (
-        len(g.vertices) > 6 or lifespan(g) > 6 or inst.k > 2
-    ):
-        raise SizeLimitError(
-            "instance too large for the brute-force oracle (override to force)"
-        )
+    if not override:
+        for phase, n, most in (("u oracle vertices", len(g.vertices), 6),
+                               ("u oracle lifespan", lifespan(g), 6),
+                               ("u oracle budget", inst.k, 2)):
+            if n > most:
+                raise SizeLimitError(phase, n, most)
 
     live = [e for e in g.edges if t1 <= e.tau and e.tau + e.d <= t2]
     incident: dict = {v: [] for v in g.vertices}

@@ -431,7 +431,7 @@ class _UnboundedStaticGame(StaticGame):
         hit = self._values.get(key)
         if hit is not None:
             return hit
-        self.know.count()
+        self.know.meter.charge()
         if self.know.settled(pos, state):
             ends, _ = yield from self._ends(pos, state)
             value = min((cost for cost, _, _ in ends), default=UNREACHABLE)
@@ -508,10 +508,7 @@ def stacked_refute(rules, tp, limit) -> tuple:
         else:
             explored += 1
             if explored > limit:
-                raise SizeLimitError(
-                    f"verification explored more than {limit} reveal states",
-                    limit,
-                )
+                raise SizeLimitError("verifier reveal states", explored, limit)
             stack.append([st, stop, _choices(stop, rules.inst.k - st.spent), None, 0])
             result = None
         # a losing line closes its reveal; a won one moves on to the next choice
@@ -523,10 +520,8 @@ def stacked_refute(rules, tp, limit) -> tuple:
                 if choice is not None:
                     top[4] += 1
                     if top[4] > limit:
-                        raise SizeLimitError(
-                            f"verification tried more than {limit} count vectors at one reveal",
-                            limit,
-                        )
+                        raise SizeLimitError("verifier count vectors at one reveal",
+                                             top[4], limit)
                     st = _after(state, scope, choice)
                     stop = rules.walk(st, tp, [])
                     break
@@ -588,7 +583,7 @@ class FullStateLiGame:
 
     @property
     def states(self) -> int:
-        return self.know.states
+        return self.know.meter.used
 
     def _options(self, pos, clock, blocked: int) -> list:
         return [x for x in self.departures[pos] if x[0] >= clock and not blocked & x[2]]
@@ -603,7 +598,7 @@ class FullStateLiGame:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        self.know.count()
+        self.know.meter.charge()
         win = False
         for _tau, arrival, _bit, head, _key in options:
             if (yield self._reveal_wins(head, arrival, state)):

@@ -423,8 +423,11 @@ def test_verify_certifies_and_refutes_the_parallel_arcs():
 def test_verify_explored_budget():
     inst = separating_instance(2)
     tpol = exact_li(inst).traveller_policy()
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as info:
         verify_traveller_strategy(inst, tpol, "li", limit=1)
+    exc = info.value
+    assert (exc.phase, exc.reached, exc.limit) == ("verifier reveal states", 2, 1)
+    assert str(exc) == "verifier reveal states exceeded 1 (reached 2)"
     res = verify_traveller_strategy(inst, tpol, "li", limit=math.inf)
     assert res.ok and res.counterexample is None and res.explored == 13
     assert verify_traveller_strategy(inst, tpol, "li").ok

@@ -247,7 +247,7 @@ def test_limit_bounds_the_builtin_searches(tmp_path):
         for cmd in ("play", "verify"):
             code, out, err = _run([cmd, path, "--model", model, "--limit", "5"])
             assert (code, out, err) == (
-                4, "", "tctp: state limit: knowledge-state count exceeded 5\n"), (cmd, model)
+                4, "", "tctp: state limit: knowledge states exceeded 5 (reached 6)\n"), (cmd, model)
         assert _run(["play", path, "--model", model])[0] == 0
 
 
@@ -420,20 +420,24 @@ def test_a_table_past_its_limits_exits_four_or_goes_to_the_search(tmp_path):
     as wide as their summed copies: past TABLE_STEPS, whether its cells or
     a row's candidates pass them, the table commands exit 4 at once, and
     the directed and undirected games answer by the search as at k = C: an
-    undirected graph's search prunes by no down table then."""
-    why = f"tctp: state limit: budget table exceeded {TABLE_STEPS} steps\n"
+    undirected graph's search prunes by no down table then. The message
+    gives the steps reached: the cells of the four expansion nodes, or a
+    DAG table's cells and rows, all charged before its first row."""
+    def why(reached):
+        return (f"tctp: state limit: budget table steps exceeded {TABLE_STEPS} "
+                f"(reached {reached})\n")
     path = tmp_path / "fat.ctp"
     path.write_text("model temporal\nvertices a b\ns a\nt b\nk 100000000000000000000\n"
                     "edge a b 0 1 2147483648\n")
     for argv in (["solve-u", str(path)], ["play", str(path), "--model", "u"]):
-        assert _run(argv) == (4, "", why), argv
+        assert _run(argv) == (4, "", why(4 * (2 * 2147483648 + 1))), argv
     dags = [("model dag\nvertices s t x1 x2 x3 x4 x5 x6 x7 x8 x9\ns s\nt t\nk {}\n"
              "edge s t 1 99999999\n", 99999999),
             ("model dag\nvertices s t\ns s\nt t\nk {}\nedge s t 1 10000\n"
              "edge s t 2 10000\n", 20000)]
-    for text, _ in dags:
+    for (text, _), reached in zip(dags, (11 * 10**8, 2 * 20001 + 20000 * 20000)):
         path.write_text(text.format(10**20))
-        assert _run(["dag-solve", str(path)]) == (4, "", why)
+        assert _run(["dag-solve", str(path)]) == (4, "", why(reached))
     undirected = [("model static\nvertices s a t\ns s\nt t\nk {}\nedge s a 1 2147483648\n"
                    "edge a t 1\nedge s t 5\n", 2147483650),
                   ("model static\nvertices s a t\ns s\nt t\nk {}\nedge s a 1 10000\n"
@@ -459,8 +463,8 @@ def test_the_verifier_bounds_the_count_vectors_of_one_reveal(tmp_path):
     for argv in (["verify", str(path), "--model", "dag"],
                  ["play", str(path), "--model", "dag", "--blocker", "exhaustive"]):
         assert _run(argv + ["--limit", "10"]) == (
-            4, "", "tctp: state limit: verification tried more than 10 count vectors "
-                   "at one reveal\n"), argv
+            4, "", "tctp: state limit: verifier count vectors at one reveal exceeded 10 "
+                   "(reached 11)\n"), argv
     path.write_text("model dag\nvertices s t\ns s\nt t\nk 3\nedge s t 1 4\n")
     code, out, err = _run(["verify", str(path), "--model", "dag", "--limit", "4"])
     assert (code, out, err) == (0, "verified: wins every blocker line (1 reveal states)\n", "")
@@ -837,7 +841,7 @@ def test_verify_stops_a_deep_chain_at_the_limit_in_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert (code, out, err) == (
-        4, "", "tctp: state limit: verification explored more than 5000 reveal states\n")
+        4, "", "tctp: state limit: verifier reveal states exceeded 5000 (reached 5001)\n")
     assert peak < 64 * 2 ** 20
 
 

@@ -16,7 +16,7 @@ from tctp.dagctp import (
     topological_order,
     traveller_move,
 )
-from tctp.errors import CyclicGraphError, SizeLimitError
+from tctp.errors import TABLE_STEPS, CyclicGraphError, SizeLimitError
 
 
 def _triple():
@@ -175,7 +175,8 @@ def test_exhaustive_search_guard():
     arcs = [StaticEdge("s", "a", w) for w in range(1, 7)]
     arcs.append(StaticEdge("a", "t", 1, copies=4))
     g = StaticGraph.build(["s", "a", "t"], arcs, directed=True)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match=r"^oracle information states at 'a' exceeded 20 \(reached 21\)$"):
         brute_dag_game(g, "s", "t", 3)
     assert brute_dag_game(g, "s", "t", 3, unlimited=True) == 5
     assert compute_pi(g, "t", 3).value("s", 3) == 5
@@ -184,7 +185,8 @@ def test_exhaustive_search_guard():
 def test_a_table_past_its_steps_builds_no_row(monkeypatch):
     """At k = 7,105 the width is 7,106. n3's row (2,004 x 2,004 steps) and
     n2's (1,050 x 1,050) fit, but n0's (4,001 x 4,001) takes the table past
-    TABLE_STEPS: every row is charged with the cells, before the first is built."""
+    TABLE_STEPS: every row is charged with the cells, before the first is
+    built, so the error reports the table's full step count."""
     arcs = [StaticEdge(u, v, w, copies=c) for u, v, w, c in (
         ("n0", "n2", 8, 4000), ("n0", "n3", 7, 1), ("n1", "n2", 8, 50),
         ("n2", "n3", 1, 50), ("n2", "n3", 8, 1000), ("n3", "n4", 0, 3),
@@ -192,6 +194,10 @@ def test_a_table_past_its_steps_builds_no_row(monkeypatch):
     g = StaticGraph.build([f"n{i}" for i in range(5)], arcs, directed=True)
     built = []
     monkeypatch.setattr(dagctp, "pi_row", lambda *args: built.append(args) or pi_row(*args))
-    with pytest.raises(SizeLimitError, match="^budget table exceeded 10000000 steps$"):
+    full = 5 * 7106 + 2004 * 2004 + 1050 * 1050 + 4001 * 4001
+    with pytest.raises(SizeLimitError, match=(
+            f"^budget table steps exceeded 10000000 \\(reached {full}\\)$")) as info:
         compute_pi(g, "n4", 7105)
+    exc = info.value
+    assert (exc.phase, exc.reached, exc.limit) == ("budget table steps", full, TABLE_STEPS)
     assert built == []

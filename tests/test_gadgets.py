@@ -72,10 +72,12 @@ def test_eval_cnf_sat_returns_a_checkable_witness():
 
 def test_eval_guards_wide_formulas():
     wide = CnfFormula.build(21, [(21, 21, 21)])
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match=r"^brute-force formula variables exceeded 20 \(reached 21\)$"):
         eval_cnf_sat(wide)
     wide_even = CnfFormula.build(22, [(22, 22, 22)])
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match=r"^brute-force formula variables exceeded 20 \(reached 22\)$"):
         eval_qbf(QbfFormula(wide_even))
 
 

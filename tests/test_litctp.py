@@ -315,8 +315,11 @@ def test_the_builtin_pair_reads_a_long_chain_off_the_memo():
 
 
 def test_state_limit_guard():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as info:
         exact_li(separating_instance(2), state_limit=1)
+    exc = info.value
+    assert (exc.phase, exc.reached, exc.limit) == ("knowledge states", 2, 1)
+    assert str(exc) == "knowledge states exceeded 1 (reached 2)"
 
 
 def test_exact_search_input_checks():

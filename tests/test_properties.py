@@ -62,11 +62,11 @@ from tctp.core import (
 )
 from tctp.dagctp import (
     UNREACHABLE,
-    TableSteps,
     brute_dag_game,
     compute_pi,
     decide_dag,
     pi_row,
+    table_meter,
     table_width,
 )
 from tctp.errors import SizeLimitError
@@ -482,7 +482,7 @@ def test_budget_cut_row_matches_the_full_width_row(case):
     beside a finite narrow arc, one with copies past the width, and an arc
     one copy short of wide that nothing undercuts."""
     arcs, width = case
-    assert pi_row(arcs, width, TableSteps(0)) == full_width_pi_row(arcs, width)
+    assert pi_row(arcs, width, table_meter(0)) == full_width_pi_row(arcs, width)
 
 
 @SETTINGS
@@ -493,7 +493,7 @@ def test_pi_row_caps_copies_at_the_width(case):
     arcs, width = case
     huge = [(head, weight, 2**63 if copies >= width else copies)
             for head, weight, copies in arcs]
-    assert pi_row(huge, width, TableSteps(0)) == pi_row(arcs, width, TableSteps(0))
+    assert pi_row(huge, width, table_meter(0)) == pi_row(arcs, width, table_meter(0))
 
 
 @SETTINGS
@@ -678,7 +678,8 @@ def test_a_table_answers_within_its_direct_step_count(case):
     with mock.patch.object(dagctp, "TABLE_STEPS", d):
         assert build() == want
     with mock.patch.object(dagctp, "TABLE_STEPS", d - 1):
-        with pytest.raises(SizeLimitError, match=f"^budget table exceeded {d - 1} steps$"):
+        with pytest.raises(SizeLimitError,
+                           match=fr"^budget table steps exceeded {d - 1} \(reached {d}\)$"):
             build()
 
 
@@ -1270,7 +1271,8 @@ def test_generator_verifier_matches_the_stacked_reference(case, cut):
             # the guard trips at the same reveal state, after the same consults
             limit = cut % explored
             tripped = _refuted(stacked_refute, rules, policy, limit)
-            assert tripped[0] in (f"verification explored more than {limit} reveal states",
-                                  f"verification tried more than {limit} count vectors "
-                                  "at one reveal")
+            assert tripped[0] in (f"verifier reveal states exceeded {limit} "
+                                  f"(reached {limit + 1})",
+                                  f"verifier count vectors at one reveal exceeded {limit} "
+                                  f"(reached {limit + 1})")
             assert _refuted(arena._refute, rules, policy, limit) == tripped

@@ -287,8 +287,11 @@ def test_policy_wrappers_delegate():
 
 
 def test_state_limit_guard():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as info:
         exact_static_value(_witness(), state_limit=1)
+    exc = info.value
+    assert (exc.phase, exc.reached, exc.limit) == ("knowledge states", 2, 1)
+    assert str(exc) == "knowledge states exceeded 1 (reached 2)"
 
 
 def test_input_checks():

@@ -211,18 +211,18 @@ def test_oracle_guards_large_instances():
     names = [f"x{i}" for i in range(7)]
     edges = [TimeEdge(names[i], names[i + 1], i, 1) for i in range(6)]
     big = Instance(TemporalGraph.build(names, edges), names[0], names[-1], 0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^u oracle vertices exceeded 6 \(reached 7\)$"):
         brute_u_game(big)
     assert brute_u_game(big, override=True)
 
     late = Instance(
         TemporalGraph.build(["a", "b"], [TimeEdge("a", "b", 7, 1)]), "a", "b", 0
     )
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^u oracle lifespan exceeded 6 \(reached 7\)$"):
         brute_u_game(late)
     assert brute_u_game(late, override=True)
 
     deep = _chain(3)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^u oracle budget exceeded 2 \(reached 3\)$"):
         brute_u_game(deep)
     assert brute_u_game(deep, override=True)
